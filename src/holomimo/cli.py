@@ -56,7 +56,10 @@ def _add_common_arguments(parser: argparse.ArgumentParser, threads: bool = True)
     parser.add_argument("--stem", default=None, help="override the output filename stem")
     if threads:
         parser.add_argument(
-            "--threads", type=int, default=1, help="worker threads; never changes output bytes"
+            "--threads",
+            type=int,
+            default=1,
+            help="accepted for compatibility (must be >= 1); changes neither results nor speed",
         )
 
 

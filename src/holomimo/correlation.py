@@ -120,11 +120,14 @@ class CorrelationMatrix:
     def validate(self, psd_tol: float = 1e-10, trace_tol: float = 1e-9) -> None:
         """Check the structural invariants; raises ValueError on violation.
 
-        Verifies exact conjugate symmetry, a real diagonal matching the gain,
-        trace equal to M * gain within `trace_tol` (relative), and eigenvalues
-        no more negative than -psd_tol times the largest one.
+        Verifies finite entries, exact conjugate symmetry, a real diagonal
+        matching the gain, trace equal to M * gain within `trace_tol`
+        (relative), and eigenvalues no more negative than -psd_tol times the
+        largest one.
         """
         e = self.entries
+        if not np.all(np.isfinite(e)):
+            raise ValueError("matrix has non-finite entries (NaN or Inf)")
         if not np.array_equal(e, e.conj().T):
             raise ValueError("matrix is not exactly Hermitian")
         diag = np.diagonal(e)
@@ -353,8 +356,8 @@ def build_exact_clustered(
             f"{quadrature.nodes_azimuth}x{quadrature.nodes_elevation})"
         )
 
-    # table[0, center] is the total mass; dividing by it both normalizes the
-    # mixture and pins the diagonal (hence the trace) to the gain exactly.
+    # table[0, center] is the total mass; dividing by it normalizes the
+    # mixture and puts the diagonal (hence the trace) at the gain.
     total = table[0, geometry.num_vertical - 1].real
     logger.debug(
         "exact clustered build: trace renormalization absorbed a relative "
@@ -363,6 +366,8 @@ def build_exact_clustered(
         worst,
     )
     entries = _scatter_offsets(geometry, (scattering.gain / total) * table)
+    # (gain / total) * total can round 1 ulp off the gain; pin it exactly.
+    np.fill_diagonal(entries, scattering.gain)
     return CorrelationMatrix(
         entries=entries,
         gain=scattering.gain,

@@ -14,7 +14,7 @@ NMSE is normalized by tr(R): E[||h_hat - h||^2] / tr(R).
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +24,8 @@ from .spectral import EigenBasis
 
 GRAM_TOLERANCE = 1e-8
 CONTAINMENT_TOLERANCE = 1e-5
+# Trials per Monte Carlo block; fixed so that results never depend on threads.
+MC_BLOCK_TRIALS = 128
 
 
 class Estimator(enum.Enum):
@@ -95,22 +97,14 @@ def _check_orthonormal(subspace: np.ndarray) -> None:
         )
 
 
-def estimate_mmse(
-    observation: PilotObservation, basis: EigenBasis, direct: bool = False
-) -> ChannelEstimate:
+def estimate_mmse(observation: PilotObservation, basis: EigenBasis) -> ChannelEstimate:
     """MMSE estimate sqrt(snr) R (snr R + I)^-1 y via the eigenbasis of R.
 
     The eigenbasis path applies U_1 diag(snr l / (snr l + 1)) U_1^H / sqrt(snr)
     over the numerical rank, costing two skinny matmuls instead of an M x M
-    solve. `direct` solves the regularized system explicitly; same estimate
-    up to rounding, kept as an independent cross-check.
+    solve.
     """
     snr = observation.snr
-    if direct:
-        m = basis.num_antennas
-        full = (basis.eigenvectors * basis.eigenvalues) @ basis.eigenvectors.conj().T
-        solved = np.linalg.solve(snr * full + np.eye(m), observation.received)
-        return ChannelEstimate(h_hat=np.sqrt(snr) * (full @ solved), estimator=Estimator.MMSE)
     r = basis.numerical_rank
     u1 = basis.eigenvectors[:, :r]
     shrink = snr * basis.eigenvalues[:r] / (snr * basis.eigenvalues[:r] + 1.0)
@@ -215,28 +209,76 @@ class MonteCarloNmse:
     trials: int
 
 
+def _row_energy(rows: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of every row of a complex block."""
+    return (rows.real**2 + rows.imag**2).sum(axis=1)
+
+
+def _projection(subspace: np.ndarray, u1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """conj(P) for the noise GEMM, and (I - P P^H) U_1 for the channel.
+
+    (I - P P^H) U_1 is the part of the channel basis that projecting onto
+    the orthonormal P drops.
+    """
+    _check_orthonormal(subspace)
+    return subspace.conj(), u1 - subspace @ (subspace.conj().T @ u1)
+
+
+def _draw_block(
+    seed: int, trials: range, rank: int, num_antennas: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Channel coordinates v and noise n of consecutive trials, one row each.
+
+    Every trial draws from its own (seed, trial) generator, v before n, so a
+    row depends on its trial index alone, never on the block it lands in.
+    """
+    v = np.empty((len(trials), rank), dtype=np.complex128)
+    n = np.empty((len(trials), num_antennas), dtype=np.complex128)
+    for row, trial in enumerate(trials):
+        rng = np.random.default_rng([seed, trial])
+        v[row] = complex_normal(rng, rank)
+        n[row] = complex_normal(rng, num_antennas)
+    return v, n
+
+
 def monte_carlo_nmse(
     basis: EigenBasis,
     estimators: tuple[Estimator, ...],
-    snr: float,
+    snr: float | Sequence[float],
     trials: int,
     seed: int,
     rsls_rank: int | None = None,
     container_subspace: np.ndarray | None = None,
     threads: int = 1,
-) -> dict[Estimator, MonteCarloNmse]:
+) -> dict[Estimator, MonteCarloNmse] | list[dict[Estimator, MonteCarloNmse]]:
     """Empirical NMSE of several estimators over shared channel realizations.
 
-    Each trial draws its own generator from (seed, trial index), so results
-    are reproducible realization-by-realization and independent of `threads`
-    (threads split whole trials; every trial writes a preallocated slot and
-    the final reduction is a fixed-order sum). All estimators see the same
-    channel and noise within a trial, which makes NMSE differences between
-    estimators far less noisy than their absolute values.
+    `snr` is one linear-scale SNR, giving one dict, or a grid of them, giving
+    one dict per SNR in grid order. Each trial draws h = U_1 diag(sqrt(l)) v
+    and the noise n from its own generator seeded by (seed, trial index), so
+    results are reproducible realization-by-realization and every SNR of a
+    grid sees the same realizations. All estimators see the same channel and
+    noise within a trial, which makes NMSE differences between estimators far
+    less noisy than their absolute values.
+
+    Trials are processed in blocks of MC_BLOCK_TRIALS. Each block is
+    projected once per subspace; every SNR then costs elementwise work on the
+    projected coordinates:
+
+    * LS: ||n||^2 / snr.
+    * RS-LS onto an orthonormal P (RSLS and CONSERVATIVE_RSLS):
+      ||(I - P P^H) h||^2 + ||P^H n||^2 / snr; the two parts are orthogonal.
+    * MMSE: ||d||^2 with d = shrink / sqrt(snr) (sqrt(snr) a + U_1^H n) - a in
+      the coordinates a = diag(sqrt(l)) v of h on U_1.
+
+    A grid call therefore returns exactly the numbers of separate scalar
+    calls, and a subset of `estimators` exactly those of the full set.
 
     `rsls_rank` sets the RSLS projection rank (default: effective rank of
     `basis`); `container_subspace` is the orthonormal M x r basis used by
     CONSERVATIVE_RSLS and is required when that estimator is requested.
+    `threads` must be at least 1 and changes nothing: the block size is
+    fixed, and BLAS parallelizes the projections.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -244,61 +286,65 @@ def monte_carlo_nmse(
         raise ValueError(f"threads must be at least 1, got {threads}")
     if not estimators:
         raise ValueError("at least one estimator is required")
-    if Estimator.CONSERVATIVE_RSLS in estimators:
-        if container_subspace is None:
-            raise ValueError("CONSERVATIVE_RSLS requires a container_subspace")
-        _check_orthonormal(container_subspace)
+    scalar = np.ndim(snr) == 0
+    snrs = np.atleast_1d(np.asarray(snr, dtype=float))
+    if snrs.ndim != 1 or snrs.size == 0 or not np.all(snrs > 0):
+        raise ValueError(f"snr must be positive (linear scale), got {snr}")
 
+    m = basis.num_antennas
     r = basis.numerical_rank
     u1 = basis.eigenvectors[:, :r]
     scale = np.sqrt(basis.eigenvalues[:r])
-    shrink = snr * basis.eigenvalues[:r] / (snr * basis.eigenvalues[:r] + 1.0)
-    rsls_subspace = None
+    projections: dict[Estimator, tuple[np.ndarray, np.ndarray]] = {}
     if Estimator.RSLS in estimators:
         rank = basis.effective_rank if rsls_rank is None else rsls_rank
-        if not 1 <= rank <= basis.num_antennas:
-            raise ValueError(f"rsls rank {rank} outside [1, {basis.num_antennas}]")
-        rsls_subspace = basis.eigenvectors[:, :rank]
+        if not 1 <= rank <= m:
+            raise ValueError(f"rsls rank {rank} outside [1, {m}]")
+        projections[Estimator.RSLS] = _projection(basis.eigenvectors[:, :rank], u1)
+    if Estimator.CONSERVATIVE_RSLS in estimators:
+        if container_subspace is None:
+            raise ValueError("CONSERVATIVE_RSLS requires a container_subspace")
+        projections[Estimator.CONSERVATIVE_RSLS] = _projection(container_subspace, u1)
 
-    sqrt_snr = np.sqrt(snr)
-    errors = np.zeros((trials, len(estimators)))
-
-    def run_trial(trial: int) -> None:
-        rng = np.random.default_rng([seed, trial])
-        v = complex_normal(rng, r)
-        h = u1 @ (scale * v)
-        y = sqrt_snr * h + complex_normal(rng, basis.num_antennas)
+    errors = np.empty((snrs.size, len(estimators), trials))
+    for start in range(0, trials, MC_BLOCK_TRIALS):
+        block = range(start, min(start + MC_BLOCK_TRIALS, trials))
+        v, noise = _draw_block(seed, block, r, m)
+        a = scale * v
+        rows = slice(block.start, block.stop)
         for k, estimator in enumerate(estimators):
-            if estimator is Estimator.MMSE:
-                h_hat = u1 @ (shrink / sqrt_snr * (u1.conj().T @ y))
-            elif estimator is Estimator.LS:
-                h_hat = y / sqrt_snr
-            elif estimator is Estimator.RSLS:
-                h_hat = rsls_subspace @ (rsls_subspace.conj().T @ y) / sqrt_snr
-            elif estimator is Estimator.CONSERVATIVE_RSLS:
-                h_hat = container_subspace @ (container_subspace.conj().T @ y) / sqrt_snr
+            if estimator is Estimator.LS:
+                noise_energy = _row_energy(noise)
+                for s, rho in enumerate(snrs):
+                    errors[s, k, rows] = noise_energy / rho
+            elif estimator is Estimator.MMSE:
+                a_noise = noise @ u1.conj()
+                for s, rho in enumerate(snrs):
+                    sqrt_rho = np.sqrt(rho)
+                    shrink = rho * basis.eigenvalues[:r] / (rho * basis.eigenvalues[:r] + 1.0)
+                    d = shrink / sqrt_rho * (sqrt_rho * a + a_noise) - a
+                    errors[s, k, rows] = _row_energy(d)
+            elif estimator in projections:
+                subspace_conj, dropped = projections[estimator]
+                residual = _row_energy(a @ dropped.T)
+                noise_energy = _row_energy(noise @ subspace_conj)
+                for s, rho in enumerate(snrs):
+                    errors[s, k, rows] = residual + noise_energy / rho
             else:
                 raise ValueError(f"unknown estimator {estimator!r}")
-            delta = h_hat - h
-            errors[trial, k] = np.real(np.vdot(delta, delta))
-
-    if threads == 1:
-        for trial in range(trials):
-            run_trial(trial)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_trial, range(trials)))
 
     trace = basis.source_trace
-    results: dict[Estimator, MonteCarloNmse] = {}
-    for k, estimator in enumerate(estimators):
-        column = errors[:, k]
-        mean = float(column.mean())
-        if trials > 1:
-            spread = float(column.std(ddof=1)) / np.sqrt(trials)
-        else:
-            spread = float("nan")
-        results[estimator] = MonteCarloNmse(
-            nmse=mean / trace, ci95=1.96 * spread / trace, trials=trials
-        )
-    return results
+    grid: list[dict[Estimator, MonteCarloNmse]] = []
+    for per_snr in errors:
+        results: dict[Estimator, MonteCarloNmse] = {}
+        for estimator, column in zip(estimators, per_snr):
+            mean = float(column.mean())
+            if trials > 1:
+                spread = float(column.std(ddof=1)) / np.sqrt(trials)
+            else:
+                spread = float("nan")
+            results[estimator] = MonteCarloNmse(
+                nmse=mean / trace, ci95=1.96 * spread / trace, trials=trials
+            )
+        grid.append(results)
+    return grid[0] if scalar else grid

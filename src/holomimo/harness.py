@@ -6,7 +6,10 @@ Output contract shared by all runs:
   line, JSON under a "config" key), so a file is self-describing.
 * Outputs are byte-deterministic: fixed row order, "%.17g" floats in CSV,
   explicit "\\n" newlines, sorted JSON keys, no timestamps or machine info.
-  The --threads knob never changes bytes, only wall time.
+* The --threads knob is validated (at least 1) and otherwise ignored: it
+  changes neither the bytes nor the speed. Parallelism comes from BLAS.
+* nmse-sweep calls the Monte Carlo engine once for the whole SNR grid, so
+  every SNR point is computed from the same channel and noise realizations.
 * A failing run removes whatever partial files it had written.
 """
 
@@ -175,7 +178,8 @@ def run_nmse_sweep(
     projects onto the numerical-rank eigenspace of the isotropic matrix of
     the same geometry; its analytic oracle is reported only while the truth
     eigenspace is contained in that projection within tolerance, otherwise
-    the analytic column is left empty and a warning lands in the JSON.
+    the analytic column is left empty and a warning lands in the JSON. One
+    Monte Carlo call covers the whole SNR grid; `threads` changes nothing.
 
     Writes <stem>_nmse.csv and <stem>_nmse.json; returns (records, paths).
     """
@@ -195,19 +199,19 @@ def run_nmse_sweep(
             container = iso_basis.eigenvectors[:, :container_rank]
             containment = subspace_containment_residual(iso_basis, basis)
 
+        snrs = [10.0 ** (snr_db / 10.0) for snr_db in config.snr_grid_db]
+        mc_grid = monte_carlo_nmse(
+            basis,
+            config.estimators,
+            snr=snrs,
+            trials=config.trials,
+            seed=config.seed,
+            container_subspace=container,
+            threads=threads,
+        )
         records: list[NmseRecord] = []
         iso_warned = False
-        for snr_db in config.snr_grid_db:
-            snr = 10.0 ** (snr_db / 10.0)
-            mc = monte_carlo_nmse(
-                basis,
-                config.estimators,
-                snr=snr,
-                trials=config.trials,
-                seed=config.seed,
-                container_subspace=container,
-                threads=threads,
-            )
+        for snr_db, snr, mc in zip(config.snr_grid_db, snrs, mc_grid):
             for estimator in config.estimators:
                 if estimator is Estimator.CONSERVATIVE_RSLS:
                     try:

@@ -6,7 +6,9 @@ direction-sampling Monte Carlo estimate that never touches a quadrature
 rule.
 """
 
+import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from holomimo import (
     build_isotropic,
     correlation_matrix_distance,
     export_matrix_csv,
+    load_config,
     load_matrix,
     quadrature_self_check,
     save_matrix,
@@ -116,6 +119,22 @@ class TestCorrelationMatrixType:
         with pytest.raises(ValueError, match="Hermitian"):
             matrix.validate()
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, -math.inf)])
+    def test_validate_rejects_non_finite_entries(self, bad):
+        # NaN breaks exact symmetry too; the finite check must speak first
+        entries = np.eye(2, dtype=np.complex128)
+        entries[0, 1] = bad
+        entries[1, 0] = np.conj(bad)
+        matrix = CorrelationMatrix(entries, 1.0, MatrixProvenance.EXTERNAL)
+        with pytest.raises(ValueError, match="non-finite"):
+            matrix.validate()
+
+    def test_validate_rejects_non_finite_diagonal(self):
+        entries = np.diag([1.0, np.inf]).astype(np.complex128)
+        matrix = CorrelationMatrix(entries, 1.0, MatrixProvenance.EXTERNAL)
+        with pytest.raises(ValueError, match="non-finite"):
+            matrix.validate()
+
     def test_validate_catches_trace_drift(self):
         entries = np.diag([1.5, 1.5]).astype(np.complex128)
         matrix = CorrelationMatrix(entries, 1.0, MatrixProvenance.EXTERNAL)
@@ -180,6 +199,19 @@ class TestExactClustered:
     def test_diagonal_pinned_to_gain(self):
         matrix = build_exact_clustered(ORACLE_GEOMETRY, ORACLE_SCATTERING)
         assert np.all(np.diagonal(matrix.entries) == 2.5)
+
+    @pytest.mark.parametrize("scene_seed", [1, 7, 10, 30, 69695126])
+    def test_diagonal_is_gain_bit_for_bit_on_generated_scenes(self, tmp_path, scene_seed):
+        # seeds 10, 30 and 69695126 put (gain / total) * total 1 ulp below
+        # the gain unless the builder pins the diagonal
+        raw = json.loads((resources.files("holomimo") / "presets" / "fig2_desk.json").read_text())
+        raw["geometry"].update(m_h=6, m_v=6)
+        raw["scattering"]["generate"]["seed"] = scene_seed
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(raw))
+        config = load_config(path)
+        matrix = build_exact_clustered(config.geometry, config.scattering, config.quadrature)
+        assert np.all(np.diagonal(matrix.entries) == config.scattering.gain)
 
     def test_exactly_hermitian(self):
         matrix = build_exact_clustered(ORACLE_GEOMETRY, ORACLE_SCATTERING)

@@ -26,6 +26,7 @@ from holomimo import (
     observe_pilot,
     sample_channel,
 )
+from holomimo.estimation import MC_BLOCK_TRIALS
 
 
 def clustered_basis():
@@ -50,6 +51,14 @@ def diagonal_basis(eigenvalues):
         effective_rank=m,
         source_trace=float(values.sum()),
     )
+
+
+def mmse_by_direct_solve(observation, basis):
+    """sqrt(snr) R (snr R + I)^-1 y by an explicit M x M solve."""
+    snr = observation.snr
+    full = (basis.eigenvectors * basis.eigenvalues) @ basis.eigenvectors.conj().T
+    solved = np.linalg.solve(snr * full + np.eye(basis.num_antennas), observation.received)
+    return np.sqrt(snr) * (full @ solved)
 
 
 class TestSampling:
@@ -102,9 +111,9 @@ class TestEstimators:
 
     def test_mmse_eigenpath_equals_direct_solve(self):
         fast = estimate_mmse(self.obs, self.basis)
-        direct = estimate_mmse(self.obs, self.basis, direct=True)
-        scale = np.linalg.norm(direct.h_hat)
-        assert np.linalg.norm(fast.h_hat - direct.h_hat) / scale < 1e-10
+        direct = mmse_by_direct_solve(self.obs, self.basis)
+        scale = np.linalg.norm(direct)
+        assert np.linalg.norm(fast.h_hat - direct) / scale < 1e-10
         assert fast.estimator is Estimator.MMSE
 
     def test_ls_is_scaled_observation(self):
@@ -280,3 +289,99 @@ class TestMonteCarloNmse:
             monte_carlo_nmse(
                 self.basis, (Estimator.CONSERVATIVE_RSLS,), snr=1.0, trials=10, seed=0
             )
+
+
+class TestMonteCarloEngine:
+    """The blocked, SNR-grid engine against a per-trial oracle."""
+
+    def setup_method(self):
+        geometry = ArrayGeometry(6, 6, 0.25, 1.0)
+        cfg = ScatteringConfig(
+            clusters=(Cluster(0.4, -0.15, 0.7), Cluster(-0.3, 0.25, 0.3)),
+            sigma_azimuth=0.06,
+            sigma_elevation=0.06,
+            gain=1.0,
+        )
+        self.basis = eigendecompose(build_exact_clustered(geometry, cfg))
+        iso = eigendecompose(build_isotropic(geometry))
+        # a rank-deficient container, so the channel leaks out of it a little
+        self.container = iso.eigenvectors[:, : iso.effective_rank]
+        self.estimators = tuple(Estimator)
+        self.snrs = (0.1, 1.0, 10.0, 1000.0)
+
+    def oracle(self, snr, trials, seed, rsls_rank=None):
+        """NMSE from the public estimators, one trial at a time."""
+        rank = self.basis.effective_rank if rsls_rank is None else rsls_rank
+        subspace = self.basis.eigenvectors[:, :rank]
+        errors = {estimator: [] for estimator in self.estimators}
+        for trial in range(trials):
+            rng = np.random.default_rng([seed, trial])
+            h = sample_channel(self.basis, rng)
+            obs = observe_pilot(h, snr, rng)
+            estimates = (
+                estimate_mmse(obs, self.basis),
+                estimate_ls(obs),
+                estimate_rsls(obs, subspace),
+                estimate_conservative_rsls(obs, self.container),
+            )
+            for estimate in estimates:
+                delta = estimate.h_hat - h
+                errors[estimate.estimator].append(np.real(np.vdot(delta, delta)))
+        trace = self.basis.source_trace
+        return {
+            estimator: (
+                np.mean(values) / trace,
+                1.96 * np.std(values, ddof=1) / np.sqrt(trials) / trace,
+            )
+            for estimator, values in errors.items()
+        }
+
+    def test_matches_per_trial_oracle(self):
+        trials = 301
+        assert trials % MC_BLOCK_TRIALS != 0
+        grid = monte_carlo_nmse(
+            self.basis,
+            self.estimators,
+            snr=self.snrs,
+            trials=trials,
+            seed=17,
+            container_subspace=self.container,
+        )
+        assert len(grid) == len(self.snrs)
+        for snr, results in zip(self.snrs, grid):
+            expected = self.oracle(snr, trials, seed=17)
+            for estimator in self.estimators:
+                nmse, ci95 = expected[estimator]
+                assert results[estimator].nmse == pytest.approx(nmse, rel=1e-12)
+                assert results[estimator].ci95 == pytest.approx(ci95, rel=1e-12)
+                assert results[estimator].trials == trials
+
+    def test_rsls_rank_override_matches_oracle(self):
+        for rank in (3, self.basis.numerical_rank + 2):
+            results = monte_carlo_nmse(
+                self.basis, (Estimator.RSLS,), snr=5.0, trials=150, seed=4, rsls_rank=rank
+            )
+            nmse, ci95 = self.oracle(5.0, 150, seed=4, rsls_rank=rank)[Estimator.RSLS]
+            assert results[Estimator.RSLS].nmse == pytest.approx(nmse, rel=1e-12)
+            assert results[Estimator.RSLS].ci95 == pytest.approx(ci95, rel=1e-12)
+
+    def test_grid_equals_scalar_calls_bit_for_bit(self):
+        kwargs = dict(trials=301, seed=23, container_subspace=self.container)
+        grid = monte_carlo_nmse(self.basis, self.estimators, snr=list(self.snrs), **kwargs)
+        for snr, from_grid in zip(self.snrs, grid):
+            alone = monte_carlo_nmse(self.basis, self.estimators, snr=snr, **kwargs)
+            assert isinstance(alone, dict)
+            assert alone == from_grid
+
+    def test_subset_of_a_grid_sees_same_numbers(self):
+        kwargs = dict(snr=self.snrs, trials=200, seed=8, container_subspace=self.container)
+        full = monte_carlo_nmse(self.basis, self.estimators, **kwargs)
+        for estimator in self.estimators:
+            alone = monte_carlo_nmse(self.basis, (estimator,), **kwargs)
+            for single, together in zip(alone, full):
+                assert single[estimator] == together[estimator]
+
+    def test_rejects_nonpositive_snr(self):
+        for snr in (0.0, -1.0, (1.0, 0.0), ()):
+            with pytest.raises(ValueError, match="snr"):
+                monte_carlo_nmse(self.basis, (Estimator.LS,), snr=snr, trials=10, seed=0)
