@@ -103,9 +103,9 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigurationError(f"--threads must be at least 1, got {args.threads}")
 
         if args.command == "eigen-report":
-            _, paths = run_eigen_report(config, args.out, threads=args.threads)
+            _, paths = run_eigen_report(config, args.out)
         elif args.command == "nmse-sweep":
-            _, paths = run_nmse_sweep(config, args.out, threads=args.threads)
+            _, paths = run_nmse_sweep(config, args.out)
         elif args.command == "approx-validate":
             _, paths = run_approx_validation(config, args.out)
         else:

@@ -20,7 +20,6 @@ trace(R) = M * gain without relying on quadrature accuracy.
 from __future__ import annotations
 
 import enum
-import logging
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,14 +34,13 @@ from .scattering import (
     cluster_reference_masses,
     deviation_window,
     elevation_profile,
-    _clamped_cos_power,
-    _specular_width_factors,
 )
 
 _MAGIC = b"HMRC"
 _CONTAINER_VERSION = 1
 
-logger = logging.getLogger(__name__)
+# (azimuth nodes, weighted azimuth profile, elevation nodes, weighted elevation profile)
+_ClusterRule = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 class MatrixProvenance(enum.IntEnum):
@@ -125,6 +123,16 @@ class CorrelationMatrix:
         (relative), and eigenvalues no more negative than -psd_tol times the
         largest one.
         """
+        self._check_structure(trace_tol)
+        eigenvalues = np.linalg.eigvalsh(self.entries)
+        floor = -psd_tol * max(eigenvalues[-1], 0.0)
+        if eigenvalues[0] < floor:
+            raise ValueError(
+                f"matrix is not PSD: min eigenvalue {eigenvalues[0]} below {floor}"
+            )
+
+    def _check_structure(self, trace_tol: float = 1e-9) -> None:
+        """The O(M^2) part of validate(): everything but the PSD check."""
         e = self.entries
         if not np.all(np.isfinite(e)):
             raise ValueError("matrix has non-finite entries (NaN or Inf)")
@@ -137,12 +145,6 @@ class CorrelationMatrix:
         trace = float(diag.real.sum())
         if abs(trace - m * self.gain) > trace_tol * m * self.gain:
             raise ValueError(f"trace {trace} deviates from M*gain {m * self.gain}")
-        eigenvalues = np.linalg.eigvalsh(e)
-        floor = -psd_tol * max(eigenvalues[-1], 0.0)
-        if eigenvalues[0] < floor:
-            raise ValueError(
-                f"matrix is not PSD: min eigenvalue {eigenvalues[0]} below {floor}"
-            )
 
 
 def _offset_grids(geometry: ArrayGeometry) -> tuple[np.ndarray, np.ndarray]:
@@ -194,57 +196,53 @@ def build_isotropic(geometry: ArrayGeometry, gain: float = 1.0) -> CorrelationMa
     )
 
 
-def _axis_rule(
-    nominal: float, sigma: float, nodes: int, support_radius: float | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights over a cluster axis deviation window."""
-    lo, hi = deviation_window(nominal, sigma, support_radius)
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    half = (hi - lo) / 2.0
-    return (lo + hi) / 2.0 + half * x, half * w
+def _diffuse_rules(
+    config: ScatteringConfig, quadrature: QuadratureSpec
+) -> dict[int, _ClusterRule]:
+    """The fixed-node rule of every diffuse cluster with power, by cluster index.
 
+    Maps the Gauss-Legendre rule onto each cluster's deviation windows and
+    weights the axis profiles at the mapped nodes.
+    """
+    x_az, w_az = np.polynomial.legendre.leggauss(quadrature.nodes_azimuth)
+    x_el, w_el = np.polynomial.legendre.leggauss(quadrature.nodes_elevation)
 
-def _rule_masses(config: ScatteringConfig, quadrature: QuadratureSpec) -> np.ndarray:
-    """Peak-referenced cluster masses under the fixed-node rule, shape (N,)."""
-    masses = np.zeros(len(config.clusters))
-    spec_factors: tuple[float, float] | None = None
+    def mapped(nominal: float, sigma: float, x: np.ndarray, w: np.ndarray):
+        lo, hi = deviation_window(nominal, sigma, quadrature.support_radius)
+        half = (hi - lo) / 2.0
+        return (lo + hi) / 2.0 + half * x, half * w
+
+    rules = {}
     for n, cluster in enumerate(config.clusters):
-        if cluster.power == 0.0:
+        if cluster.power == 0.0 or cluster.specular:
             continue
-        if cluster.specular:
-            # Point masses are exact; they reuse the adaptive width factors.
-            if spec_factors is None:
-                spec_factors = _specular_width_factors(config)
-            masses[n] = (
-                cluster.power
-                * float(_clamped_cos_power(np.asarray(cluster.azimuth), config.directivity_a))
-                * float(
-                    _clamped_cos_power(
-                        np.asarray(cluster.elevation), config.directivity_b + 1.0
-                    )
-                )
-                * spec_factors[0]
-                * spec_factors[1]
-            )
-        else:
-            az_nodes, az_w = _axis_rule(
-                cluster.azimuth,
-                config.sigma_azimuth,
-                quadrature.nodes_azimuth,
-                quadrature.support_radius,
-            )
-            el_nodes, el_w = _axis_rule(
-                cluster.elevation,
-                config.sigma_elevation,
-                quadrature.nodes_elevation,
-                quadrature.support_radius,
-            )
-            masses[n] = (
-                cluster.power
-                * float(azimuth_profile(config, n, az_nodes) @ az_w)
-                * float(elevation_profile(config, n, el_nodes) @ el_w)
-            )
-    return masses
+        az_nodes, az_w = mapped(cluster.azimuth, config.sigma_azimuth, x_az, w_az)
+        el_nodes, el_w = mapped(cluster.elevation, config.sigma_elevation, x_el, w_el)
+        rules[n] = (
+            az_nodes,
+            azimuth_profile(config, n, az_nodes) * az_w,
+            el_nodes,
+            elevation_profile(config, n, el_nodes) * el_w,
+        )
+    return rules
+
+
+def _mass_errors(
+    config: ScatteringConfig,
+    rules: dict[int, _ClusterRule],
+    reference: np.ndarray,
+) -> np.ndarray:
+    """Relative error of each cluster's rule mass against its reference, shape (N,).
+
+    Specular point masses are exact, and clusters with zero power or zero
+    reference mass report zero.
+    """
+    errors = np.zeros_like(reference)
+    for n, (_, g_az, _, g_el) in rules.items():
+        if reference[n] > 0.0:
+            mass = config.clusters[n].power * float(g_az.sum()) * float(g_el.sum())
+            errors[n] = mass / reference[n] - 1.0
+    return errors
 
 
 def quadrature_self_check(
@@ -253,16 +251,13 @@ def quadrature_self_check(
     """Relative error of each cluster's quadrature mass, shape (N,).
 
     Integrates every cluster density with the fixed-node rule the exact
-    builder uses and compares against an adaptive reference. Values near zero
-    mean the rule resolves the density; clusters with zero power report zero.
+    builder uses and compares against an adaptive reference; the builder
+    checks the same numbers. Values near zero mean the rule resolves the
+    density; clusters with zero power report zero.
     """
     quadrature = quadrature or QuadratureSpec()
     reference = cluster_reference_masses(config)
-    rule = _rule_masses(config, quadrature)
-    errors = np.zeros_like(reference)
-    positive = reference > 0.0
-    errors[positive] = rule[positive] / reference[positive] - 1.0
-    return errors
+    return _mass_errors(config, _diffuse_rules(config, quadrature), reference)
 
 
 def build_exact_clustered(
@@ -285,54 +280,32 @@ def build_exact_clustered(
     """
     quadrature = quadrature or QuadratureSpec()
     reference = cluster_reference_masses(scattering)
+    rules = _diffuse_rules(scattering, quadrature)
+    errors = _mass_errors(scattering, rules, reference)
+    worst = int(np.argmax(np.abs(errors)))
+    if abs(errors[worst]) > quadrature.density_check_tol:
+        raise AccuracyError(
+            f"quadrature mass self-check failed: cluster {worst} relative error "
+            f"{errors[worst]:.3e} exceeds {quadrature.density_check_tol:.1e}; "
+            f"increase nodes_azimuth/nodes_elevation (currently "
+            f"{quadrature.nodes_azimuth}x{quadrature.nodes_elevation})"
+        )
+
     d_h, d_v = _offset_grids(geometry)
     table = np.zeros((d_h.size, d_v.size), dtype=np.complex128)
-    rule_masses = np.zeros(len(scattering.clusters))
-    spec_factors: tuple[float, float] | None = None
-
     for n, cluster in enumerate(scattering.clusters):
         if cluster.power == 0.0:
             continue
         if cluster.specular:
-            if spec_factors is None:
-                spec_factors = _specular_width_factors(scattering)
-            mass = (
-                cluster.power
-                * float(
-                    _clamped_cos_power(np.asarray(cluster.azimuth), scattering.directivity_a)
-                )
-                * float(
-                    _clamped_cos_power(
-                        np.asarray(cluster.elevation), scattering.directivity_b + 1.0
-                    )
-                )
-                * spec_factors[0]
-                * spec_factors[1]
-            )
-            rule_masses[n] = mass
+            # A point mass is exact: its reference mass is its rule mass.
             sin_az_cos_el = np.sin(cluster.azimuth) * np.cos(cluster.elevation)
             sin_el = np.sin(cluster.elevation)
-            table += mass * np.exp(
+            table += reference[n] * np.exp(
                 2j * np.pi * (d_h[:, None] * sin_az_cos_el + d_v[None, :] * sin_el)
             )
             continue
 
-        az_nodes, az_w = _axis_rule(
-            cluster.azimuth,
-            scattering.sigma_azimuth,
-            quadrature.nodes_azimuth,
-            quadrature.support_radius,
-        )
-        el_nodes, el_w = _axis_rule(
-            cluster.elevation,
-            scattering.sigma_elevation,
-            quadrature.nodes_elevation,
-            quadrature.support_radius,
-        )
-        g_az = azimuth_profile(scattering, n, az_nodes) * az_w
-        g_el = elevation_profile(scattering, n, el_nodes) * el_w
-        rule_masses[n] = cluster.power * float(g_az.sum()) * float(g_el.sum())
-
+        az_nodes, g_az, el_nodes, g_el = rules[n]
         sin_az = np.sin(cluster.azimuth + az_nodes)
         cos_el = np.cos(cluster.elevation + el_nodes)
         sin_el = np.sin(cluster.elevation + el_nodes)
@@ -344,27 +317,9 @@ def build_exact_clustered(
         phase_v = np.exp(2j * np.pi * d_v[:, None] * sin_el[None, :])
         table += cluster.power * (partial * g_el[None, :]) @ phase_v.T
 
-    errors = np.zeros_like(reference)
-    positive = reference > 0.0
-    errors[positive] = rule_masses[positive] / reference[positive] - 1.0
-    worst = int(np.argmax(np.abs(errors)))
-    if abs(errors[worst]) > quadrature.density_check_tol:
-        raise AccuracyError(
-            f"quadrature mass self-check failed: cluster {worst} relative error "
-            f"{errors[worst]:.3e} exceeds {quadrature.density_check_tol:.1e}; "
-            f"increase nodes_azimuth/nodes_elevation (currently "
-            f"{quadrature.nodes_azimuth}x{quadrature.nodes_elevation})"
-        )
-
     # table[0, center] is the total mass; dividing by it normalizes the
     # mixture and puts the diagonal (hence the trace) at the gain.
     total = table[0, geometry.num_vertical - 1].real
-    logger.debug(
-        "exact clustered build: trace renormalization absorbed a relative "
-        "quadrature mass error of %.3e (worst cluster %d)",
-        errors[worst],
-        worst,
-    )
     entries = _scatter_offsets(geometry, (scattering.gain / total) * table)
     # (gain / total) * total can round 1 ulp off the gain; pin it exactly.
     np.fill_diagonal(entries, scattering.gain)
@@ -489,7 +444,11 @@ def save_matrix(path: str | Path, matrix: CorrelationMatrix) -> Path:
 
 
 def load_matrix(path: str | Path) -> CorrelationMatrix:
-    """Read a correlation matrix written by save_matrix."""
+    """Read a correlation matrix written by save_matrix and revalidate it.
+
+    Runs every check of CorrelationMatrix.validate() except the O(M^3) PSD
+    check; raises ValueError on a malformed or tampered container.
+    """
     raw = Path(path).read_bytes()
     header_size = 4 + 4 + 4 + 8 + 1
     if len(raw) < header_size or raw[:4] != _MAGIC:
@@ -509,7 +468,9 @@ def load_matrix(path: str | Path) -> CorrelationMatrix:
     entries[rows, cols] = upper
     strict = rows != cols
     entries[cols[strict], rows[strict]] = upper[strict].conj()
-    return CorrelationMatrix(entries=entries, gain=gain, provenance=provenance)
+    matrix = CorrelationMatrix(entries=entries, gain=gain, provenance=provenance)
+    matrix._check_structure()
+    return matrix
 
 
 def export_matrix_csv(path: str | Path, matrix: CorrelationMatrix) -> Path:

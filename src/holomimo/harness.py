@@ -68,7 +68,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 class _OutputSet:
-    """Tracks files written by a run so failures can clean up after themselves."""
+    """Tracks files written by a run; an exception leaving its block removes them."""
 
     def __init__(self, out_dir: str | Path):
         self.out_dir = Path(out_dir)
@@ -80,9 +80,13 @@ class _OutputSet:
         self.paths.append(p)
         return p
 
-    def discard(self) -> None:
-        for p in self.paths:
-            p.unlink(missing_ok=True)
+    def __enter__(self) -> _OutputSet:
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is not None:
+            for p in self.paths:
+                p.unlink(missing_ok=True)
 
 
 def _build_model(config: ExperimentConfig, which: str) -> CorrelationMatrix:
@@ -97,20 +101,15 @@ def _build_model(config: ExperimentConfig, which: str) -> CorrelationMatrix:
     raise ConfigurationError(f"unknown correlation model '{which}'")
 
 
-def run_eigen_report(
-    config: ExperimentConfig, out_dir: str | Path, threads: int = 1
-) -> tuple[dict, list[Path]]:
+def run_eigen_report(config: ExperimentConfig, out_dir: str | Path) -> tuple[dict, list[Path]]:
     """Eigenvalue spectra and rank metrics for every configured model.
 
     Writes one spectrum CSV per model (index, eigenvalue, cumulative energy
     fraction) and a summary JSON with ranks, the asymptotic rank-fraction
-    prediction, and pairwise correlation matrix distances. `threads` is
-    accepted for interface uniformity; the computation is deterministic
-    either way. Returns (summary, written paths).
+    prediction, and pairwise correlation matrix distances. Returns (summary,
+    written paths).
     """
-    del threads
-    outputs = _OutputSet(out_dir)
-    try:
+    with _OutputSet(out_dir) as outputs:
         matrices: dict[str, CorrelationMatrix] = {}
         bases: dict[str, EigenBasis] = {}
         summary_models: dict[str, dict] = {}
@@ -157,9 +156,6 @@ def run_eigen_report(
         json_path = outputs.path(f"{config.output_stem}_eigen_summary.json")
         _write_json(json_path, summary)
         return summary, outputs.paths
-    except BaseException:
-        outputs.discard()
-        raise
 
 
 def _sweep_truth_model(config: ExperimentConfig) -> str:
@@ -169,7 +165,7 @@ def _sweep_truth_model(config: ExperimentConfig) -> str:
 
 
 def run_nmse_sweep(
-    config: ExperimentConfig, out_dir: str | Path, threads: int = 1
+    config: ExperimentConfig, out_dir: str | Path
 ) -> tuple[list[NmseRecord], list[Path]]:
     """Monte Carlo + analytic NMSE of the configured estimators over the SNR grid.
 
@@ -179,12 +175,11 @@ def run_nmse_sweep(
     the same geometry; its analytic oracle is reported only while the truth
     eigenspace is contained in that projection within tolerance, otherwise
     the analytic column is left empty and a warning lands in the JSON. One
-    Monte Carlo call covers the whole SNR grid; `threads` changes nothing.
+    Monte Carlo call covers the whole SNR grid.
 
     Writes <stem>_nmse.csv and <stem>_nmse.json; returns (records, paths).
     """
-    outputs = _OutputSet(out_dir)
-    try:
+    with _OutputSet(out_dir) as outputs:
         truth_model = _sweep_truth_model(config)
         truth = _build_model(config, truth_model)
         basis = eigendecompose(truth)
@@ -207,7 +202,6 @@ def run_nmse_sweep(
             trials=config.trials,
             seed=config.seed,
             container_subspace=container,
-            threads=threads,
         )
         records: list[NmseRecord] = []
         iso_warned = False
@@ -280,9 +274,6 @@ def run_nmse_sweep(
         json_path = outputs.path(f"{config.output_stem}_nmse.json")
         _write_json(json_path, payload)
         return records, outputs.paths
-    except BaseException:
-        outputs.discard()
-        raise
 
 
 def run_approx_validation(config: ExperimentConfig, out_dir: str | Path) -> tuple[dict, list[Path]]:
@@ -295,8 +286,7 @@ def run_approx_validation(config: ExperimentConfig, out_dir: str | Path) -> tupl
     """
     if config.scattering is None:
         raise ConfigurationError("approx validation requires clustered scattering")
-    outputs = _OutputSet(out_dir)
-    try:
+    with _OutputSet(out_dir) as outputs:
         exact = build_exact_clustered(config.geometry, config.scattering, config.quadrature)
         approx = build_approx_clustered(config.geometry, config.scattering)
         self_check = quadrature_self_check(config.scattering, config.quadrature)
@@ -323,9 +313,6 @@ def run_approx_validation(config: ExperimentConfig, out_dir: str | Path) -> tupl
         json_path = outputs.path(f"{config.output_stem}_approx_validation.json")
         _write_json(json_path, report)
         return report, outputs.paths
-    except BaseException:
-        outputs.discard()
-        raise
 
 
 def run_export_matrix(
@@ -336,8 +323,7 @@ def run_export_matrix(
     Optionally also writes the lossy-by-omission CSV view. Returns a small
     manifest and the written paths.
     """
-    outputs = _OutputSet(out_dir)
-    try:
+    with _OutputSet(out_dir) as outputs:
         which = _sweep_truth_model(config)
         matrix = _build_model(config, which)
         container_path = outputs.path(f"{config.output_stem}_{matrix.provenance.label}.hmrc")
@@ -354,6 +340,3 @@ def run_export_matrix(
             export_matrix_csv(csv_path, matrix)
             manifest["csv"] = csv_path.name
         return manifest, outputs.paths
-    except BaseException:
-        outputs.discard()
-        raise

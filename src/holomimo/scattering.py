@@ -189,9 +189,7 @@ def deviation_window(
     return lo, hi
 
 
-def _axis_reference_mass(
-    config: ScatteringConfig, n: int, axis: str, support_radius: float | None = None
-) -> float:
+def _axis_reference_mass(config: ScatteringConfig, n: int, axis: str) -> float:
     """Adaptive-quadrature integral of one axis profile (peak-referenced)."""
     if axis == "azimuth":
         nominal, sigma = config.clusters[n].azimuth, config.sigma_azimuth
@@ -199,7 +197,7 @@ def _axis_reference_mass(
     else:
         nominal, sigma = config.clusters[n].elevation, config.sigma_elevation
         profile = elevation_profile
-    lo, hi = deviation_window(nominal, sigma, support_radius)
+    lo, hi = deviation_window(nominal, sigma, None)
     points = [0.0] if lo < 0.0 < hi else None
     value, _ = integrate.quad(
         lambda x: float(profile(config, n, x)),
@@ -221,25 +219,20 @@ def _specular_width_factors(config: ScatteringConfig) -> tuple[float, float]:
     finite-spread clusters therefore weights each specular cluster by the
     same lobe-area factors a vanishing lobe would carry.
     """
-    w_az, _ = integrate.quad(
-        lambda x: float(peak_relative_lobe(x, config.sigma_azimuth)),
-        -_HALF_PI,
-        _HALF_PI,
-        points=[0.0],
-        limit=400,
-        epsabs=0.0,
-        epsrel=1e-12,
-    )
-    w_el, _ = integrate.quad(
-        lambda x: float(peak_relative_lobe(x, config.sigma_elevation)),
-        -_HALF_PI,
-        _HALF_PI,
-        points=[0.0],
-        limit=400,
-        epsabs=0.0,
-        epsrel=1e-12,
-    )
-    return w_az, w_el
+
+    def lobe_area(sigma: float) -> float:
+        value, _ = integrate.quad(
+            lambda x: float(peak_relative_lobe(x, sigma)),
+            -_HALF_PI,
+            _HALF_PI,
+            points=[0.0],
+            limit=400,
+            epsabs=0.0,
+            epsrel=1e-12,
+        )
+        return value
+
+    return lobe_area(config.sigma_azimuth), lobe_area(config.sigma_elevation)
 
 
 def cluster_reference_masses(config: ScatteringConfig) -> np.ndarray:

@@ -8,10 +8,13 @@ rule.
 
 import json
 import math
+import struct
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holomimo import (
     AccuracyError,
@@ -327,6 +330,69 @@ class TestExactClustered:
         with pytest.raises(AccuracyError, match="nodes"):
             build_exact_clustered(ORACLE_GEOMETRY, ORACLE_SCATTERING, spec)
 
+    @pytest.mark.parametrize("scene", ["fig4_desk", "diffuse_specular_dead"])
+    def test_self_check_error_is_worst_self_check_entry(self, scene):
+        # the builder and quadrature_self_check share one rule and one mass
+        # routine, so the builder's number is the self-check's worst entry
+        if scene == "fig4_desk":
+            config = load_config(resources.files("holomimo") / "presets" / "fig4_desk.json")
+            scattering, quadrature = config.scattering, config.quadrature
+        else:
+            scattering = ScatteringConfig(
+                clusters=(
+                    Cluster(0.3, 0.2, 0.6),
+                    Cluster(-0.5, 0.1, 0.4, specular=True),
+                    Cluster(0.1, -0.3, 0.0),
+                ),
+                sigma_azimuth=0.15,
+                sigma_elevation=0.1,
+                directivity_a=1.5,
+                directivity_b=0.5,
+            )
+            quadrature = QuadratureSpec()
+        matrix = build_exact_clustered(ORACLE_GEOMETRY, scattering, quadrature)
+        errors = quadrature_self_check(scattering, quadrature)
+        assert matrix.self_check_error == errors[np.argmax(np.abs(errors))]
+        assert np.all(errors[[c.specular or c.power == 0 for c in scattering.clusters]] == 0)
+
+    @settings(max_examples=25, derandomize=True, database=None, deadline=None)
+    @given(
+        clusters=st.lists(
+            st.builds(
+                Cluster,
+                azimuth=st.floats(-1.3, 1.3),
+                elevation=st.floats(-1.3, 1.3),
+                power=st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
+                specular=st.booleans(),
+            ),
+            min_size=1,
+            max_size=4,
+        ).filter(lambda cs: any(c.power > 0 for c in cs)),
+        sigma_azimuth=st.floats(math.radians(1.0), math.radians(15.0)),
+        sigma_elevation=st.floats(math.radians(1.0), math.radians(15.0)),
+        directivity_a=st.floats(0.0, 3.0),
+        directivity_b=st.floats(0.0, 3.0),
+    )
+    def test_self_check_error_property(
+        self, clusters, sigma_azimuth, sigma_elevation, directivity_a, directivity_b
+    ):
+        scattering = ScatteringConfig(
+            clusters=tuple(clusters),
+            sigma_azimuth=sigma_azimuth,
+            sigma_elevation=sigma_elevation,
+            directivity_a=directivity_a,
+            directivity_b=directivity_b,
+        )
+        quadrature = QuadratureSpec(nodes_azimuth=48, nodes_elevation=48)
+        errors = quadrature_self_check(scattering, quadrature)
+        worst = errors[np.argmax(np.abs(errors))]
+        try:
+            matrix = build_exact_clustered(ArrayGeometry(2, 2, 0.25, 1.0), scattering, quadrature)
+        except AccuracyError:
+            assert abs(worst) > quadrature.density_check_tol
+        else:
+            assert matrix.self_check_error == worst
+
     def test_self_check_reports_per_cluster_errors(self):
         errors = quadrature_self_check(ORACLE_SCATTERING)
         assert errors.shape == (2,)
@@ -481,6 +547,28 @@ class TestContainerRoundtrip:
         data[4] = 99
         path.write_bytes(bytes(data))
         with pytest.raises(ValueError, match="version"):
+            load_matrix(path)
+
+
+    # header: magic, version, M, gain (byte 12), provenance; then the upper
+    # triangle as complex128 from byte 21, entry (0, 0) first and (0, 1) next
+    @pytest.mark.parametrize(
+        "offset, value, message",
+        [
+            (21 + 16, math.nan, "non-finite"),
+            (21, math.nan, "non-finite"),
+            (21 + 8, 1e-3, "Hermitian"),
+            (12, 3.0, "trace"),
+        ],
+        ids=["nan_entry", "nan_diagonal", "imaginary_diagonal", "tampered_gain"],
+    )
+    def test_load_revalidates(self, tmp_path, offset, value, message):
+        matrix = build_exact_clustered(ORACLE_GEOMETRY, ORACLE_SCATTERING)
+        path = save_matrix(tmp_path / "matrix.hmrc", matrix)
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<d", data, offset, value)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=message):
             load_matrix(path)
 
 

@@ -178,13 +178,6 @@ class TestNmseSweep:
             if fields[0] == Estimator.CONSERVATIVE_RSLS.value:
                 assert fields[4] == ""
 
-    def test_threads_do_not_change_bytes(self, tmp_path):
-        path = write_config(tmp_path, clustered_payload())
-        _, first = run_nmse_sweep(load_config(path), tmp_path / "a", threads=1)
-        _, second = run_nmse_sweep(load_config(path), tmp_path / "b", threads=3)
-        for p_a, p_b in zip(first, second):
-            assert p_a.read_bytes() == p_b.read_bytes()
-
 
 class TestApproxValidation:
     def test_report_fields(self, tmp_path):
