@@ -65,9 +65,11 @@ from .scattering import (
 )
 from .spectral import (
     EigenBasis,
+    Spectrum,
     effective_rank,
     eigendecompose,
     rank_fraction_prediction,
+    spectrum,
     subspace_containment_residual,
 )
 
@@ -91,6 +93,7 @@ __all__ = [
     "PilotObservation",
     "QuadratureSpec",
     "ScatteringConfig",
+    "Spectrum",
     "UnsupportedModelError",
     "analytic_nmse",
     "antenna_indices",
@@ -121,6 +124,7 @@ __all__ = [
     "rank_fraction_prediction",
     "sample_channel",
     "save_matrix",
+    "spectrum",
     "subspace_containment_residual",
     "unnormalized_cluster_density",
     "wave_vector",

@@ -38,6 +38,8 @@ from .scattering import (
 
 _MAGIC = b"HMRC"
 _CONTAINER_VERSION = 1
+# Rows per block in the structural checks: 4 MB of temporaries per block at M = 1024.
+STRUCTURE_CHECK_ROWS = 256
 
 # (azimuth nodes, weighted azimuth profile, elevation nodes, weighted elevation profile)
 _ClusterRule = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -132,16 +134,22 @@ class CorrelationMatrix:
             )
 
     def _check_structure(self, trace_tol: float = 1e-9) -> None:
-        """The O(M^2) part of validate(): everything but the PSD check."""
+        """The O(M^2) part of validate(): everything but the PSD check.
+
+        Works on blocks of STRUCTURE_CHECK_ROWS rows, so its temporaries stay
+        O(M) instead of an M x M conjugate transpose. Every entry is checked
+        for finiteness before any is compared with its mirror.
+        """
         e = self.entries
-        if not np.all(np.isfinite(e)):
+        m = self.num_antennas
+        blocks = [slice(a, a + STRUCTURE_CHECK_ROWS) for a in range(0, m, STRUCTURE_CHECK_ROWS)]
+        if not all(np.isfinite(e[rows]).all() for rows in blocks):
             raise ValueError("matrix has non-finite entries (NaN or Inf)")
-        if not np.array_equal(e, e.conj().T):
+        if not all(np.array_equal(e[rows], e[:, rows].conj().T) for rows in blocks):
             raise ValueError("matrix is not exactly Hermitian")
         diag = np.diagonal(e)
         if np.any(diag.imag != 0.0) or np.any(diag.real < 0.0):
             raise ValueError("diagonal must be real and nonnegative")
-        m = self.num_antennas
         trace = float(diag.real.sum())
         if abs(trace - m * self.gain) > trace_tol * m * self.gain:
             raise ValueError(f"trace {trace} deviates from M*gain {m * self.gain}")

@@ -106,34 +106,34 @@ def run_eigen_report(config: ExperimentConfig, out_dir: str | Path) -> tuple[dic
 
     Writes one spectrum CSV per model (index, eigenvalue, cumulative energy
     fraction) and a summary JSON with ranks, the asymptotic rank-fraction
-    prediction, and pairwise correlation matrix distances. Returns (summary,
-    written paths).
+    prediction, and pairwise correlation matrix distances. Only eigenvalues
+    are computed, never eigenvectors. Returns (summary, written paths).
     """
     with _OutputSet(out_dir) as outputs:
         matrices: dict[str, CorrelationMatrix] = {}
-        bases: dict[str, EigenBasis] = {}
         summary_models: dict[str, dict] = {}
         for model in config.models:
             matrix = _build_model(config, model)
-            basis = eigendecompose(matrix)
+            # spectrum(), called by this name so that wrapping `eigendecompose` (as
+            # perfbench/tracer.py does) times every eigensolve of every command.
+            spec = eigendecompose(matrix, vectors=False)
             matrices[model] = matrix
-            bases[model] = basis
 
             csv_path = outputs.path(f"{config.output_stem}_spectrum_{model}.csv")
-            total = float(basis.eigenvalues.sum())
-            cumulative = np.cumsum(basis.eigenvalues) / total
+            total = float(spec.eigenvalues.sum())
+            cumulative = np.cumsum(spec.eigenvalues) / total
             lines = [_config_comment(config), "index,eigenvalue,cum_energy_fraction"]
-            for k in range(basis.num_antennas):
+            for k in range(spec.num_antennas):
                 lines.append(
-                    f"{k + 1},{_fmt(float(basis.eigenvalues[k]))},{_fmt(float(cumulative[k]))}"
+                    f"{k + 1},{_fmt(float(spec.eigenvalues[k]))},{_fmt(float(cumulative[k]))}"
                 )
             csv_path.write_text("\n".join(lines) + "\n")
 
             summary_models[model] = {
-                "effective_rank": basis.effective_rank,
-                "numerical_rank": basis.numerical_rank,
-                "effective_rank_fraction": basis.effective_rank / basis.num_antennas,
-                "trace": basis.source_trace,
+                "effective_rank": spec.effective_rank,
+                "numerical_rank": spec.numerical_rank,
+                "effective_rank_fraction": spec.effective_rank / spec.num_antennas,
+                "trace": spec.source_trace,
                 "self_check_error": matrix.self_check_error,
                 "spectrum_csv": csv_path.name,
             }
@@ -164,6 +164,13 @@ def _sweep_truth_model(config: ExperimentConfig) -> str:
     return config.correlation_model
 
 
+def _isotropic_basis(config: ExperimentConfig, truth_model: str, truth: EigenBasis) -> EigenBasis:
+    """The container eigenbasis; with isotropic truth it is the truth basis itself."""
+    if truth_model == "isotropic":
+        return truth
+    return eigendecompose(build_isotropic(config.geometry, config.beta))
+
+
 def run_nmse_sweep(
     config: ExperimentConfig, out_dir: str | Path
 ) -> tuple[list[NmseRecord], list[Path]]:
@@ -174,8 +181,9 @@ def run_nmse_sweep(
     projects onto the numerical-rank eigenspace of the isotropic matrix of
     the same geometry; its analytic oracle is reported only while the truth
     eigenspace is contained in that projection within tolerance, otherwise
-    the analytic column is left empty and a warning lands in the JSON. One
-    Monte Carlo call covers the whole SNR grid.
+    the analytic column is left empty and a warning lands in the JSON. With
+    isotropic truth, the truth eigenbasis is that container, so no matrix is
+    decomposed twice. One Monte Carlo call covers the whole SNR grid.
 
     Writes <stem>_nmse.csv and <stem>_nmse.json; returns (records, paths).
     """
@@ -189,7 +197,7 @@ def run_nmse_sweep(
         container_rank = None
         containment = None
         if Estimator.CONSERVATIVE_RSLS in config.estimators:
-            iso_basis = eigendecompose(build_isotropic(config.geometry, config.beta))
+            iso_basis = _isotropic_basis(config, truth_model, basis)
             container_rank = iso_basis.numerical_rank
             container = iso_basis.eigenvectors[:, :container_rank]
             containment = subspace_containment_residual(iso_basis, basis)
@@ -290,18 +298,18 @@ def run_approx_validation(config: ExperimentConfig, out_dir: str | Path) -> tupl
         exact = build_exact_clustered(config.geometry, config.scattering, config.quadrature)
         approx = build_approx_clustered(config.geometry, config.scattering)
         self_check = quadrature_self_check(config.scattering, config.quadrature)
-        exact_basis = eigendecompose(exact)
-        approx_basis = eigendecompose(approx)
+        exact_spec = eigendecompose(exact, vectors=False)
+        approx_spec = eigendecompose(approx, vectors=False)
         eig_dev = float(
-            np.max(np.abs(exact_basis.eigenvalues - approx_basis.eigenvalues))
-            / exact_basis.eigenvalues[0]
+            np.max(np.abs(exact_spec.eigenvalues - approx_spec.eigenvalues))
+            / exact_spec.eigenvalues[0]
         )
         report = {
             "cmd": correlation_matrix_distance(exact, approx),
             "max_entry_deviation": float(np.max(np.abs(exact.entries - approx.entries))),
             "max_eigenvalue_deviation_rel": eig_dev,
-            "effective_rank_exact": exact_basis.effective_rank,
-            "effective_rank_approx": approx_basis.effective_rank,
+            "effective_rank_exact": exact_spec.effective_rank,
+            "effective_rank_approx": approx_spec.effective_rank,
             "quadrature_self_check": {
                 "per_cluster_relative_error": [float(e) for e in self_check],
                 "worst_relative_error": float(self_check[np.argmax(np.abs(self_check))]),

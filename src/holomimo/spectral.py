@@ -2,7 +2,8 @@
 
 Dense holographic arrays produce rank-deficient correlation matrices; the
 quantities here measure how small the significant eigenspace is and whether
-one model's eigenspace fits inside another's.
+one model's eigenspace fits inside another's. `spectrum` gives eigenvalues
+and ranks only; `eigendecompose` adds the eigenvectors.
 """
 
 from __future__ import annotations
@@ -21,19 +22,17 @@ PSD_TOLERANCE = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
-class EigenBasis:
-    """Eigendecomposition of a correlation matrix, eigenvalues descending.
+class Spectrum:
+    """Eigenvalues of a correlation matrix, descending, with rank metadata.
 
-    `eigenvalues` has shape (M,), clamped to be nonnegative; column k of
-    `eigenvectors` is the unit eigenvector of eigenvalue k. `numerical_rank`
-    counts eigenvalues above RANK_TOLERANCE relative to the largest;
-    `effective_rank` is the smallest count capturing all but
+    `eigenvalues` has shape (M,), clamped to be nonnegative.
+    `numerical_rank` counts eigenvalues above RANK_TOLERANCE relative to the
+    largest; `effective_rank` is the smallest count capturing all but
     EFFECTIVE_RANK_COMPLEMENT of the total energy. `source_trace` is the
     trace of the decomposed matrix.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
     numerical_rank: int
     effective_rank: int
     source_trace: float
@@ -43,17 +42,28 @@ class EigenBasis:
         return self.eigenvalues.shape[0]
 
 
+@dataclass(frozen=True, eq=False)
+class EigenBasis(Spectrum):
+    """A Spectrum plus its eigenvectors.
+
+    Column k of `eigenvectors` (complex128, shape (M, M)) is the unit
+    eigenvector of eigenvalue k.
+    """
+
+    eigenvectors: np.ndarray
+
+
 def effective_rank(
-    basis: "EigenBasis | np.ndarray", fraction_complement: float = EFFECTIVE_RANK_COMPLEMENT
+    basis: "Spectrum | np.ndarray", fraction_complement: float = EFFECTIVE_RANK_COMPLEMENT
 ) -> int:
     """Smallest k whose top-k eigenvalues hold a (1 - fraction_complement) energy share.
 
-    Accepts an EigenBasis or a bare eigenvalue array sorted descending with
-    nonnegative entries and positive sum.
+    Accepts a Spectrum (or EigenBasis) or a bare eigenvalue array sorted
+    descending with nonnegative entries and positive sum.
     """
     if not 0.0 < fraction_complement < 1.0:
         raise ValueError(f"fraction_complement must be in (0, 1), got {fraction_complement}")
-    values = basis.eigenvalues if isinstance(basis, EigenBasis) else np.asarray(basis, dtype=float)
+    values = basis.eigenvalues if isinstance(basis, Spectrum) else np.asarray(basis, dtype=float)
     total = float(values.sum())
     if not total > 0:
         raise ValueError("effective rank is undefined for a zero spectrum")
@@ -61,22 +71,35 @@ def effective_rank(
     return int(np.searchsorted(cumulative, (1.0 - fraction_complement) * total)) + 1
 
 
-def eigendecompose(matrix: CorrelationMatrix) -> EigenBasis:
-    """Full eigendecomposition with rank metadata, eigenvalues descending.
+def _solve(matrix: CorrelationMatrix, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Ascending eigenvalues, plus eigenvector columns when `vectors` is set.
 
-    Negative eigenvalues within -PSD_TOLERANCE * lambda_max of zero are
-    rounding artifacts and are clamped to zero; anything more negative means
-    the input violates positive semidefiniteness and raises NumericalError.
+    A matrix whose imaginary part is exactly zero is handed to LAPACK as its
+    real part: the real symmetric solve is several times cheaper than the
+    Hermitian one. The isotropic matrix always takes this path.
     """
+    entries = matrix.entries
+    if np.iscomplexobj(entries) and not entries.imag.any():
+        entries = entries.real
     try:
-        values, vectors = np.linalg.eigh(matrix.entries)
+        if vectors:
+            return np.linalg.eigh(entries)
+        return np.linalg.eigvalsh(entries), None
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"eigendecomposition failed for {matrix.provenance.label} matrix "
             f"(M={matrix.num_antennas}): {exc}"
         ) from exc
-    values = values[::-1].copy()
-    vectors = vectors[:, ::-1].copy()
+
+
+def _spectrum_from(matrix: CorrelationMatrix, ascending: np.ndarray) -> Spectrum:
+    """Order, PSD-check, clamp and rank the solver's ascending eigenvalues.
+
+    The one PSD check of the package: eigenvalues within -PSD_TOLERANCE *
+    lambda_max of zero are rounding artifacts and are clamped to zero;
+    anything more negative raises NumericalError.
+    """
+    values = ascending[::-1].copy()
     largest = float(values[0])
     if largest <= 0:
         raise NumericalError("correlation matrix has no positive eigenvalue")
@@ -88,14 +111,39 @@ def eigendecompose(matrix: CorrelationMatrix) -> EigenBasis:
             f"below {floor:.3e} (provenance {matrix.provenance.label})"
         )
     np.clip(values, 0.0, None, out=values)
-    numerical_rank = int(np.count_nonzero(values > RANK_TOLERANCE * largest))
-    return EigenBasis(
+    return Spectrum(
         eigenvalues=values,
-        eigenvectors=vectors,
-        numerical_rank=numerical_rank,
+        numerical_rank=int(np.count_nonzero(values > RANK_TOLERANCE * largest)),
         effective_rank=effective_rank(values),
         source_trace=float(np.trace(matrix.entries).real),
     )
+
+
+def spectrum(matrix: CorrelationMatrix) -> Spectrum:
+    """Eigenvalues and rank metadata without eigenvectors, eigenvalues descending.
+
+    Negative eigenvalues within -PSD_TOLERANCE * lambda_max of zero are
+    clamped to zero; anything more negative raises NumericalError. Real
+    matrices are solved in real arithmetic, as in eigendecompose.
+    """
+    ascending, _ = _solve(matrix, vectors=False)
+    return _spectrum_from(matrix, ascending)
+
+
+def eigendecompose(matrix: CorrelationMatrix, *, vectors: bool = True) -> EigenBasis | Spectrum:
+    """Full eigendecomposition with rank metadata, eigenvalues descending.
+
+    Eigenvalues go through the same PSD check and clamp as spectrum(). A
+    matrix whose imaginary part is exactly zero is decomposed in real
+    arithmetic; its eigenvectors are still returned as complex128.
+    `vectors=False` skips the eigenvectors and returns spectrum(matrix).
+    """
+    if not vectors:
+        return spectrum(matrix)
+    ascending, columns = _solve(matrix, vectors=True)
+    spec = _spectrum_from(matrix, ascending)
+    eigenvectors = np.ascontiguousarray(columns[:, ::-1], dtype=np.complex128)
+    return EigenBasis(eigenvectors=eigenvectors, **vars(spec))
 
 
 def rank_fraction_prediction(geometry: ArrayGeometry) -> float:

@@ -35,6 +35,7 @@ from holomimo import (
     quadrature_self_check,
     save_matrix,
 )
+from holomimo.correlation import STRUCTURE_CHECK_ROWS
 
 # 3 x 2 array, 0.3-wavelength spacing, directive elements, two clusters.
 # The frozen entries below come from adaptive 2-D quadrature of the
@@ -137,6 +138,23 @@ class TestCorrelationMatrixType:
         matrix = CorrelationMatrix(entries, 1.0, MatrixProvenance.EXTERNAL)
         with pytest.raises(ValueError, match="non-finite"):
             matrix.validate()
+
+    @pytest.mark.parametrize("position", ["upper", "lower"])
+    @pytest.mark.parametrize(
+        "bad, message", [(0.25j, "Hermitian"), (complex("nan"), "non-finite")]
+    )
+    def test_structure_check_reaches_last_partial_block(self, position, bad, message):
+        # M is not a multiple of the block height, so the last row block is
+        # partial; one broken entry there (or in its mirror column) must show.
+        m = 2 * STRUCTURE_CHECK_ROWS + 7
+        entries = np.eye(m, dtype=np.complex128)
+        last, first = m - 2, 3
+        entries[(first, last) if position == "upper" else (last, first)] = bad
+        matrix = CorrelationMatrix(entries, 1.0, MatrixProvenance.EXTERNAL)
+        with pytest.raises(ValueError, match=message):
+            matrix._check_structure()
+        entries[last, first] = entries[first, last] = 0.5
+        matrix._check_structure()
 
     def test_validate_catches_trace_drift(self):
         entries = np.diag([1.5, 1.5]).astype(np.complex128)

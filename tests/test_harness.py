@@ -156,6 +156,36 @@ class TestNmseSweep:
         assert first["estimator"] == records[0].estimator.value
         assert first["nmse_mc"] == records[0].nmse_mc
 
+    def test_isotropic_truth_is_decomposed_once(self, tmp_path, monkeypatch):
+        # dense enough that the container (numerical rank 51) is a proper subspace
+        geometry = {"m_h": 8, "m_v": 8, "spacing_over_lambda": 0.125}
+        config = load_config(write_config(tmp_path, isotropic_payload(geometry=geometry)))
+        assert Estimator.CONSERVATIVE_RSLS in config.estimators
+        calls = []
+        decompose = holomimo.harness.eigendecompose
+
+        def counting(matrix, **kwargs):
+            calls.append(matrix.provenance.label)
+            return decompose(matrix, **kwargs)
+
+        monkeypatch.setattr(holomimo.harness, "eigendecompose", counting)
+        _, reused = run_nmse_sweep(config, tmp_path / "reused")
+        assert calls == ["isotropic"]
+
+        # the same sweep with the container decomposed separately, as before
+        monkeypatch.setattr(
+            holomimo.harness,
+            "_isotropic_basis",
+            lambda config, truth_model, truth: decompose(
+                build_isotropic(config.geometry, config.beta)
+            ),
+        )
+        _, separate = run_nmse_sweep(config, tmp_path / "separate")
+        assert calls == ["isotropic"] * 2  # the wrapper sees the truth solve only
+        assert json.loads(reused[-1].read_text())["container_rank"] == 51
+        for first, second in zip(reused, separate):
+            assert first.read_bytes() == second.read_bytes()
+
     def test_invalid_oracle_blanks_analytic_column(self, tmp_path, monkeypatch):
         # force a containment failure: the conservative oracle must be
         # withheld rather than reported wrong

@@ -11,15 +11,26 @@ from holomimo import (
     Cluster,
     CorrelationMatrix,
     EigenBasis,
+    Estimator,
     MatrixProvenance,
     NumericalError,
     ScatteringConfig,
+    build_approx_clustered,
     build_exact_clustered,
     build_isotropic,
     effective_rank,
     eigendecompose,
+    load_config,
+    monte_carlo_nmse,
     rank_fraction_prediction,
+    spectrum,
     subspace_containment_residual,
+)
+from holomimo.cli import preset_names, resolve_config_path
+from holomimo.spectral import RANK_TOLERANCE
+
+ENTRY_POINTS = pytest.mark.parametrize(
+    "solve", [spectrum, eigendecompose], ids=["spectrum", "eigendecompose"]
 )
 
 
@@ -86,17 +97,19 @@ class TestEigendecompose:
         assert basis.source_trace == pytest.approx(16 * 1.25, rel=1e-14)
         assert basis.num_antennas == 16
 
-    def test_clamps_tiny_negative_eigenvalues(self):
+    @ENTRY_POINTS
+    def test_clamps_tiny_negative_eigenvalues(self, solve):
         rng = np.random.default_rng(5)
         q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
         values = np.array([1.0, 0.5, 0.1, -1e-13])
         entries = (q * values) @ q.conj().T
         entries = (entries + entries.conj().T) / 2.0
         matrix = CorrelationMatrix(entries, 1.0, MatrixProvenance.EXTERNAL)
-        basis = eigendecompose(matrix)
+        basis = solve(matrix)
         assert np.all(basis.eigenvalues >= 0.0)
 
-    def test_rejects_clearly_indefinite_matrix(self):
+    @ENTRY_POINTS
+    def test_rejects_clearly_indefinite_matrix(self, solve):
         rng = np.random.default_rng(6)
         q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
         values = np.array([1.0, 0.5, 0.1, -1e-6])
@@ -104,7 +117,7 @@ class TestEigendecompose:
         entries = (entries + entries.conj().T) / 2.0
         matrix = CorrelationMatrix(entries, 1.0, MatrixProvenance.EXTERNAL)
         with pytest.raises(NumericalError, match="PSD"):
-            eigendecompose(matrix)
+            solve(matrix)
 
     def test_rejects_zero_matrix(self):
         matrix = CorrelationMatrix(
@@ -204,3 +217,125 @@ class TestSubspaceContainment:
         basis = basis_from_columns(np.eye(4)[:, :2])
         with pytest.raises(ValueError):
             subspace_containment_residual(basis, basis, **kwargs)
+
+
+def previous_solver(matrix):
+    """(eigenvalues, eigenvectors, numerical rank, effective rank) as the earlier
+    solver produced them: complex eigh with eigenvectors, descending, clamped."""
+    values, vectors = np.linalg.eigh(matrix.entries)
+    values = np.clip(values[::-1], 0.0, None)
+    numerical = int(np.count_nonzero(values > RANK_TOLERANCE * values[0]))
+    return values, vectors[:, ::-1].copy(), numerical, effective_rank(values)
+
+
+BUILDERS = {
+    "isotropic": lambda c: build_isotropic(c.geometry, c.beta),
+    "exact": lambda c: build_exact_clustered(c.geometry, c.scattering, c.quadrature),
+    "approx": lambda c: build_approx_clustered(c.geometry, c.scattering),
+}
+
+
+class TestRealPath:
+    def test_isotropic_eigenvectors_are_complex_orthonormal_and_reconstruct(self):
+        matrix = build_isotropic(ArrayGeometry(8, 8, 0.25, 1.0))
+        basis = eigendecompose(matrix)
+        vectors = basis.eigenvectors
+        assert vectors.dtype == np.complex128 and vectors.flags.c_contiguous
+        assert not vectors.imag.any()
+        assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(64))) <= 1e-12
+        rebuilt = (vectors * basis.eigenvalues) @ vectors.conj().T
+        assert np.max(np.abs(rebuilt - matrix.entries)) <= 1e-12
+
+    @ENTRY_POINTS
+    @pytest.mark.parametrize(
+        "imaginary, operand", [(0.0, np.float64), (1e-300, np.complex128)], ids=["real", "tiny"]
+    )
+    def test_any_nonzero_imaginary_part_keeps_complex_arithmetic(
+        self, solve, imaginary, operand, monkeypatch
+    ):
+        entries = build_isotropic(ArrayGeometry(4, 4, 0.25, 1.0)).entries.copy()
+        entries[0, 5] += 1j * imaginary
+        entries[5, 0] -= 1j * imaginary
+        matrix = CorrelationMatrix(entries, 1.0, MatrixProvenance.EXTERNAL)
+        seen = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+            monkeypatch.setattr(
+                np.linalg, name, lambda a, _solver=original: seen.append(a.dtype) or _solver(a)
+            )
+        result = solve(matrix)
+        monkeypatch.undo()
+        assert seen == [operand]
+        expected = np.clip(np.linalg.eigh(entries)[0][::-1], 0.0, None)
+        assert np.max(np.abs(result.eigenvalues - expected)) <= 1e-12 * expected[0]
+
+    @ENTRY_POINTS
+    def test_real_indefinite_matrix_rejected(self, solve):
+        entries = np.array([[1.0, 3.0], [3.0, 1.0]], dtype=np.complex128)
+        with pytest.raises(NumericalError, match="PSD"):
+            solve(CorrelationMatrix(entries, 1.0, MatrixProvenance.EXTERNAL))
+
+    def test_spectrum_has_no_eigenvectors(self):
+        matrix = build_isotropic(ArrayGeometry(4, 4, 0.25, 1.0))
+        spec = spectrum(matrix)
+        assert not isinstance(spec, EigenBasis)
+        assert effective_rank(spec) == spec.effective_rank
+        assert not isinstance(eigendecompose(matrix, vectors=False), EigenBasis)
+
+
+@pytest.mark.parametrize("preset", preset_names())
+def test_presets_match_previous_solver(preset):
+    # spectrum and eigendecompose agree with each other and with the earlier
+    # complex solver within 1e-10 lambda_max, with identical ranks
+    config = load_config(resolve_config_path(preset))
+    for model in config.models:
+        matrix = BUILDERS[model](config)
+        spec, basis = spectrum(matrix), eigendecompose(matrix)
+        values, _, numerical, effective = previous_solver(matrix)
+        assert (spec.numerical_rank, spec.effective_rank) == (numerical, effective), model
+        assert (basis.numerical_rank, basis.effective_rank) == (numerical, effective), model
+        assert np.max(np.abs(spec.eigenvalues - basis.eigenvalues)) <= 1e-10 * values[0]
+        assert np.max(np.abs(spec.eigenvalues - values)) <= 1e-10 * values[0]
+
+
+def test_real_path_monte_carlo_agrees_with_previous_solver():
+    # The real path rotates eigenvectors within near-degenerate eigenspaces.
+    # Isotropic-truth channel draws change with them, but their NMSE may move
+    # by Monte Carlo error only (seeds 5-8 moved at most 0.36 of the bound).
+    # As the container alone, the change sits far below that error (1e-5).
+    geometry = ArrayGeometry(10, 10, 0.125, 1.0)
+    matrix = build_isotropic(geometry)
+    new = eigendecompose(matrix)
+    values, vectors, numerical, effective = previous_solver(matrix)
+    old = EigenBasis(
+        eigenvalues=values,
+        eigenvectors=vectors,
+        numerical_rank=numerical,
+        effective_rank=effective,
+        source_trace=new.source_trace,
+    )
+    assert new.numerical_rank == old.numerical_rank < geometry.num_antennas
+    clustered = eigendecompose(
+        build_exact_clustered(
+            geometry,
+            ScatteringConfig(
+                clusters=(Cluster(0.5, -0.2, 1.0),), sigma_azimuth=0.05, sigma_elevation=0.05
+            ),
+        )
+    )
+
+    def sweep(truth, container):
+        return monte_carlo_nmse(
+            truth,
+            tuple(Estimator),
+            snr=[0.1, 1.0, 10.0, 100.0],
+            trials=1000,
+            seed=5,
+            container_subspace=container.eigenvectors[:, : container.numerical_rank],
+        )
+
+    for truth_new, truth_old, bound in ((new, old, 1.0), (clustered, clustered, 1e-3)):
+        for point_new, point_old in zip(sweep(truth_new, new), sweep(truth_old, old)):
+            for estimator in Estimator:
+                a, b = point_new[estimator], point_old[estimator]
+                assert abs(a.nmse - b.nmse) <= bound * math.hypot(a.ci95, b.ci95), estimator
