@@ -3,7 +3,7 @@
 Three builders produce the M x M correlation matrix of the channel seen by a
 planar array: a closed form for isotropic scattering, numerical quadrature
 for the exact clustered model, and a quadrature-free closed-form
-approximation of the clustered model. All three share two structural facts:
+approximation of the clustered model. All three share three structural facts:
 
 * Entry (m, l) depends on the antenna pair only through the normalized grid
   offsets (d_h, d_v), so builders evaluate one value per distinct offset
@@ -12,6 +12,10 @@ approximation of the clustered model. All three share two structural facts:
 * Offset negation conjugates the value, so only offsets with d_h >= 0 (and
   d_v >= 0 when d_h = 0) are evaluated; the rest are exact conjugate mirrors,
   which keeps the stored matrix Hermitian to the last bit.
+* Reversing the storage index (m -> M - 1 - m) negates both grid offsets, so
+  it conjugates the entry: J R J = conj(R) bit for bit, with J the exchange
+  matrix. The matrix is centro-Hermitian, which the spectral layer uses to
+  solve it as a real symmetric matrix.
 
 Every builder normalizes the diagonal to the average gain exactly, giving
 trace(R) = M * gain without relying on quadrature accuracy.
@@ -94,9 +98,10 @@ class CorrelationMatrix:
     """Hermitian PSD spatial correlation matrix with its construction metadata.
 
     `entries` is complex128 with exact conjugate symmetry and a real diagonal
-    equal to `gain`. `self_check_error` records the worst per-cluster relative
-    quadrature mass error for matrices built by numerical integration (None
-    for closed-form builders).
+    equal to `gain`. Builders' matrices are also centro-Hermitian: reversing
+    both indices conjugates an entry, bit for bit. `self_check_error`
+    records the worst per-cluster relative quadrature mass error for matrices
+    built by numerical integration (None for closed-form builders).
     """
 
     entries: np.ndarray
@@ -123,14 +128,16 @@ class CorrelationMatrix:
         Verifies finite entries, exact conjugate symmetry, a real diagonal
         matching the gain, trace equal to M * gain within `trace_tol`
         (relative), and eigenvalues no more negative than -psd_tol times the
-        largest one.
+        largest one. The eigenvalues come from the spectral layer's solver.
         """
+        from .spectral import _solve  # spectral imports this module
+
         self._check_structure(trace_tol)
-        eigenvalues = np.linalg.eigvalsh(self.entries)
-        floor = -psd_tol * max(eigenvalues[-1], 0.0)
-        if eigenvalues[0] < floor:
+        eigenvalues, _ = _solve(self, vectors=False)
+        floor = -psd_tol * max(eigenvalues[0], 0.0)
+        if eigenvalues[-1] < floor:
             raise ValueError(
-                f"matrix is not PSD: min eigenvalue {eigenvalues[0]} below {floor}"
+                f"matrix is not PSD: min eigenvalue {eigenvalues[-1]} below {floor}"
             )
 
     def _check_structure(self, trace_tol: float = 1e-9) -> None:

@@ -35,6 +35,7 @@ from holomimo import (
     quadrature_self_check,
     save_matrix,
 )
+from holomimo.cli import resolve_config_path
 from holomimo.correlation import STRUCTURE_CHECK_ROWS
 
 # 3 x 2 array, 0.3-wavelength spacing, directive elements, two clusters.
@@ -604,3 +605,27 @@ class TestCsvExport:
         matrix = build_isotropic(ArrayGeometry(2, 2, 0.25, 1.0))
         path = export_matrix_csv(tmp_path / "iso.csv", matrix)
         assert path.read_text().startswith("#")
+
+
+CENTRO_BUILDERS = {
+    "isotropic": lambda geometry, scattering, quadrature: build_isotropic(geometry, 1.5),
+    "exact": build_exact_clustered,
+    "approx": lambda geometry, scattering, quadrature: build_approx_clustered(geometry, scattering),
+}
+
+
+@pytest.mark.parametrize("builder", sorted(CENTRO_BUILDERS))
+@pytest.mark.parametrize(
+    "scene", ["3x5", "5x5", "4x7", "7x3", "fig1_desk", "fig2_desk", "fig3_desk", "fig4_desk"]
+)
+def test_builders_are_centro_hermitian(scene, builder):
+    # reversing the storage index negates both grid offsets, and every
+    # builder fills negated offsets with exact conjugates: J R J = conj(R)
+    if "x" in scene:
+        m_h, m_v = map(int, scene.split("x"))
+        args = (ArrayGeometry(m_h, m_v, 0.3, 1.0), ORACLE_SCATTERING, QuadratureSpec())
+    else:
+        config = load_config(resolve_config_path(scene))
+        args = (config.geometry, config.scattering, config.quadrature)
+    entries = CENTRO_BUILDERS[builder](*args).entries
+    assert np.array_equal(entries[::-1, ::-1], entries.conj())

@@ -27,7 +27,8 @@ from holomimo import (
     subspace_containment_residual,
 )
 from holomimo.cli import preset_names, resolve_config_path
-from holomimo.spectral import RANK_TOLERANCE
+from holomimo.correlation import STRUCTURE_CHECK_ROWS
+from holomimo.spectral import RANK_TOLERANCE, _real_form
 
 ENTRY_POINTS = pytest.mark.parametrize(
     "solve", [spectrum, eigendecompose], ids=["spectrum", "eigendecompose"]
@@ -228,11 +229,71 @@ def previous_solver(matrix):
     return values, vectors[:, ::-1].copy(), numerical, effective_rank(values)
 
 
+def previous_basis(matrix):
+    values, vectors, numerical, effective = previous_solver(matrix)
+    return EigenBasis(
+        eigenvalues=values,
+        eigenvectors=vectors,
+        numerical_rank=numerical,
+        effective_rank=effective,
+        source_trace=float(np.trace(matrix.entries).real),
+    )
+
+
+def assert_agrees_with_previous_solver(matrix):
+    """spectrum and eigendecompose against a complex eigh recomputed here."""
+    spec, basis = spectrum(matrix), eigendecompose(matrix)
+    values, vectors, numerical, effective = previous_solver(matrix)
+    scale, m = values[0], matrix.num_antennas
+    for result in (spec, basis):
+        assert (result.numerical_rank, result.effective_rank) == (numerical, effective)
+        assert np.max(np.abs(result.eigenvalues - values)) <= 1e-10 * scale
+    u = basis.eigenvectors
+    assert u.dtype == np.complex128 and u.flags.c_contiguous
+    assert np.max(np.abs(u.conj().T @ u - np.eye(m))) <= 1e-12
+    assert np.max(np.abs((u * basis.eigenvalues) @ u.conj().T - matrix.entries)) <= 1e-12 * scale
+    # Projectors onto the top-r subspaces: rounding of order eps * lambda_max
+    # turns a subspace by at most ~eps / (relative gap below it) (Davis-Kahan),
+    # so the distance ||P_new - P_old|| = ||(I - P_new) U_old|| times that
+    # gap must stay at rounding level (observed <= 2e-16).
+    for rank in {numerical, effective} - {m}:
+        gap = (values[rank - 1] - values[rank]) / scale
+        top, old = u[:, :rank], vectors[:, :rank]
+        distance = np.linalg.norm(old - top @ (top.conj().T @ old), 2)
+        assert distance * gap <= 1e-14, rank
+
+
 BUILDERS = {
     "isotropic": lambda c: build_isotropic(c.geometry, c.beta),
     "exact": lambda c: build_exact_clustered(c.geometry, c.scattering, c.quadrature),
     "approx": lambda c: build_approx_clustered(c.geometry, c.scattering),
 }
+
+CLUSTERED = ScatteringConfig(
+    clusters=(Cluster(0.5, -0.2, 1.0),), sigma_azimuth=0.05, sigma_elevation=0.05
+)
+SMALL_BUILDERS = {
+    "isotropic": build_isotropic,
+    "exact": lambda geometry: build_exact_clustered(geometry, CLUSTERED),
+    "approx": lambda geometry: build_approx_clustered(geometry, CLUSTERED),
+}
+SMALL_SHAPES = pytest.mark.parametrize(
+    "shape", [(3, 5), (5, 5), (4, 7), (7, 3)], ids=["3x5", "5x5", "4x7", "7x3"]
+)
+
+
+@pytest.fixture
+def lapack_operands(monkeypatch):
+    """(dtype, shape) of every array handed to np.linalg.eigh or eigvalsh."""
+    seen = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg,
+            name,
+            lambda a, _solver=original: seen.append((a.dtype, a.shape)) or _solver(a),
+        )
+    return seen
 
 
 class TestRealPath:
@@ -275,6 +336,88 @@ class TestRealPath:
         with pytest.raises(NumericalError, match="PSD"):
             solve(CorrelationMatrix(entries, 1.0, MatrixProvenance.EXTERNAL))
 
+    @ENTRY_POINTS
+    @SMALL_SHAPES
+    @pytest.mark.parametrize("builder", sorted(SMALL_BUILDERS))
+    def test_builder_matrices_reach_lapack_as_float64(
+        self, solve, builder, shape, lapack_operands
+    ):
+        matrix = SMALL_BUILDERS[builder](ArrayGeometry(*shape, 0.25, 1.0))
+        lapack_operands.clear()  # the exact builder's Gauss-Legendre rule calls eigvalsh
+        solve(matrix)
+        m = matrix.num_antennas
+        assert lapack_operands
+        assert all(dtype == np.float64 for dtype, _ in lapack_operands)
+        if builder == "isotropic":
+            # two parity blocks of about half the size
+            assert all(size[-1] <= (m + 1) // 2 for _, size in lapack_operands)
+        else:
+            assert lapack_operands == [(np.float64, (m, m))]
+
+    @SMALL_SHAPES
+    def test_real_form_is_q_h_r_q(self, shape):
+        # Lee's unitary Q, with the middle row and column for odd M
+        entries = SMALL_BUILDERS["exact"](ArrayGeometry(*shape, 0.25, 1.0)).entries
+        m = entries.shape[0]
+        n, h = m // 2, m - m // 2
+        exchange = np.eye(n)[::-1]
+        q = np.zeros((m, m), dtype=np.complex128)
+        q[:n, :n], q[:n, h:] = np.eye(n), 1j * np.eye(n)
+        q[h:, :n], q[h:, h:] = exchange, -1j * exchange
+        q /= math.sqrt(2.0)
+        q[n:h, n:h] = 1.0
+        form = _real_form(entries)
+        assert form.dtype == np.float64 and np.array_equal(form, form.T)
+        assert np.max(np.abs(q.conj().T @ entries @ q - form)) <= 1e-14 * m
+
+    @pytest.mark.parametrize("row", [3, STRUCTURE_CHECK_ROWS + 1], ids=["first", "last"])
+    def test_mirror_test_reaches_the_last_row_block(self, row, lapack_operands):
+        # M = 2 * 256 + 7: the first half of the rows spans a full and a
+        # partial block; a pair broken in either takes the direct solve
+        m = 2 * STRUCTURE_CHECK_ROWS + 7
+        entries = np.eye(m, dtype=np.complex128)
+        entries[row, row + 1] = entries[row + 1, row] = 0.5
+        spectrum(CorrelationMatrix(entries, 1.0, MatrixProvenance.EXTERNAL))
+        assert lapack_operands == [(np.float64, (m, m))]
+        entries[m - 2 - row, m - 1 - row] = entries[m - 1 - row, m - 2 - row] = 0.5
+        lapack_operands.clear()
+        spectrum(CorrelationMatrix(entries, 1.0, MatrixProvenance.EXTERNAL))
+        assert all(size[-1] < m for _, size in lapack_operands)
+
+    def test_validate_uses_the_same_dispatch(self, lapack_operands):
+        matrix = SMALL_BUILDERS["exact"](ArrayGeometry(5, 5, 0.25, 1.0))
+        lapack_operands.clear()
+        matrix.validate()
+        assert lapack_operands == [(np.float64, (25, 25))]
+
+    @ENTRY_POINTS
+    @pytest.mark.parametrize(
+        "builder, operand", [("exact", np.complex128), ("isotropic", np.float64)]
+    )
+    def test_one_broken_mirror_pair_takes_the_direct_solve(
+        self, solve, builder, operand, lapack_operands
+    ):
+        # one ulp off in one Hermitian pair: still Hermitian, no longer
+        # centro-Hermitian, so the matrix reaches LAPACK whole and as it is
+        entries = SMALL_BUILDERS[builder](ArrayGeometry(4, 7, 0.25, 1.0)).entries.copy()
+        entries[0, 1] = complex(np.nextafter(entries[0, 1].real, 2.0), entries[0, 1].imag)
+        entries[1, 0] = entries[0, 1].conj()
+        lapack_operands.clear()
+        solve(CorrelationMatrix(entries, 1.0, MatrixProvenance.EXTERNAL))
+        assert lapack_operands == [(operand, entries.shape)]
+
+    @ENTRY_POINTS
+    @pytest.mark.parametrize("shape", [(4, 7), (5, 5)], ids=["4x7", "5x5"])
+    @pytest.mark.parametrize("builder", ["isotropic", "exact"])
+    def test_indefinite_centro_hermitian_matrix_rejected(self, solve, builder, shape):
+        # the trace is 0 after removing the unit gain, so some eigenvalue is
+        # clearly negative
+        matrix = SMALL_BUILDERS[builder](ArrayGeometry(*shape, 0.25, 1.0))
+        entries = matrix.entries - np.eye(matrix.num_antennas)
+        assert np.array_equal(entries[::-1, ::-1], entries.conj())
+        with pytest.raises(NumericalError, match="PSD"):
+            solve(CorrelationMatrix(entries, 1.0, MatrixProvenance.EXTERNAL))
+
     def test_spectrum_has_no_eigenvectors(self):
         matrix = build_isotropic(ArrayGeometry(4, 4, 0.25, 1.0))
         spec = spectrum(matrix)
@@ -285,44 +428,34 @@ class TestRealPath:
 
 @pytest.mark.parametrize("preset", preset_names())
 def test_presets_match_previous_solver(preset):
-    # spectrum and eigendecompose agree with each other and with the earlier
-    # complex solver within 1e-10 lambda_max, with identical ranks
+    # spectrum and eigendecompose agree with the earlier complex solver:
+    # eigenvalues within 1e-10 lambda_max, identical ranks, and eigenvectors
+    # through their projectors
     config = load_config(resolve_config_path(preset))
     for model in config.models:
-        matrix = BUILDERS[model](config)
-        spec, basis = spectrum(matrix), eigendecompose(matrix)
-        values, _, numerical, effective = previous_solver(matrix)
-        assert (spec.numerical_rank, spec.effective_rank) == (numerical, effective), model
-        assert (basis.numerical_rank, basis.effective_rank) == (numerical, effective), model
-        assert np.max(np.abs(spec.eigenvalues - basis.eigenvalues)) <= 1e-10 * values[0]
-        assert np.max(np.abs(spec.eigenvalues - values)) <= 1e-10 * values[0]
+        assert_agrees_with_previous_solver(BUILDERS[model](config))
+
+
+@SMALL_SHAPES
+@pytest.mark.parametrize("builder", ["isotropic", "exact"])
+def test_odd_and_non_square_arrays_match_previous_solver(builder, shape):
+    assert_agrees_with_previous_solver(SMALL_BUILDERS[builder](ArrayGeometry(*shape, 0.25, 1.0)))
 
 
 def test_real_path_monte_carlo_agrees_with_previous_solver():
-    # The real path rotates eigenvectors within near-degenerate eigenspaces.
-    # Isotropic-truth channel draws change with them, but their NMSE may move
-    # by Monte Carlo error only (seeds 5-8 moved at most 0.36 of the bound).
-    # As the container alone, the change sits far below that error (1e-5).
+    # The real forms rotate eigenvectors within near-degenerate eigenspaces
+    # and change their phases. Channel draws change with them, isotropic or
+    # exact clustered truth alike, but their NMSE may move by Monte Carlo
+    # error only (seeds 5-8 moved at most 0.58 of the bound for isotropic
+    # truth and 0.30 for clustered truth). As the container alone, the change
+    # sits far below that error (1e-5).
     geometry = ArrayGeometry(10, 10, 0.125, 1.0)
     matrix = build_isotropic(geometry)
-    new = eigendecompose(matrix)
-    values, vectors, numerical, effective = previous_solver(matrix)
-    old = EigenBasis(
-        eigenvalues=values,
-        eigenvectors=vectors,
-        numerical_rank=numerical,
-        effective_rank=effective,
-        source_trace=new.source_trace,
-    )
+    new, old = eigendecompose(matrix), previous_basis(matrix)
     assert new.numerical_rank == old.numerical_rank < geometry.num_antennas
-    clustered = eigendecompose(
-        build_exact_clustered(
-            geometry,
-            ScatteringConfig(
-                clusters=(Cluster(0.5, -0.2, 1.0),), sigma_azimuth=0.05, sigma_elevation=0.05
-            ),
-        )
-    )
+    clustered_matrix = build_exact_clustered(geometry, CLUSTERED)
+    clustered, clustered_old = eigendecompose(clustered_matrix), previous_basis(clustered_matrix)
+    assert clustered.numerical_rank == clustered_old.numerical_rank
 
     def sweep(truth, container):
         return monte_carlo_nmse(
@@ -334,7 +467,11 @@ def test_real_path_monte_carlo_agrees_with_previous_solver():
             container_subspace=container.eigenvectors[:, : container.numerical_rank],
         )
 
-    for truth_new, truth_old, bound in ((new, old, 1.0), (clustered, clustered, 1e-3)):
+    for truth_new, truth_old, bound in (
+        (new, old, 1.0),
+        (clustered, clustered_old, 1.0),
+        (clustered, clustered, 1e-3),
+    ):
         for point_new, point_old in zip(sweep(truth_new, new), sweep(truth_old, old)):
             for estimator in Estimator:
                 a, b = point_new[estimator], point_old[estimator]
