@@ -99,33 +99,49 @@ def _is_centro_hermitian(entries: np.ndarray) -> bool:
     return True
 
 
-def _real_form(entries: np.ndarray) -> np.ndarray:
-    """The real symmetric matrix Q^H R Q of a centro-Hermitian R (Lee 1980).
+def _parity_blocks(
+    entries: np.ndarray, plus: np.ndarray, minus: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Write the diagonal blocks of Lee's real form of R into `plus` and `minus`.
 
     With n = M // 2, A = R[:n, :n] and BJ = R[:n, M-n:] with its columns
-    reversed, Q = [[I, 0, iI], [0, sqrt(2), 0], [J, 0, -iJ]] / sqrt(2) (the
-    middle row and column only for odd M) gives
-
-        [[Re(A+BJ),      sqrt(2) Re x,  -Im(A-BJ)],
-         [sqrt(2) Re x^T, R[n, n],       sqrt(2) Im x^T],
-         [Im(A+BJ),      sqrt(2) Im x,   Re(A-BJ)]]
-
-    where x = R[:n, n]. Every block is elementwise on views of R.
+    reversed, `plus` (ceil(M/2) square) gets Re(A+BJ), bordered for odd M by
+    sqrt(2) Re x and R[n, n], x = R[:n, n]; `minus` (n square) gets
+    Re(A-BJ). Returns the views A and BJ.
     """
     m = entries.shape[0]
     n, h = m // 2, m - m // 2
     a = entries[:n, :n]
     bj = entries[:n, h:][:, ::-1]
+    np.add(a.real, bj.real, out=plus[:n, :n])
+    np.subtract(a.real, bj.real, out=minus)
+    if h > n:
+        plus[n, :n] = plus[:n, n] = _SQRT2 * entries[:n, n].real
+        plus[n, n] = entries[n, n].real
+    return a, bj
+
+
+def _real_form(entries: np.ndarray) -> np.ndarray:
+    """The real symmetric matrix Q^H R Q of a centro-Hermitian R (Lee 1980).
+
+    With n, A, BJ and x as in _parity_blocks,
+    Q = [[I, 0, iI], [0, sqrt(2), 0], [J, 0, -iJ]] / sqrt(2) (the middle row
+    and column only for odd M) gives
+
+        [[Re(A+BJ),      sqrt(2) Re x,  -Im(A-BJ)],
+         [sqrt(2) Re x^T, R[n, n],       sqrt(2) Im x^T],
+         [Im(A+BJ),      sqrt(2) Im x,   Re(A-BJ)]]
+
+    Every block is elementwise on views of R.
+    """
+    m = entries.shape[0]
+    n, h = m // 2, m - m // 2
     form = np.empty((m, m))
-    np.add(a.real, bj.real, out=form[:n, :n])
+    a, bj = _parity_blocks(entries, form[:h, :h], form[h:, h:])
     np.add(a.imag, bj.imag, out=form[h:, :n])
     np.subtract(bj.imag, a.imag, out=form[:n, h:])
-    np.subtract(a.real, bj.real, out=form[h:, h:])
     if h > n:
-        middle = entries[:n, n]
-        form[n, :n] = form[:n, n] = _SQRT2 * middle.real
-        form[n, h:] = form[h:, n] = _SQRT2 * middle.imag
-        form[n, n] = entries[n, n].real
+        form[n, h:] = form[h:, n] = _SQRT2 * entries[:n, n].imag
     return form
 
 
@@ -166,17 +182,12 @@ def _solve_parity(entries: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.nd
     """
     m = entries.shape[0]
     n, h = m // 2, m - m // 2
-    a = entries.real[:n, :n]
-    bj = entries.real[:n, h:][:, ::-1]
     if h == n:
         stacked = np.empty((2, n, n))
         plus, minus = stacked
     else:
         plus, minus = np.empty((h, h)), np.empty((n, n))
-        plus[n, :n] = plus[:n, n] = _SQRT2 * entries.real[:n, n]
-        plus[n, n] = entries.real[n, n]
-    np.add(a, bj, out=plus[:n, :n])
-    np.subtract(a, bj, out=minus)
+    _parity_blocks(entries, plus, minus)
     solver = np.linalg.eigh if vectors else np.linalg.eigvalsh
     if h == n:
         results = solver(stacked)

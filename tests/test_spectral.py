@@ -248,6 +248,8 @@ def assert_agrees_with_previous_solver(matrix):
     for result in (spec, basis):
         assert (result.numerical_rank, result.effective_rank) == (numerical, effective)
         assert np.max(np.abs(result.eigenvalues - values)) <= 1e-10 * scale
+    # the two entry points reach LAPACK through different routines
+    assert np.max(np.abs(spec.eigenvalues - basis.eigenvalues)) <= 1e-10 * scale
     u = basis.eigenvectors
     assert u.dtype == np.complex128 and u.flags.c_contiguous
     assert np.max(np.abs(u.conj().T @ u - np.eye(m))) <= 1e-12
@@ -428,9 +430,9 @@ class TestRealPath:
 
 @pytest.mark.parametrize("preset", preset_names())
 def test_presets_match_previous_solver(preset):
-    # spectrum and eigendecompose agree with the earlier complex solver:
-    # eigenvalues within 1e-10 lambda_max, identical ranks, and eigenvectors
-    # through their projectors
+    # spectrum and eigendecompose agree with each other and with the earlier
+    # complex solver: eigenvalues within 1e-10 lambda_max, identical ranks,
+    # and eigenvectors through their projectors
     config = load_config(resolve_config_path(preset))
     for model in config.models:
         assert_agrees_with_previous_solver(BUILDERS[model](config))
