@@ -7,8 +7,10 @@ approximation of the clustered model. All three share three structural facts:
 
 * Entry (m, l) depends on the antenna pair only through the normalized grid
   offsets (d_h, d_v), so builders evaluate one value per distinct offset
-  (O(M) values) and scatter them into the matrix instead of filling M^2
-  entries independently.
+  (O(M) values). The matrix is two-level Toeplitz: viewed as
+  (M_V, M_H, M_V, M_H), it is a sliding window over the offset table, and
+  it is filled by one strided copy of that window, with no M x M
+  temporary.
 * Offset negation conjugates the value, so only offsets with d_h >= 0 (and
   d_v >= 0 when d_h = 0) are evaluated; the rest are exact conjugate mirrors,
   which keeps the stored matrix Hermitian to the last bit.
@@ -30,8 +32,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import AccuracyError, UnsupportedModelError
-from .geometry import ArrayGeometry, grid_indices
+from .errors import AccuracyError, NumericalError, UnsupportedModelError
+from .geometry import ArrayGeometry
 from .scattering import (
     ScatteringConfig,
     azimuth_profile,
@@ -42,7 +44,10 @@ from .scattering import (
 
 _MAGIC = b"HMRC"
 _CONTAINER_VERSION = 1
-# Rows per block in the structural checks: 4 MB of temporaries per block at M = 1024.
+# magic, version, M, gain, provenance code
+_HEADER = struct.Struct("<4sIIdB")
+# Rows per block in the structural checks and in the container's
+# lower-triangle mirror: 4 MB of temporaries per block at M = 1024.
 STRUCTURE_CHECK_ROWS = 256
 
 # (azimuth nodes, weighted azimuth profile, elevation nodes, weighted elevation profile)
@@ -179,18 +184,31 @@ def _scatter_offsets(geometry: ArrayGeometry, table: np.ndarray) -> np.ndarray:
     """Expand a half-plane offset table into the full M x M matrix.
 
     `table[h, v]` holds the value at horizontal offset h >= 0 and vertical
-    offset v - (M_V - 1). Entries with negative horizontal offset (or zero
-    horizontal and negative vertical offset) are filled with the conjugate of
-    their mirrored counterpart, so the result is Hermitian bit-for-bit.
+    offset v - (M_V - 1); the entries at h = 0, v < M_V - 1 are not read.
+    The full (2 M_V - 1) x (2 M_H - 1) table over all offsets is built
+    first, O(M): each negative horizontal offset (and zero horizontal,
+    negative vertical offset) gets the conjugate of its mirrored value.
+    Entry (m, l) is the full-table value at the offset of antenna m from
+    antenna l, so the matrix viewed as (M_V, M_H, M_V, M_H) is a sliding
+    window over the flipped table, written with one strided copy and no
+    M x M temporary. Every entry is a copy of a table value, which makes the
+    result Hermitian (given a real zero-offset value) and centro-Hermitian
+    bit for bit.
+
+    Raises NumericalError if the table holds NaN or Inf, checked in O(M)
+    before the copy: a finite table gives a finite matrix.
     """
-    i, j = grid_indices(geometry)
-    di = i[:, None] - i[None, :]
-    dj = j[:, None] - j[None, :]
-    mirror = (di < 0) | ((di == 0) & (dj < 0))
-    row = np.where(mirror, -di, di)
-    col = np.where(mirror, -dj, dj) + (geometry.num_vertical - 1)
-    values = table[row, col]
-    return np.where(mirror, values.conj(), values)
+    m_h, m_v = geometry.num_horizontal, geometry.num_vertical
+    full = np.empty((2 * m_v - 1, 2 * m_h - 1), dtype=np.complex128)
+    full[:, m_h - 1 :] = table.T
+    full[: m_v - 1, m_h - 1] = full[::-1, m_h - 1][: m_v - 1].conj()
+    full[:, : m_h - 1] = full[::-1, ::-1][:, : m_h - 1].conj()
+    if not np.isfinite(full).all():
+        raise NumericalError("correlation offset table has non-finite values (NaN or Inf)")
+    entries = np.empty((geometry.num_antennas,) * 2, dtype=np.complex128)
+    window = np.lib.stride_tricks.sliding_window_view(full[::-1, ::-1].copy(), (m_v, m_h))
+    np.copyto(entries.reshape(m_v, m_h, m_v, m_h), window[::-1, ::-1])
+    return entries
 
 
 def build_isotropic(geometry: ArrayGeometry, gain: float = 1.0) -> CorrelationMatrix:
@@ -442,19 +460,15 @@ def save_matrix(path: str | Path, matrix: CorrelationMatrix) -> Path:
     Layout: magic "HMRC", u32 version, u32 M, f64 gain, u8 provenance code,
     then the upper triangle (row-major, diagonal included) as little-endian
     complex128. Exact roundtrip; the lower triangle is implied by symmetry.
+    Streams the header and then each row's upper-triangle slice to the open
+    file, so it allocates nothing of size M^2.
     """
     path = Path(path)
     m = matrix.num_antennas
-    header = (
-        _MAGIC
-        + struct.pack("<I", _CONTAINER_VERSION)
-        + struct.pack("<I", m)
-        + struct.pack("<d", matrix.gain)
-        + struct.pack("<B", int(matrix.provenance))
-    )
-    rows, cols = np.triu_indices(m)
-    payload = np.ascontiguousarray(matrix.entries[rows, cols], dtype="<c16")
-    path.write_bytes(header + payload.tobytes())
+    with path.open("wb") as f:
+        f.write(_HEADER.pack(_MAGIC, _CONTAINER_VERSION, m, matrix.gain, int(matrix.provenance)))
+        for row in range(m):
+            f.write(np.ascontiguousarray(matrix.entries[row, row:], dtype="<c16"))
     return path
 
 
@@ -462,28 +476,35 @@ def load_matrix(path: str | Path) -> CorrelationMatrix:
     """Read a correlation matrix written by save_matrix and revalidate it.
 
     Runs every check of CorrelationMatrix.validate() except the O(M^3) PSD
-    check; raises ValueError on a malformed or tampered container.
+    check; raises ValueError on a malformed or tampered container. The file
+    size is checked against the header's M before anything is allocated.
+    Each upper-triangle row is then read straight into the result, and the
+    lower triangle is mirrored in blocks of STRUCTURE_CHECK_ROWS rows, so
+    the only M x M array is the result itself.
     """
-    raw = Path(path).read_bytes()
-    header_size = 4 + 4 + 4 + 8 + 1
-    if len(raw) < header_size or raw[:4] != _MAGIC:
-        raise ValueError(f"{path}: not a correlation matrix container")
-    version = struct.unpack_from("<I", raw, 4)[0]
-    if version != _CONTAINER_VERSION:
-        raise ValueError(f"{path}: unsupported container version {version}")
-    m = struct.unpack_from("<I", raw, 8)[0]
-    gain = struct.unpack_from("<d", raw, 12)[0]
-    provenance = MatrixProvenance(raw[20])
-    expected = header_size + m * (m + 1) // 2 * 16
-    if len(raw) != expected:
-        raise ValueError(f"{path}: expected {expected} bytes for M={m}, got {len(raw)}")
-    upper = np.frombuffer(raw, dtype="<c16", offset=header_size).astype(np.complex128)
-    entries = np.zeros((m, m), dtype=np.complex128)
-    rows, cols = np.triu_indices(m)
-    entries[rows, cols] = upper
-    strict = rows != cols
-    entries[cols[strict], rows[strict]] = upper[strict].conj()
-    matrix = CorrelationMatrix(entries=entries, gain=gain, provenance=provenance)
+    with Path(path).open("rb") as f:
+        header = f.read(_HEADER.size)
+        if len(header) < _HEADER.size or header[:4] != _MAGIC:
+            raise ValueError(f"{path}: not a correlation matrix container")
+        _, version, m, gain, code = _HEADER.unpack(header)
+        if version != _CONTAINER_VERSION:
+            raise ValueError(f"{path}: unsupported container version {version}")
+        provenance = MatrixProvenance(code)
+        expected = _HEADER.size + m * (m + 1) // 2 * 16
+        size = Path(path).stat().st_size
+        if size != expected:
+            raise ValueError(f"{path}: expected {expected} bytes for M={m}, got {size}")
+        entries = np.empty((m, m), dtype="<c16")
+        for row in range(m):
+            if f.readinto(entries[row, row:]) != 16 * (m - row):
+                raise ValueError(f"{path}: payload ended before row {row}")
+    for start in range(0, m, STRUCTURE_CHECK_ROWS):
+        stop = min(start + STRUCTURE_CHECK_ROWS, m)
+        upper = entries[start:stop, start:]
+        entries[stop:, start:stop] = upper[:, stop - start :].conj().T
+        lower = np.tri(stop - start, k=-1, dtype=bool)
+        np.copyto(entries[start:stop, start:stop], upper[:, : stop - start].conj().T, where=lower)
+    matrix = CorrelationMatrix(entries.astype(np.complex128, copy=False), gain, provenance)
     matrix._check_structure()
     return matrix
 
@@ -493,13 +514,12 @@ def export_matrix_csv(path: str | Path, matrix: CorrelationMatrix) -> Path:
 
     Row m holds re(R[m,0]), im(R[m,0]), re(R[m,1]), ... Full float64
     precision per value, but the container metadata (gain, provenance) is not
-    carried; prefer save_matrix for machine consumption.
+    carried; prefer save_matrix for machine consumption. Rows are formatted
+    from a float64 view of the complex entries (re and im are adjacent in
+    memory), so no M x 2M copy is made.
     """
     path = Path(path)
-    m = matrix.num_antennas
-    flat = np.empty((m, 2 * m))
-    flat[:, 0::2] = matrix.entries.real
-    flat[:, 1::2] = matrix.entries.imag
+    flat = np.ascontiguousarray(matrix.entries).view(np.float64)
     header = "columns alternate re/im per antenna index; row = first antenna of the pair"
     np.savetxt(path, flat, delimiter=",", fmt="%.17g", header=header)
     return path

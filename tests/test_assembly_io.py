@@ -1,0 +1,255 @@
+"""Matrix assembly and container I/O: bit identity with the previous code, memory budgets.
+
+The oracles below are the previous implementations, kept here verbatim in
+behaviour: the fancy-index expansion of the offset table, the
+`triu_indices` container writer and the M x 2M CSV writer. The new code
+must match them bit for bit and byte for byte while allocating no M x M
+temporary, which the tracemalloc budgets check.
+"""
+
+import math
+import struct
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+import holomimo.correlation
+from holomimo import (
+    ArrayGeometry,
+    CorrelationMatrix,
+    Cluster,
+    MatrixProvenance,
+    NumericalError,
+    ScatteringConfig,
+    build_approx_clustered,
+    build_exact_clustered,
+    build_isotropic,
+    export_matrix_csv,
+    load_config,
+    load_matrix,
+    save_matrix,
+)
+from holomimo.cli import main, resolve_config_path
+from holomimo.correlation import STRUCTURE_CHECK_ROWS, _scatter_offsets
+from holomimo.geometry import grid_indices
+
+SCATTERING = ScatteringConfig(
+    clusters=(
+        Cluster(math.radians(25), math.radians(10), 0.7),
+        Cluster(math.radians(-40), math.radians(-20), 0.3),
+    ),
+    sigma_azimuth=math.radians(4.0),
+    sigma_elevation=math.radians(3.0),
+    directivity_a=1,
+    directivity_b=2,
+    gain=2.5,
+)
+
+
+def fancy_index_expansion(geometry, table):
+    """The previous _scatter_offsets: int64 offset grids, a mirror mask, a gather."""
+    i, j = grid_indices(geometry)
+    di = i[:, None] - i[None, :]
+    dj = j[:, None] - j[None, :]
+    mirror = (di < 0) | ((di == 0) & (dj < 0))
+    row = np.where(mirror, -di, di)
+    col = np.where(mirror, -dj, dj) + (geometry.num_vertical - 1)
+    values = table[row, col]
+    return np.where(mirror, values.conj(), values)
+
+
+def triu_indices_save(path, matrix):
+    """The previous save_matrix: header, then the gathered upper triangle."""
+    m = matrix.num_antennas
+    header = (
+        b"HMRC"
+        + struct.pack("<I", 1)
+        + struct.pack("<I", m)
+        + struct.pack("<d", matrix.gain)
+        + struct.pack("<B", int(matrix.provenance))
+    )
+    rows, cols = np.triu_indices(m)
+    payload = np.ascontiguousarray(matrix.entries[rows, cols], dtype="<c16")
+    path.write_bytes(header + payload.tobytes())
+    return path
+
+
+def interleaved_copy_csv(path, matrix):
+    """The previous export_matrix_csv: an M x 2M float copy handed to savetxt."""
+    m = matrix.num_antennas
+    flat = np.empty((m, 2 * m))
+    flat[:, 0::2] = matrix.entries.real
+    flat[:, 1::2] = matrix.entries.imag
+    header = "columns alternate re/im per antenna index; row = first antenna of the pair"
+    np.savetxt(path, flat, delimiter=",", fmt="%.17g", header=header)
+    return path
+
+
+def bits(entries):
+    return entries.view(np.uint64)
+
+
+def traced_peak(call):
+    """(result of call(), tracemalloc peak in bytes while it ran)."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def preset_matrices(name):
+    config = load_config(resolve_config_path(name))
+    geometry, scattering = config.geometry, config.scattering
+    return {
+        "isotropic": build_isotropic(geometry, 1.5),
+        "exact": build_exact_clustered(geometry, scattering, config.quadrature),
+        "approx": build_approx_clustered(geometry, scattering),
+    }
+
+
+def fortran_order(matrix):
+    return CorrelationMatrix(
+        np.asfortranarray(matrix.entries), matrix.gain, matrix.provenance, matrix.self_check_error
+    )
+
+
+@pytest.fixture
+def poisoned_offsets(monkeypatch):
+    """Make the most negative vertical offset NaN in every builder's table."""
+    offset_grids = holomimo.correlation._offset_grids
+
+    def poisoned(geometry):
+        d_h, d_v = offset_grids(geometry)
+        d_v[0] = math.nan
+        return d_h, d_v
+
+    monkeypatch.setattr(holomimo.correlation, "_offset_grids", poisoned)
+
+
+class TestStridedAssembly:
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(data=st.data(), m_h=st.integers(1, 9), m_v=st.integers(1, 9))
+    def test_matches_fancy_index_expansion(self, data, m_h, m_v):
+        finite = st.complex_numbers(allow_nan=False, allow_infinity=False)
+        table = data.draw(arrays(np.complex128, (m_h, 2 * m_v - 1), elements=finite))
+        geometry = ArrayGeometry(m_h, m_v, 0.3, 1.0)
+        entries = _scatter_offsets(geometry, table)
+        assert entries.shape == (m_h * m_v,) * 2
+        assert np.array_equal(bits(entries), bits(fancy_index_expansion(geometry, table)))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.0, -math.inf)])
+    @pytest.mark.parametrize(
+        "index",
+        [(0, 4), (0, 6), (4, 0), (4, 8), (2, 3)],
+        ids=["zero_offset", "vertical_edge", "far_corner", "near_corner", "inner"],
+    )
+    def test_non_finite_table_raises(self, index, value):
+        geometry = ArrayGeometry(5, 5, 0.3, 1.0)
+        table = np.ones((5, 9), dtype=np.complex128)
+        table[index] = value
+        with pytest.raises(NumericalError, match="non-finite"):
+            _scatter_offsets(geometry, table)
+
+    @pytest.mark.parametrize("builder", ["isotropic", "exact", "approx"])
+    def test_builders_raise_on_non_finite_offsets(self, builder, poisoned_offsets):
+        geometry = ArrayGeometry(3, 2, 0.3, 1.0)
+        with pytest.raises(NumericalError, match="non-finite"):
+            if builder == "isotropic":
+                build_isotropic(geometry)
+            elif builder == "exact":
+                build_exact_clustered(geometry, SCATTERING)
+            else:
+                build_approx_clustered(geometry, SCATTERING)
+
+    def test_cli_exits_2_on_non_finite_offsets(self, tmp_path, poisoned_offsets, capsys):
+        code = main(["export-matrix", "fig1_desk", "--out", str(tmp_path)])
+        assert code == 2
+        assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("preset", ["fig1_desk", "fig2_desk", "fig3_desk", "fig4_desk"])
+    def test_builders_guarantee_structure(self, preset):
+        # finite by the table check, Hermitian and a diagonal equal to the
+        # gain by construction (test_builders_are_centro_hermitian covers J R J)
+        for matrix in preset_matrices(preset).values():
+            e = matrix.entries
+            assert np.isfinite(e).all()
+            assert np.array_equal(e, e.conj().T)
+            assert np.array_equal(np.diagonal(e), np.full(matrix.num_antennas, matrix.gain + 0j))
+
+
+class TestStreamedContainer:
+    @pytest.mark.parametrize("preset", ["fig1_desk", "fig3_desk"])
+    def test_save_matches_triu_indices_writer(self, tmp_path, preset):
+        for label, matrix in preset_matrices(preset).items():
+            for layout, m in [("c", matrix), ("f", fortran_order(matrix))]:
+                new = save_matrix(tmp_path / f"{label}_{layout}_new.hmrc", m)
+                old = triu_indices_save(tmp_path / f"{label}_{layout}_old.hmrc", m)
+                assert new.read_bytes() == old.read_bytes(), (label, layout)
+
+    def test_roundtrip_across_mirror_blocks(self, tmp_path):
+        # M = 2 * STRUCTURE_CHECK_ROWS + 7: full blocks and a partial last block
+        geometry = ArrayGeometry(3, (2 * STRUCTURE_CHECK_ROWS + 7) // 3, 0.3, 1.0)
+        matrix = build_exact_clustered(geometry, SCATTERING)
+        path = triu_indices_save(tmp_path / "blocks.hmrc", matrix)
+        loaded = load_matrix(path)
+        assert np.array_equal(bits(loaded.entries), bits(matrix.entries))
+        assert loaded.entries.flags.c_contiguous
+
+    @pytest.mark.parametrize(
+        "m, payload_bytes",
+        [(65535, 0), (65535, 16 * 100), (3, 16 * 6 + 16), (3, 16 * 6 - 8)],
+        ids=["huge_header_only", "huge_truncated", "extended", "truncated"],
+    )
+    def test_size_is_checked_before_allocating(self, tmp_path, m, payload_bytes):
+        path = tmp_path / "sized.hmrc"
+        header = b"HMRC" + struct.pack("<IIdB", 1, m, 1.0, int(MatrixProvenance.EXTERNAL))
+        assert len(header) == 21
+        path.write_bytes(header + bytes(payload_bytes))
+
+        def load():
+            with pytest.raises(ValueError, match="bytes"):
+                load_matrix(path)
+
+        _, peak = traced_peak(load)
+        assert peak < 2**20
+
+
+class TestMemoryBudget:
+    """Peaks against B = 16 M^2, the bytes of one complex M x M matrix, at M = 1536."""
+
+    GEOMETRY = ArrayGeometry(32, 48, 0.25, 1.0)
+    B = 16 * GEOMETRY.num_antennas**2
+
+    def test_build_isotropic(self):
+        matrix, peak = traced_peak(lambda: build_isotropic(self.GEOMETRY))
+        assert matrix.num_antennas == 1536
+        assert peak <= 1.05 * self.B
+
+    def test_save_and_load(self, tmp_path):
+        matrix = build_isotropic(self.GEOMETRY)
+        path, save_peak = traced_peak(lambda: save_matrix(tmp_path / "budget.hmrc", matrix))
+        assert save_peak <= 0.05 * self.B
+        loaded, load_peak = traced_peak(lambda: load_matrix(path))
+        assert load_peak <= 1.25 * self.B
+        assert np.array_equal(loaded.entries, matrix.entries)
+
+
+class TestStreamedCsv:
+    def test_matches_interleaved_copy_writer(self, tmp_path):
+        for label, matrix in preset_matrices("fig1_desk").items():
+            for layout, m in [("c", matrix), ("f", fortran_order(matrix))]:
+                new = export_matrix_csv(tmp_path / f"{label}_{layout}_new.csv", m)
+                old = interleaved_copy_csv(tmp_path / f"{label}_{layout}_old.csv", m)
+                assert new.read_bytes() == old.read_bytes(), (label, layout)
+
+    def test_makes_no_interleaved_copy(self, tmp_path):
+        matrix = build_exact_clustered(ArrayGeometry(16, 16, 0.25, 1.0), SCATTERING)
+        _, peak = traced_peak(lambda: export_matrix_csv(tmp_path / "m.csv", matrix))
+        assert peak < 0.5 * 16 * matrix.num_antennas**2
