@@ -130,14 +130,17 @@ class CorrelationMatrix:
     def validate(self, psd_tol: float = 1e-10, trace_tol: float = 1e-9) -> None:
         """Check the structural invariants; raises ValueError on violation.
 
-        Verifies finite entries, exact conjugate symmetry, a real diagonal
-        matching the gain, trace equal to M * gain within `trace_tol`
-        (relative), and eigenvalues no more negative than -psd_tol times the
-        largest one. The eigenvalues come from the spectral layer's solver.
+        Verifies finite entries, exact conjugate symmetry, trace equal to
+        M * gain within `trace_tol` (relative), a diagonal equal to the gain
+        bit for bit (every builder pins it), and eigenvalues no more negative
+        than -psd_tol times the largest one. The eigenvalues come from the
+        spectral layer's solver.
         """
         from .spectral import _solve  # spectral imports this module
 
         self._check_structure(trace_tol)
+        if not np.all(np.diagonal(self.entries) == self.gain):
+            raise ValueError(f"diagonal differs from the gain {self.gain}")
         eigenvalues, _ = _solve(self, vectors=False)
         floor = -psd_tol * max(eigenvalues[0], 0.0)
         if eigenvalues[-1] < floor:
@@ -146,11 +149,14 @@ class CorrelationMatrix:
             )
 
     def _check_structure(self, trace_tol: float = 1e-9) -> None:
-        """The O(M^2) part of validate(): everything but the PSD check.
+        """The O(M^2) part of validate(), which load_matrix also runs.
 
-        Works on blocks of STRUCTURE_CHECK_ROWS rows, so its temporaries stay
-        O(M) instead of an M x M conjugate transpose. Every entry is checked
-        for finiteness before any is compared with its mirror.
+        Checks finiteness, exact Hermitian symmetry, a real nonnegative
+        diagonal and the trace; validate() adds the exact diagonal and the
+        PSD checks. Works on blocks of STRUCTURE_CHECK_ROWS rows, so its
+        temporaries stay O(M) instead of an M x M conjugate transpose. Every
+        entry is checked for finiteness before any is compared with its
+        mirror.
         """
         e = self.entries
         m = self.num_antennas
@@ -475,9 +481,12 @@ def save_matrix(path: str | Path, matrix: CorrelationMatrix) -> Path:
 def load_matrix(path: str | Path) -> CorrelationMatrix:
     """Read a correlation matrix written by save_matrix and revalidate it.
 
-    Runs every check of CorrelationMatrix.validate() except the O(M^3) PSD
-    check; raises ValueError on a malformed or tampered container. The file
-    size is checked against the header's M before anything is allocated.
+    Runs CorrelationMatrix._check_structure, every check of validate() but
+    the exact diagonal and the O(M^3) PSD check, so a diagonal within the
+    trace tolerance of the gain still loads (the benchmark's export check
+    bounds it by rounding instead). Raises ValueError on a malformed or
+    tampered container. The file size is checked against the header's M
+    before anything is allocated.
     Each upper-triangle row is then read straight into the result, and the
     lower triangle is mirrored in blocks of STRUCTURE_CHECK_ROWS rows, so
     the only M x M array is the result itself.

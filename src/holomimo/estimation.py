@@ -14,6 +14,7 @@ NMSE is normalized by tr(R): E[||h_hat - h||^2] / tr(R).
 from __future__ import annotations
 
 import enum
+import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -249,7 +250,7 @@ def monte_carlo_nmse(
     seed: int,
     rsls_rank: int | None = None,
     container_subspace: np.ndarray | None = None,
-    threads: int = 1,
+    threads: int | None = None,
 ) -> dict[Estimator, MonteCarloNmse] | list[dict[Estimator, MonteCarloNmse]]:
     """Empirical NMSE of several estimators over shared channel realizations.
 
@@ -277,13 +278,20 @@ def monte_carlo_nmse(
     `rsls_rank` sets the RSLS projection rank (default: effective rank of
     `basis`); `container_subspace` is the orthonormal M x r basis used by
     CONSERVATIVE_RSLS and is required when that estimator is requested.
-    `threads` must be at least 1 and changes nothing: the block size is
-    fixed, and BLAS parallelizes the projections.
+    `threads` is deprecated and changes nothing: the block size is fixed,
+    and BLAS parallelizes the projections. Passing it warns, and a value
+    below 1 still raises ValueError.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
+    if threads is not None:
+        warnings.warn(
+            "monte_carlo_nmse(threads=...) is deprecated and has no effect",
+            DeprecationWarning,
+            stacklevel=2,
+        )
+        if threads < 1:
+            raise ValueError(f"threads must be at least 1, got {threads}")
     if not estimators:
         raise ValueError("at least one estimator is required")
     scalar = np.ndim(snr) == 0

@@ -163,6 +163,15 @@ class TestCorrelationMatrixType:
         with pytest.raises(ValueError, match="trace"):
             matrix.validate()
 
+    @pytest.mark.parametrize("direction", [-math.inf, math.inf])
+    def test_validate_requires_the_gain_on_the_diagonal(self, direction):
+        # one entry 1 ulp off passes the trace check but not the diagonal one
+        matrix = build_exact_clustered(ORACLE_GEOMETRY, ORACLE_SCATTERING)
+        matrix.validate()
+        matrix.entries[2, 2] = math.nextafter(matrix.gain, direction)
+        with pytest.raises(ValueError, match="diagonal"):
+            matrix.validate()
+
     def test_validate_catches_indefinite_matrix(self):
         entries = np.array([[1.0, 3.0], [3.0, 1.0]], dtype=np.complex128)
         matrix = CorrelationMatrix(entries, 1.0, MatrixProvenance.EXTERNAL)

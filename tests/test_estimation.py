@@ -238,9 +238,10 @@ class TestMonteCarloNmse:
     def test_thread_count_does_not_change_results(self):
         estimators = (Estimator.MMSE, Estimator.LS)
         serial = monte_carlo_nmse(self.basis, estimators, snr=1.0, trials=300, seed=5)
-        threaded = monte_carlo_nmse(
-            self.basis, estimators, snr=1.0, trials=300, seed=5, threads=4
-        )
+        with pytest.warns(DeprecationWarning, match="threads"):
+            threaded = monte_carlo_nmse(
+                self.basis, estimators, snr=1.0, trials=300, seed=5, threads=4
+            )
         for estimator in estimators:
             assert serial[estimator].nmse == threaded[estimator].nmse
             assert serial[estimator].ci95 == threaded[estimator].ci95
@@ -281,7 +282,7 @@ class TestMonteCarloNmse:
     def test_validation(self):
         with pytest.raises(ValueError):
             monte_carlo_nmse(self.basis, (Estimator.LS,), snr=1.0, trials=0, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.warns(DeprecationWarning, match="threads"), pytest.raises(ValueError):
             monte_carlo_nmse(self.basis, (Estimator.LS,), snr=1.0, trials=10, seed=0, threads=0)
         with pytest.raises(ValueError):
             monte_carlo_nmse(self.basis, (), snr=1.0, trials=10, seed=0)

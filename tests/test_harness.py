@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import holomimo.harness
+import holomimo.scattering
 from holomimo import (
     AccuracyError,
     ConfigurationError,
@@ -300,6 +301,26 @@ class TestCli:
         code = main(["approx-validate", str(path), "--out", str(tmp_path / "out")])
         assert code == 2
         assert "nodes" in capsys.readouterr().err
+
+    def test_unconverged_reference_integral_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(holomimo.scattering, "MAX_BISECTIONS", 2)
+        code = main(["eigen-report", "fig1_desk", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "did not converge" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+    def test_cli_run_imports_no_scipy(self, tmp_path):
+        script = (
+            "import sys\n"
+            "from holomimo.cli import main\n"
+            f"assert main(['eigen-report', 'fig1_desk', '--out', {str(tmp_path)!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=False
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "[]"
 
     def test_bad_thread_count_exits_1(self, tmp_path, capsys):
         path = write_config(tmp_path, isotropic_payload())

@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import integrate, special
 
+import holomimo.scattering
 from holomimo import (
     Cluster,
     Direction,
+    NumericalError,
     ScatteringConfig,
     directivity_gain,
     generate_clusters,
@@ -17,6 +21,7 @@ from holomimo import (
     unnormalized_cluster_density,
 )
 from holomimo.scattering import (
+    _clamped_cos_power,
     azimuth_profile,
     cluster_reference_masses,
     deviation_window,
@@ -247,6 +252,118 @@ class TestReferenceMasses:
         assert cluster_reference_masses(cfg)[0] == pytest.approx(expected, rel=1e-10)
 
 
+def quad_reference_masses(config):
+    """Oracle: the reference masses by scipy's adaptive quad, as computed before."""
+
+    def quad(integrand, lo, hi):
+        value, _ = integrate.quad(
+            lambda x: float(integrand(x)),
+            lo,
+            hi,
+            points=[0.0] if lo < 0.0 < hi else None,
+            limit=400,
+            epsabs=0.0,
+            epsrel=1e-12,
+        )
+        return value
+
+    masses = np.zeros(len(config.clusters))
+    for n, cluster in enumerate(config.clusters):
+        if cluster.power == 0.0:
+            continue
+        if cluster.specular:
+            areas = [
+                quad(lambda x, s=sigma: peak_relative_lobe(x, s), -math.pi / 2, math.pi / 2)
+                for sigma in (config.sigma_azimuth, config.sigma_elevation)
+            ]
+            directivity = float(
+                _clamped_cos_power(np.asarray(cluster.azimuth), config.directivity_a)
+            ) * float(_clamped_cos_power(np.asarray(cluster.elevation), config.directivity_b + 1))
+            masses[n] = cluster.power * directivity * areas[0] * areas[1]
+            continue
+        az = quad(
+            lambda x: azimuth_profile(config, n, x),
+            *deviation_window(cluster.azimuth, config.sigma_azimuth, None),
+        )
+        el = quad(
+            lambda x: elevation_profile(config, n, x),
+            *deviation_window(cluster.elevation, config.sigma_elevation, None),
+        )
+        masses[n] = cluster.power * az * el
+    return masses
+
+
+# Nominal angles up to 89.5 degrees put the hemisphere edge inside the lobe.
+nominal_degrees = st.floats(-89.5, 89.5)
+spread_degrees = st.floats(0.5, 60.0)
+exponents = st.floats(0.0, 3.7)
+
+
+@st.composite
+def cluster_scenes(draw, specular):
+    count = draw(st.integers(1, 3))
+    clusters = tuple(
+        Cluster(
+            math.radians(draw(nominal_degrees)),
+            math.radians(draw(nominal_degrees)),
+            draw(st.floats(0.05, 1.0)),
+            specular=specular and (n == 0 or draw(st.booleans())),
+        )
+        for n in range(count)
+    )
+    return ScatteringConfig(
+        clusters=clusters,
+        sigma_azimuth=math.radians(draw(spread_degrees)),
+        sigma_elevation=math.radians(draw(spread_degrees)),
+        directivity_a=draw(exponents),
+        directivity_b=draw(exponents),
+    )
+
+
+class TestReferenceMassesMatchQuad:
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(config=cluster_scenes(specular=False))
+    def test_diffuse_clusters(self, config):
+        masses = cluster_reference_masses(config)
+        assert masses == pytest.approx(quad_reference_masses(config), rel=1e-12, abs=0.0)
+
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(config=cluster_scenes(specular=True))
+    def test_specular_clusters(self, config):
+        masses = cluster_reference_masses(config)
+        assert masses == pytest.approx(quad_reference_masses(config), rel=1e-12, abs=0.0)
+
+    # Below half a degree quad's own error nears 1e-12 and the oracle stops
+    # being one.
+    @pytest.mark.parametrize("spread", [0.5, 60.0, 120.0])
+    @pytest.mark.parametrize("nominal", [0.0, 86.0, 89.9])
+    def test_extreme_spreads_and_edges(self, spread, nominal):
+        config = ScatteringConfig(
+            clusters=(Cluster(math.radians(nominal), math.radians(-nominal), 1.0),),
+            sigma_azimuth=math.radians(spread),
+            sigma_elevation=math.radians(spread),
+            directivity_a=0.3,
+            directivity_b=1.7,
+        )
+        masses = cluster_reference_masses(config)
+        assert masses == pytest.approx(quad_reference_masses(config), rel=1e-12, abs=0.0)
+
+
+class TestReferenceIntegralFailures:
+    def test_non_finite_integrand_raises(self, monkeypatch):
+        def broken(config, n, deviation):
+            return np.where(np.asarray(deviation) > 0.01, np.nan, 1.0)
+
+        monkeypatch.setattr(holomimo.scattering, "elevation_profile", broken)
+        with pytest.raises(NumericalError, match="non-finite"):
+            cluster_reference_masses(two_cluster_config())
+
+    def test_bisection_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(holomimo.scattering, "MAX_BISECTIONS", 2)
+        with pytest.raises(NumericalError, match="did not converge in 2 bisections"):
+            cluster_reference_masses(two_cluster_config())
+
+
 class TestNormalizationConstant:
     def test_frozen_value(self):
         # reference: independently integrated mixture, checked to renormalize
@@ -313,6 +430,31 @@ class TestDirectivityGain:
     def test_rejects_negative_exponents(self):
         with pytest.raises(ValueError):
             directivity_gain(Direction(0.0, 0.0), -1.0, 0.0)
+
+    @staticmethod
+    def scipy_gamma_gain(direction, a, b):
+        # the formula as written with scipy.special.gamma
+        az = math.sqrt(np.pi) * special.gamma((a + 1) / 2) / special.gamma(a / 2 + 1)
+        el = math.sqrt(np.pi) * special.gamma((b + 2) / 2) / special.gamma((b + 1) / 2 + 1)
+        return 4 * np.pi / (az * el) * math.cos(direction.azimuth) ** a * math.cos(
+            direction.elevation
+        ) ** b
+
+    @pytest.mark.parametrize("a", [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0])
+    @pytest.mark.parametrize("b", [0.0, 1.0, 2.5, 4.0])
+    def test_matches_scipy_gamma_formula(self, a, b):
+        direction = Direction(0.4, -0.7)
+        expected = self.scipy_gamma_gain(direction, a, b)
+        assert directivity_gain(direction, a, b) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(a=exponents, b=exponents, az=st.floats(-1.5, 1.5), el=st.floats(-1.5, 1.5))
+    def test_matches_scipy_gamma_formula_at_fractional_exponents(self, a, b, az, el):
+        # math.gamma and scipy's gamma are each a few ulps off the exact
+        # value at arbitrary arguments; four of them enter the gain
+        direction = Direction(az, el)
+        expected = self.scipy_gamma_gain(direction, a, b)
+        assert directivity_gain(direction, a, b) == pytest.approx(expected, rel=4e-15, abs=0.0)
 
 
 class TestGenerateClusters:
