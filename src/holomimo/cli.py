@@ -8,8 +8,10 @@ Subcommands map one-to-one onto the harness runs:
   holomimo export-matrix CONFIG [--out DIR] [--csv] [--seed S] [--stem NAME]
 
 CONFIG is a JSON file path or the name of a packaged preset (e.g.
-"fig2_desk"). Exit codes: 0 success, 1 configuration or usage error,
-2 numerical failure (quadrature self-check, non-PSD input, invalid oracle).
+"fig2_desk"). Exit codes: 0 success, 1 configuration or usage error
+(including a model the scattering does not support, such as the closed-form
+approximation with specular clusters), 2 numerical failure (quadrature
+self-check, non-PSD input, invalid oracle).
 """
 
 from __future__ import annotations
@@ -20,7 +22,13 @@ from importlib import resources
 from pathlib import Path
 
 from .config import load_config
-from .errors import AccuracyError, ConfigurationError, NumericalError, OracleInvalidError
+from .errors import (
+    AccuracyError,
+    ConfigurationError,
+    NumericalError,
+    OracleInvalidError,
+    UnsupportedModelError,
+)
 from .harness import (
     run_approx_validation,
     run_eigen_report,
@@ -110,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
             _, paths = run_approx_validation(config, args.out)
         else:
             _, paths = run_export_matrix(config, args.out, write_csv=args.csv)
-    except ConfigurationError as exc:
+    except (ConfigurationError, UnsupportedModelError) as exc:
         print(f"holomimo: error: {exc}", file=sys.stderr)
         return 1
     except (AccuracyError, NumericalError, OracleInvalidError) as exc:

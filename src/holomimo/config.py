@@ -6,6 +6,15 @@ fraction of the wavelength (`spacing_over_lambda`, the only physically
 meaningful combination) or as explicit meters. Parsing is strict: unknown
 keys are rejected so typos fail loudly instead of silently running defaults.
 
+Each value is checked once. This module checks JSON types (objects, lists,
+integers, finite numbers, booleans) and the rules that no single domain type
+owns: the two spacing forms, clusters versus generate, what isotropic
+scattering excludes, beta, the SNR grid, trials, seeds and the output stem.
+Value ranges are checked by the constructor of the type built from them
+(ArrayGeometry, Cluster, ScatteringConfig, QuadratureSpec, generate_clusters);
+`_section` turns the ValueError it raises into a ConfigurationError naming
+the config section.
+
 The parsed result carries a `resolved` dictionary: the full post-default,
 post-generator settings (clusters listed explicitly even when drawn from the
 parametric generator). Output writers embed it so every artifact records
@@ -16,7 +25,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any
 
@@ -31,36 +42,89 @@ from .scattering import Cluster, ScatteringConfig, generate_clusters
 _SCATTERING_MODELS = ("isotropic", "clustered")
 _CORRELATION_MODELS = ("exact", "approx")
 _REPORT_MODELS = ("isotropic", "exact", "approx")
+_ESTIMATOR_NAMES = tuple(e.value for e in Estimator)
 _DEFAULT_SNR_GRID_DB = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
+# Within +-300 dB every sweep output is finite; far beyond it the linear SNR
+# 10**(dB/10) overflows float64 or underflows to 0.
+_MAX_ABS_SNR_DB = 300.0
+_TOP_LEVEL_KEYS = {
+    "geometry",
+    "beta",
+    "scattering",
+    "directivity",
+    "correlation_model",
+    "models",
+    "snr_grid_db",
+    "trials",
+    "seed",
+    "estimators",
+    "quadrature",
+    "output_stem",
+}
+_CLUSTERED_KEYS = {"model", "sigma_azimuth_deg", "sigma_elevation_deg", "clusters", "generate"}
 
 
-def _require(mapping: dict, key: str, context: str) -> Any:
+def _require(
+    mapping: dict, key: str, context: str, convert: Callable[[Any, str], Any] | None = None
+) -> Any:
+    """The value under `key`, passed through `convert(value, "<context>.<key>")` if given."""
     if key not in mapping:
         raise ConfigurationError(f"{context}: missing required key '{key}'")
-    return mapping[key]
+    value = mapping[key]
+    return value if convert is None else convert(value, f"{context}.{key}")
 
 
-def _reject_unknown(mapping: dict, allowed: set[str], context: str) -> None:
-    unknown = set(mapping) - allowed
+def _object(raw: Any, allowed: set[str], context: str) -> dict:
+    """A JSON object whose keys all lie in `allowed`."""
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"{context}: expected an object")
+    unknown = set(raw) - allowed
     if unknown:
         raise ConfigurationError(
             f"{context}: unknown key(s) {sorted(unknown)}; allowed: {sorted(allowed)}"
         )
+    return raw
 
 
-def _as_positive_int(value: Any, context: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ConfigurationError(f"{context}: expected a positive integer, got {value!r}")
+def _integer(value: Any, context: str, minimum: int | None = None) -> int:
+    """A JSON integer (not a boolean), at least `minimum` when one is given."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"{context}: expected an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigurationError(f"{context}: expected an integer >= {minimum}, got {value!r}")
     return value
 
 
-def _as_finite_float(value: Any, context: str) -> float:
+def _number(value: Any, context: str) -> float:
+    """A finite JSON number (not a boolean), as a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigurationError(f"{context}: expected a number, got {value!r}")
     value = float(value)
     if not math.isfinite(value):
         raise ConfigurationError(f"{context}: value must be finite, got {value!r}")
     return value
+
+
+def _choices(raw: Any, choices: tuple[str, ...], context: str) -> tuple[str, ...]:
+    """A non-empty JSON list of distinct entries drawn from `choices`."""
+    if not isinstance(raw, list) or not raw:
+        raise ConfigurationError(f"{context}: expected a non-empty list")
+    for k, entry in enumerate(raw):
+        if entry not in choices:
+            raise ConfigurationError(f"{context}: expected entries from {choices}, got {entry!r}")
+        if entry in raw[:k]:
+            raise ConfigurationError(f"{context}: duplicate entry {entry!r}")
+    return tuple(raw)
+
+
+@contextmanager
+def _section(context: str) -> Iterator[None]:
+    """Around a domain constructor: the ValueError it raises for a value out of
+    range becomes a ConfigurationError naming the config section."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigurationError(f"{context}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -84,132 +148,85 @@ class ExperimentConfig:
 
 def _parse_geometry(raw: Any) -> ArrayGeometry:
     context = "geometry"
-    if not isinstance(raw, dict):
-        raise ConfigurationError(f"{context}: expected an object")
-    _reject_unknown(
-        raw, {"m_h", "m_v", "spacing_over_lambda", "spacing_m", "wavelength_m"}, context
-    )
-    m_h = _as_positive_int(_require(raw, "m_h", context), f"{context}.m_h")
-    m_v = _as_positive_int(_require(raw, "m_v", context), f"{context}.m_v")
+    raw = _object(raw, {"m_h", "m_v", "spacing_over_lambda", "spacing_m", "wavelength_m"}, context)
+    m_h = _require(raw, "m_h", context, _integer)
+    m_v = _require(raw, "m_v", context, _integer)
     if "spacing_over_lambda" in raw:
         if "spacing_m" in raw or "wavelength_m" in raw:
             raise ConfigurationError(
                 f"{context}: give either spacing_over_lambda or spacing_m+wavelength_m, not both"
             )
-        fraction = _as_finite_float(raw["spacing_over_lambda"], f"{context}.spacing_over_lambda")
-        if not fraction > 0:
-            raise ConfigurationError(f"{context}.spacing_over_lambda: must be positive")
-        spacing, wavelength = fraction, 1.0
+        spacing = _number(raw["spacing_over_lambda"], f"{context}.spacing_over_lambda")
+        wavelength = 1.0
     else:
-        spacing = _as_finite_float(_require(raw, "spacing_m", context), f"{context}.spacing_m")
-        wavelength = _as_finite_float(
-            _require(raw, "wavelength_m", context), f"{context}.wavelength_m"
+        spacing = _require(raw, "spacing_m", context, _number)
+        wavelength = _require(raw, "wavelength_m", context, _number)
+    with _section(context):
+        return ArrayGeometry(
+            num_horizontal=m_h, num_vertical=m_v, spacing=spacing, wavelength=wavelength
         )
-        if spacing <= 0 or wavelength <= 0:
-            raise ConfigurationError(f"{context}: spacing_m and wavelength_m must be positive")
-    return ArrayGeometry(
-        num_horizontal=m_h, num_vertical=m_v, spacing=spacing, wavelength=wavelength
-    )
 
 
 def _parse_cluster(raw: Any, context: str) -> Cluster:
-    if not isinstance(raw, dict):
-        raise ConfigurationError(f"{context}: expected an object")
-    _reject_unknown(raw, {"azimuth_deg", "elevation_deg", "power", "specular"}, context)
-    azimuth = _as_finite_float(_require(raw, "azimuth_deg", context), f"{context}.azimuth_deg")
-    elevation = _as_finite_float(
-        _require(raw, "elevation_deg", context), f"{context}.elevation_deg"
-    )
-    power = _as_finite_float(_require(raw, "power", context), f"{context}.power")
+    raw = _object(raw, {"azimuth_deg", "elevation_deg", "power", "specular"}, context)
+    azimuth = _require(raw, "azimuth_deg", context, _number)
+    elevation = _require(raw, "elevation_deg", context, _number)
+    power = _require(raw, "power", context, _number)
     specular = raw.get("specular", False)
     if not isinstance(specular, bool):
         raise ConfigurationError(f"{context}.specular: expected a boolean")
-    try:
-        return Cluster(
-            azimuth=math.radians(azimuth),
-            elevation=math.radians(elevation),
-            power=power,
-            specular=specular,
-        )
-    except ValueError as exc:
-        raise ConfigurationError(f"{context}: {exc}") from exc
+    with _section(context):
+        return Cluster(math.radians(azimuth), math.radians(elevation), power, specular)
+
+
+def _parse_generate(raw: Any, context: str) -> tuple[Cluster, ...]:
+    raw = _object(
+        raw,
+        {"count", "power_decay", "azimuth_range_deg", "elevation_range_deg", "seed"},
+        context,
+    )
+    count = _require(raw, "count", context, _integer)
+    decay = _require(raw, "power_decay", context, _number)
+    ranges = []
+    for key in ("azimuth_range_deg", "elevation_range_deg"):
+        pair = _require(raw, key, context)
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ConfigurationError(f"{context}.{key}: expected [low, high]")
+        lo = _number(pair[0], f"{context}.{key}[0]")
+        hi = _number(pair[1], f"{context}.{key}[1]")
+        ranges.append((math.radians(lo), math.radians(hi)))
+    seed = _integer(raw.get("seed", 0), f"{context}.seed", minimum=0)
+    with _section(context):
+        return generate_clusters(count, decay, *ranges, rng=np.random.default_rng(seed))
 
 
 def _parse_scattering(
     raw: Any, beta: float, directivity: tuple[float, float]
 ) -> tuple[str, ScatteringConfig | None]:
     context = "scattering"
-    if not isinstance(raw, dict):
-        raise ConfigurationError(f"{context}: expected an object")
-    model = _require(raw, "model", context)
+    model = _require(_object(raw, _CLUSTERED_KEYS, context), "model", context)
     if model not in _SCATTERING_MODELS:
         raise ConfigurationError(
             f"{context}.model: expected one of {_SCATTERING_MODELS}, got {model!r}"
         )
     if model == "isotropic":
-        _reject_unknown(raw, {"model"}, context)
+        _object(raw, {"model"}, context)
         return model, None
 
-    _reject_unknown(
-        raw,
-        {"model", "sigma_azimuth_deg", "sigma_elevation_deg", "clusters", "generate"},
-        context,
-    )
-    sigma_az = _as_finite_float(
-        _require(raw, "sigma_azimuth_deg", context), f"{context}.sigma_azimuth_deg"
-    )
-    sigma_el = _as_finite_float(
-        _require(raw, "sigma_elevation_deg", context), f"{context}.sigma_elevation_deg"
-    )
-
-    has_clusters = "clusters" in raw
-    has_generate = "generate" in raw
-    if has_clusters == has_generate:
+    sigma_az = _require(raw, "sigma_azimuth_deg", context, _number)
+    sigma_el = _require(raw, "sigma_elevation_deg", context, _number)
+    if ("clusters" in raw) == ("generate" in raw):
         raise ConfigurationError(f"{context}: give exactly one of 'clusters' or 'generate'")
-    if has_clusters:
+    if "clusters" in raw:
         raw_clusters = raw["clusters"]
-        if not isinstance(raw_clusters, list) or not raw_clusters:
-            raise ConfigurationError(f"{context}.clusters: expected a non-empty list")
+        if not isinstance(raw_clusters, list):
+            raise ConfigurationError(f"{context}.clusters: expected a list")
         clusters = tuple(
             _parse_cluster(c, f"{context}.clusters[{k}]") for k, c in enumerate(raw_clusters)
         )
     else:
-        gen = raw["generate"]
-        gen_context = f"{context}.generate"
-        if not isinstance(gen, dict):
-            raise ConfigurationError(f"{gen_context}: expected an object")
-        _reject_unknown(
-            gen,
-            {"count", "power_decay", "azimuth_range_deg", "elevation_range_deg", "seed"},
-            gen_context,
-        )
-        count = _as_positive_int(_require(gen, "count", gen_context), f"{gen_context}.count")
-        decay = _as_finite_float(
-            _require(gen, "power_decay", gen_context), f"{gen_context}.power_decay"
-        )
-        ranges = {}
-        for key in ("azimuth_range_deg", "elevation_range_deg"):
-            pair = _require(gen, key, gen_context)
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ConfigurationError(f"{gen_context}.{key}: expected [low, high]")
-            lo = _as_finite_float(pair[0], f"{gen_context}.{key}[0]")
-            hi = _as_finite_float(pair[1], f"{gen_context}.{key}[1]")
-            ranges[key] = (math.radians(lo), math.radians(hi))
-        gen_seed = gen.get("seed", 0)
-        if not isinstance(gen_seed, int) or isinstance(gen_seed, bool) or gen_seed < 0:
-            raise ConfigurationError(f"{gen_context}.seed: expected a nonnegative integer")
-        try:
-            clusters = generate_clusters(
-                count=count,
-                power_decay=decay,
-                azimuth_range=ranges["azimuth_range_deg"],
-                elevation_range=ranges["elevation_range_deg"],
-                rng=np.random.default_rng(gen_seed),
-            )
-        except ValueError as exc:
-            raise ConfigurationError(f"{gen_context}: {exc}") from exc
-
-    try:
+        clusters = _parse_generate(raw["generate"], f"{context}.generate")
+    with _section(context):
         scattering = ScatteringConfig(
             clusters=clusters,
             sigma_azimuth=math.radians(sigma_az),
@@ -218,57 +235,36 @@ def _parse_scattering(
             directivity_b=directivity[1],
             gain=beta,
         )
-    except ValueError as exc:
-        raise ConfigurationError(f"{context}: {exc}") from exc
     return model, scattering
 
 
 def _parse_directivity(raw: Any) -> tuple[float, float]:
-    context = "directivity"
     if raw is None:
         return 0.0, 0.0
-    if not isinstance(raw, dict):
-        raise ConfigurationError(f"{context}: expected an object")
-    _reject_unknown(raw, {"a", "b"}, context)
-    a = _as_finite_float(raw.get("a", 0.0), f"{context}.a")
-    b = _as_finite_float(raw.get("b", 0.0), f"{context}.b")
-    if a < 0 or b < 0:
-        raise ConfigurationError(f"{context}: exponents must be nonnegative")
-    return a, b
+    raw = _object(raw, {"a", "b"}, "directivity")
+    return _number(raw.get("a", 0.0), "directivity.a"), _number(raw.get("b", 0.0), "directivity.b")
+
+
+_QUADRATURE_FIELDS: dict[str, Callable[[Any, str], Any]] = {
+    "nodes_azimuth": _integer,
+    "nodes_elevation": _integer,
+    "support_radius": lambda value, context: None if value is None else _number(value, context),
+    "density_check_tol": _number,
+}
 
 
 def _parse_quadrature(raw: Any) -> QuadratureSpec:
     context = "quadrature"
     if raw is None:
         return QuadratureSpec()
-    if not isinstance(raw, dict):
-        raise ConfigurationError(f"{context}: expected an object")
-    _reject_unknown(
-        raw,
-        {"nodes_azimuth", "nodes_elevation", "support_radius", "density_check_tol"},
-        context,
-    )
-    kwargs: dict[str, Any] = {}
-    if "nodes_azimuth" in raw:
-        kwargs["nodes_azimuth"] = _as_positive_int(raw["nodes_azimuth"], f"{context}.nodes_azimuth")
-    if "nodes_elevation" in raw:
-        kwargs["nodes_elevation"] = _as_positive_int(
-            raw["nodes_elevation"], f"{context}.nodes_elevation"
-        )
-    if "support_radius" in raw:
-        kwargs["support_radius"] = (
-            None
-            if raw["support_radius"] is None
-            else _as_finite_float(raw["support_radius"], f"{context}.support_radius")
-        )
-    if "density_check_tol" in raw:
-        kwargs["density_check_tol"] = _as_finite_float(
-            raw["density_check_tol"], f"{context}.density_check_tol"
-        )
-    try:
+    raw = _object(raw, set(_QUADRATURE_FIELDS), context)
+    kwargs = {
+        key: convert(raw[key], f"{context}.{key}")
+        for key, convert in _QUADRATURE_FIELDS.items()
+        if key in raw
+    }
+    with _section(context):
         return QuadratureSpec(**kwargs)
-    except ValueError as exc:
-        raise ConfigurationError(f"{context}: {exc}") from exc
 
 
 def _resolved_dict(config: ExperimentConfig) -> dict:
@@ -286,12 +282,7 @@ def _resolved_dict(config: ExperimentConfig) -> dict:
         "trials": config.trials,
         "seed": config.seed,
         "estimators": [e.value for e in config.estimators],
-        "quadrature": {
-            "nodes_azimuth": config.quadrature.nodes_azimuth,
-            "nodes_elevation": config.quadrature.nodes_elevation,
-            "support_radius": config.quadrature.support_radius,
-            "density_check_tol": config.quadrature.density_check_tol,
-        },
+        "quadrature": asdict(config.quadrature),
         "output_stem": config.output_stem,
     }
     if config.scattering is not None:
@@ -335,37 +326,19 @@ def load_config(
         raise ConfigurationError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigurationError(f"{path}: top-level JSON value must be an object")
-
-    _reject_unknown(
-        raw,
-        {
-            "geometry",
-            "beta",
-            "scattering",
-            "directivity",
-            "correlation_model",
-            "models",
-            "snr_grid_db",
-            "trials",
-            "seed",
-            "estimators",
-            "quadrature",
-            "output_stem",
-        },
-        str(path),
-    )
+    raw = _object(raw, _TOP_LEVEL_KEYS, str(path))
 
     geometry = _parse_geometry(_require(raw, "geometry", str(path)))
-    beta = _as_finite_float(raw.get("beta", 1.0), "beta")
+    beta = _number(raw.get("beta", 1.0), "beta")
+    # Checked here as well as in ScatteringConfig: isotropic runs build none.
     if not beta > 0:
         raise ConfigurationError(f"beta: must be positive, got {beta}")
     directivity = _parse_directivity(raw.get("directivity"))
     scattering_model, scattering = _parse_scattering(
         _require(raw, "scattering", str(path)), beta, directivity
     )
-    if scattering_model == "isotropic" and "directivity" in raw and directivity != (0.0, 0.0):
+    clustered = scattering is not None
+    if not clustered and directivity != (0.0, 0.0):
         raise ConfigurationError(
             "directivity: nonzero exponents require clustered scattering "
             "(the isotropic model assumes isotropic antennas)"
@@ -376,57 +349,33 @@ def load_config(
         raise ConfigurationError(
             f"correlation_model: expected one of {_CORRELATION_MODELS}, got {correlation_model!r}"
         )
-    if scattering_model == "isotropic" and "correlation_model" in raw:
+    if not clustered and "correlation_model" in raw:
         raise ConfigurationError("correlation_model only applies to clustered scattering")
 
-    default_models = ("isotropic",) if scattering_model == "isotropic" else ("exact", "isotropic")
-    raw_models = raw.get("models", list(default_models))
-    if not isinstance(raw_models, list) or not raw_models:
-        raise ConfigurationError("models: expected a non-empty list")
-    models = []
-    for model in raw_models:
-        if model not in _REPORT_MODELS:
-            raise ConfigurationError(
-                f"models: expected entries from {_REPORT_MODELS}, got {model!r}"
-            )
-        if model in models:
-            raise ConfigurationError(f"models: duplicate entry {model!r}")
-        if scattering_model == "isotropic" and model != "isotropic":
-            raise ConfigurationError(f"models: {model!r} requires clustered scattering")
-        models.append(model)
+    default_models = ["exact", "isotropic"] if clustered else ["isotropic"]
+    models = _choices(raw.get("models", default_models), _REPORT_MODELS, "models")
+    if not clustered and models != ("isotropic",):
+        raise ConfigurationError("models: 'exact' and 'approx' require clustered scattering")
 
     raw_snr = raw.get("snr_grid_db", list(_DEFAULT_SNR_GRID_DB))
     if not isinstance(raw_snr, list) or not raw_snr:
         raise ConfigurationError("snr_grid_db: expected a non-empty list")
-    snr_grid_db = tuple(_as_finite_float(v, f"snr_grid_db[{k}]") for k, v in enumerate(raw_snr))
+    snr_grid_db = tuple(_number(v, f"snr_grid_db[{k}]") for k, v in enumerate(raw_snr))
+    for k, snr_db in enumerate(snr_grid_db):
+        if abs(snr_db) > _MAX_ABS_SNR_DB:
+            raise ConfigurationError(
+                f"snr_grid_db[{k}]: must lie in [-{_MAX_ABS_SNR_DB:g}, {_MAX_ABS_SNR_DB:g}] dB, "
+                f"got {snr_db!r}"
+            )
     if any(b <= a for a, b in zip(snr_grid_db, snr_grid_db[1:])):
         raise ConfigurationError("snr_grid_db: values must be strictly increasing")
 
-    trials = _as_positive_int(raw.get("trials", 1000), "trials")
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigurationError(f"seed: expected a nonnegative integer, got {seed!r}")
+    trials = _integer(raw.get("trials", 1000), "trials", minimum=1)
+    seed = _integer(raw.get("seed", 0), "seed", minimum=0)
     if seed_override is not None:
-        if seed_override < 0:
-            raise ConfigurationError(f"seed override must be nonnegative, got {seed_override}")
-        seed = seed_override
-
-    raw_estimators = raw.get("estimators", [e.value for e in Estimator])
-    if not isinstance(raw_estimators, list) or not raw_estimators:
-        raise ConfigurationError("estimators: expected a non-empty list")
-    estimators = []
-    valid_names = [e.value for e in Estimator]
-    for name in raw_estimators:
-        try:
-            estimator = Estimator(name)
-        except ValueError:
-            raise ConfigurationError(
-                f"estimators: expected entries from {valid_names}, got {name!r}"
-            ) from None
-        if estimator in estimators:
-            raise ConfigurationError(f"estimators: duplicate entry {name!r}")
-        estimators.append(estimator)
-
+        seed = _integer(seed_override, "seed override", minimum=0)
+    names = raw.get("estimators", list(_ESTIMATOR_NAMES))
+    estimators = tuple(map(Estimator, _choices(names, _ESTIMATOR_NAMES, "estimators")))
     quadrature = _parse_quadrature(raw.get("quadrature"))
 
     stem = stem_override if stem_override is not None else raw.get("output_stem", path.stem)
@@ -439,11 +388,11 @@ def load_config(
         scattering=scattering,
         beta=beta,
         correlation_model=correlation_model,
-        models=tuple(models),
+        models=models,
         snr_grid_db=snr_grid_db,
         trials=trials,
         seed=seed,
-        estimators=tuple(estimators),
+        estimators=estimators,
         quadrature=quadrature,
         output_stem=stem,
         resolved={},

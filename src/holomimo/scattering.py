@@ -379,7 +379,10 @@ def generate_clusters(
         if not (-_HALF_PI < lo <= hi < _HALF_PI):
             raise ValueError(f"{name} range {lo, hi} not inside (-pi/2, pi/2)")
     powers = np.exp(-np.arange(1, count + 1) / power_decay)
-    powers /= powers.sum()
+    total = powers.sum()
+    if total == 0.0:
+        raise ValueError(f"every cluster power underflows to zero at power decay {power_decay}")
+    powers /= total
     azimuths = rng.uniform(azimuth_range[0], azimuth_range[1], size=count)
     elevations = rng.uniform(elevation_range[0], elevation_range[1], size=count)
     return tuple(

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -35,6 +36,27 @@ def clustered_payload():
             ],
         },
     }
+
+
+def generated_payload():
+    payload = clustered_payload()
+    del payload["scattering"]["clusters"]
+    payload["scattering"]["generate"] = {
+        "count": 3,
+        "power_decay": 2.0,
+        "azimuth_range_deg": [-45.0, 45.0],
+        "elevation_range_deg": [-20.0, 20.0],
+        "seed": 3,
+    }
+    return payload
+
+
+def set_path(payload, path, value):
+    """Replace the value at `path`, a tuple of object keys and list indices."""
+    *parents, last = path
+    for key in parents:
+        payload = payload[key]
+    payload[last] = value
 
 
 class TestDefaults:
@@ -207,6 +229,18 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="duplicate"):
             load_config(write_config(tmp_path, payload))
 
+    def test_snr_grid_accepts_300_db(self, tmp_path):
+        payload = isotropic_payload()
+        payload["snr_grid_db"] = [-300.0, 300.0]
+        assert load_config(write_config(tmp_path, payload)).snr_grid_db == (-300.0, 300.0)
+
+    @pytest.mark.parametrize("grid, index", [([-300.5, 0.0], 0), ([0.0, 10.0, 300.5], 2)])
+    def test_snr_grid_bounded_by_300_db(self, tmp_path, grid, index):
+        payload = isotropic_payload()
+        payload["snr_grid_db"] = grid
+        with pytest.raises(ConfigurationError, match=re.escape(f"snr_grid_db[{index}]")):
+            load_config(write_config(tmp_path, payload))
+
     @pytest.mark.parametrize("seed", [-1, 1.5, True])
     def test_seed_validation(self, tmp_path, seed):
         payload = isotropic_payload()
@@ -282,3 +316,79 @@ class TestOverridesAndResolution:
         assert "spacing_over_lambda" in text
         assert config.resolved["beta"] == 2.0
         assert config.resolved["estimators"] == [e.value for e in Estimator]
+
+
+class TestRejectedValues:
+    """Every rejected value fails at load time with a message naming its section."""
+
+    METERS = {"m_h": 4, "m_v": 4, "spacing_m": 0.05, "wavelength_m": 0.2}
+    CASES = [
+        (isotropic_payload, ("geometry",), {**METERS, "spacing_m": 0.0}, "geometry"),
+        (isotropic_payload, ("geometry",), {**METERS, "spacing_m": -0.05}, "geometry"),
+        (isotropic_payload, ("geometry",), {**METERS, "wavelength_m": 0.0}, "geometry"),
+        (isotropic_payload, ("geometry",), {**METERS, "wavelength_m": -0.2}, "geometry"),
+        (isotropic_payload, ("geometry", "spacing_over_lambda"), 0.0, "geometry"),
+        (isotropic_payload, ("geometry", "spacing_over_lambda"), -0.25, "geometry"),
+        (clustered_payload, ("quadrature",), {"nodes_azimuth": 1}, "quadrature"),
+        (clustered_payload, ("quadrature",), {"nodes_azimuth": 2.5}, "quadrature"),
+        (clustered_payload, ("quadrature",), {"nodes_elevation": True}, "quadrature"),
+        (clustered_payload, ("quadrature",), {"support_radius": 0.0}, "quadrature"),
+        (clustered_payload, ("quadrature",), {"support_radius": -1.0}, "quadrature"),
+        (clustered_payload, ("quadrature",), {"density_check_tol": 0.0}, "quadrature"),
+        (clustered_payload, ("quadrature",), {"density_check_tol": -1e-6}, "quadrature"),
+        (generated_payload, ("scattering", "generate", "count"), 0, "scattering.generate"),
+        (generated_payload, ("scattering", "generate", "power_decay"), 0.0, "scattering.generate"),
+        (generated_payload, ("scattering", "generate", "power_decay"), -1.0, "scattering.generate"),
+        (
+            generated_payload,
+            ("scattering", "generate", "azimuth_range_deg"),
+            [45.0, -45.0],
+            "scattering.generate",
+        ),
+        (
+            generated_payload,
+            ("scattering", "generate", "azimuth_range_deg"),
+            [-90.0, 45.0],
+            "scattering.generate",
+        ),
+        (
+            generated_payload,
+            ("scattering", "generate", "elevation_range_deg"),
+            [-20.0, 95.0],
+            "scattering.generate",
+        ),
+        (generated_payload, ("scattering", "generate", "seed"), -1, "scattering.generate"),
+        (clustered_payload, ("directivity",), {"a": -1.0}, "directivity"),
+        (clustered_payload, ("directivity",), {"a": 1.0, "b": -0.5}, "directivity"),
+        (
+            clustered_payload,
+            ("scattering", "clusters", 0, "power"),
+            -0.1,
+            "scattering.clusters[0]",
+        ),
+        (
+            clustered_payload,
+            ("scattering", "clusters", 1, "specular"),
+            "yes",
+            "scattering.clusters[1]",
+        ),
+        (clustered_payload, ("scattering", "clusters", 1, "specular"), 1, "scattering.clusters[1]"),
+    ]
+
+    @pytest.mark.parametrize(
+        "factory, path, value, section",
+        CASES,
+        ids=[".".join(map(str, path)) + f"={value!r}" for _, path, value, _ in CASES],
+    )
+    def test_rejected_with_section(self, tmp_path, factory, path, value, section):
+        payload = factory()
+        set_path(payload, path, value)
+        with pytest.raises(ConfigurationError, match=re.escape(section)):
+            load_config(write_config(tmp_path, payload))
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_invalid_config_seed_rejected_despite_valid_override(self, tmp_path, seed):
+        payload = isotropic_payload()
+        payload["seed"] = seed
+        with pytest.raises(ConfigurationError, match="seed"):
+            load_config(write_config(tmp_path, payload), seed_override=5)

@@ -322,6 +322,32 @@ class TestCli:
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == "[]"
 
+    @pytest.mark.parametrize("grid, index", [([0.0, 4000.0], 1), ([-4000.0, 0.0], 0)])
+    def test_extreme_snr_exits_1(self, tmp_path, capsys, grid, index):
+        path = write_config(tmp_path, isotropic_payload(snr_grid_db=grid))
+        code = main(["nmse-sweep", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert f"snr_grid_db[{index}]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, overrides",
+        [
+            ("eigen-report", {"models": ["exact", "approx"]}),
+            ("nmse-sweep", {"correlation_model": "approx"}),
+        ],
+    )
+    def test_approx_with_specular_cluster_exits_1(self, tmp_path, capsys, command, overrides):
+        payload = clustered_payload(**overrides)
+        payload["scattering"]["clusters"][0]["specular"] = True
+        path = write_config(tmp_path, payload)
+        out_dir = tmp_path / "out"
+        code = main([command, str(path), "--out", str(out_dir)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("holomimo: error:") and "specular" in err
+        assert not out_dir.exists() or not any(out_dir.iterdir())
+
     def test_bad_thread_count_exits_1(self, tmp_path, capsys):
         path = write_config(tmp_path, isotropic_payload())
         code = main(["nmse-sweep", str(path), "--threads", "0"])

@@ -1,6 +1,7 @@
 """Tests for the angular scattering densities and the cluster generator."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -491,3 +492,10 @@ class TestGenerateClusters:
             generate_clusters(3, 2.0, (-2.0, 1.0), (-1.0, 1.0), rng)
         with pytest.raises(ValueError):
             generate_clusters(3, 2.0, (-1.0, 1.0), (0.0, math.pi / 2), rng)
+
+    def test_underflowing_powers_rejected_without_warning(self):
+        # exp(-n / 0.001) is 0.0 in float64 for every n >= 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="every cluster power underflows"):
+                generate_clusters(20, 0.001, (-1.0, 1.0), (-0.5, 0.5), np.random.default_rng(0))
