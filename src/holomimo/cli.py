@@ -12,6 +12,9 @@ CONFIG is a JSON file path or the name of a packaged preset (e.g.
 (including a model the scattering does not support, such as the closed-form
 approximation with specular clusters), 2 numerical failure (quadrature
 self-check, non-PSD input, invalid oracle).
+
+The --threads knob is validated (at least 1) and otherwise ignored: it
+changes neither the bytes nor the speed. Parallelism comes from BLAS.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ the config section.
 
 The parsed result carries a `resolved` dictionary: the full post-default,
 post-generator settings (clusters listed explicitly even when drawn from the
-parametric generator). Output writers embed it so every artifact records
+parametric generator). Every CSV and JSON report embeds it, so it records
 exactly what produced it.
 """
 
@@ -99,7 +99,10 @@ def _number(value: Any, context: str) -> float:
     """A finite JSON number (not a boolean), as a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigurationError(f"{context}: expected a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ConfigurationError(f"{context}: integer too large for a float") from None
     if not math.isfinite(value):
         raise ConfigurationError(f"{context}: value must be finite, got {value!r}")
     return value

@@ -1,13 +1,14 @@
 """Run orchestration: build matrices per config and write CSV/JSON artifacts.
 
-Output contract shared by all runs:
+Output contract shared by all runs, kept by one writer (_OutputSet):
 
-* Every artifact embeds the resolved configuration (CSV as a leading comment
-  line, JSON under a "config" key), so a file is self-describing.
+* Every file is named <stem>_<suffix>, the stem coming from the config.
+* Every CSV and JSON report embeds the resolved configuration (CSV as a
+  leading comment line, JSON under a "config" key), so it is
+  self-describing. The matrix files of export-matrix (the binary container
+  and its CSV view) carry the matrix alone.
 * Outputs are byte-deterministic: fixed row order, "%.17g" floats in CSV,
   explicit "\\n" newlines, sorted JSON keys, no timestamps or machine info.
-* The --threads knob is validated (at least 1) and otherwise ignored: it
-  changes neither the bytes nor the speed. Parallelism comes from BLAS.
 * nmse-sweep calls the Monte Carlo engine once for the whole SNR grid, so
   every SNR point is computed from the same channel and noise realizations.
 * A failing run removes whatever partial files it had written.
@@ -17,8 +18,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import combinations
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -55,30 +58,48 @@ class NmseRecord:
     trials: int
 
 
-def _fmt(value: float | None) -> str:
-    return "" if value is None else "%.17g" % value
+_NMSE_KEYS = tuple(field.name for field in fields(NmseRecord))
 
 
-def _config_comment(config: ExperimentConfig) -> str:
-    return "# config: " + json.dumps(config.resolved, sort_keys=True, separators=(",", ":"))
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _cell(value: object) -> str:
+    if value is None:
+        return ""
+    return "%.17g" % value if isinstance(value, float) else str(value)
 
 
 class _OutputSet:
-    """Tracks files written by a run; an exception leaving its block removes them."""
+    """The run's artifact writer.
 
-    def __init__(self, out_dir: str | Path):
+    Names every file <stem>_<suffix> in the output directory and writes the
+    contract's CSV and JSON layouts; an exception leaving its block removes
+    every file it named.
+    """
+
+    def __init__(self, config: ExperimentConfig, out_dir: str | Path):
+        self.config = config
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.paths: list[Path] = []
 
-    def path(self, name: str) -> Path:
-        p = self.out_dir / name
+    def path(self, suffix: str) -> Path:
+        p = self.out_dir / f"{self.config.output_stem}_{suffix}"
         self.paths.append(p)
         return p
+
+    def write_csv(self, suffix: str, header: str, rows: Iterable[tuple]) -> Path:
+        """Config comment line, header, then one line per row, cell by cell."""
+        config = json.dumps(self.config.resolved, sort_keys=True, separators=(",", ":"))
+        lines = ["# config: " + config, header]
+        lines.extend(",".join(map(_cell, row)) for row in rows)
+        path = self.path(suffix)
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def write_json(self, suffix: str, payload: dict) -> dict:
+        """Write `payload` plus the resolved config; return what was written."""
+        payload = {**payload, "config": self.config.resolved}
+        self.path(suffix).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        return payload
 
     def __enter__(self) -> _OutputSet:
         return self
@@ -109,7 +130,7 @@ def run_eigen_report(config: ExperimentConfig, out_dir: str | Path) -> tuple[dic
     prediction, and pairwise correlation matrix distances. Only eigenvalues
     are computed, never eigenvectors. Returns (summary, written paths).
     """
-    with _OutputSet(out_dir) as outputs:
+    with _OutputSet(config, out_dir) as outputs:
         matrices: dict[str, CorrelationMatrix] = {}
         summary_models: dict[str, dict] = {}
         for model in config.models:
@@ -119,16 +140,13 @@ def run_eigen_report(config: ExperimentConfig, out_dir: str | Path) -> tuple[dic
             spec = eigendecompose(matrix, vectors=False)
             matrices[model] = matrix
 
-            csv_path = outputs.path(f"{config.output_stem}_spectrum_{model}.csv")
-            total = float(spec.eigenvalues.sum())
-            cumulative = np.cumsum(spec.eigenvalues) / total
-            lines = [_config_comment(config), "index,eigenvalue,cum_energy_fraction"]
-            for k in range(spec.num_antennas):
-                lines.append(
-                    f"{k + 1},{_fmt(float(spec.eigenvalues[k]))},{_fmt(float(cumulative[k]))}"
-                )
-            csv_path.write_text("\n".join(lines) + "\n")
-
+            cumulative = np.cumsum(spec.eigenvalues) / float(spec.eigenvalues.sum())
+            indices = range(1, spec.num_antennas + 1)
+            csv_path = outputs.write_csv(
+                f"spectrum_{model}.csv",
+                "index,eigenvalue,cum_energy_fraction",
+                zip(indices, spec.eigenvalues.tolist(), cumulative.tolist()),
+            )
             summary_models[model] = {
                 "effective_rank": spec.effective_rank,
                 "numerical_rank": spec.numerical_rank,
@@ -138,23 +156,20 @@ def run_eigen_report(config: ExperimentConfig, out_dir: str | Path) -> tuple[dic
                 "spectrum_csv": csv_path.name,
             }
 
-        distances = {}
-        names = list(config.models)
-        for i, first in enumerate(names):
-            for second in names[i + 1 :]:
-                distances[f"{first}_vs_{second}"] = correlation_matrix_distance(
-                    matrices[first], matrices[second]
-                )
-
-        summary = {
-            "num_antennas": config.geometry.num_antennas,
-            "rank_fraction_prediction": rank_fraction_prediction(config.geometry),
-            "models": summary_models,
-            "cmd": distances,
-            "config": config.resolved,
+        distances = {
+            f"{first}_vs_{second}": correlation_matrix_distance(matrices[first], matrices[second])
+            for first, second in combinations(config.models, 2)
         }
-        json_path = outputs.path(f"{config.output_stem}_eigen_summary.json")
-        _write_json(json_path, summary)
+
+        summary = outputs.write_json(
+            "eigen_summary.json",
+            {
+                "num_antennas": config.geometry.num_antennas,
+                "rank_fraction_prediction": rank_fraction_prediction(config.geometry),
+                "models": summary_models,
+                "cmd": distances,
+            },
+        )
         return summary, outputs.paths
 
 
@@ -187,7 +202,7 @@ def run_nmse_sweep(
 
     Writes <stem>_nmse.csv and <stem>_nmse.json; returns (records, paths).
     """
-    with _OutputSet(out_dir) as outputs:
+    with _OutputSet(config, out_dir) as outputs:
         truth_model = _sweep_truth_model(config)
         truth = _build_model(config, truth_model)
         basis = eigendecompose(truth)
@@ -212,75 +227,39 @@ def run_nmse_sweep(
             container_subspace=container,
         )
         records: list[NmseRecord] = []
-        iso_warned = False
+        rows: list[tuple] = []  # one per record, the estimator by its value
         for snr_db, snr, mc in zip(config.snr_grid_db, snrs, mc_grid):
             for estimator in config.estimators:
-                if estimator is Estimator.CONSERVATIVE_RSLS:
-                    try:
-                        analytic = analytic_nmse(
-                            estimator,
-                            basis,
-                            snr,
-                            subspace_rank=container_rank,
-                            containment_residual=containment,
-                        )
-                    except OracleInvalidError as exc:
-                        analytic = None
-                        if not iso_warned:
-                            warnings.append(str(exc))
-                            iso_warned = True
-                else:
-                    analytic = analytic_nmse(estimator, basis, snr)
+                conservative = estimator is Estimator.CONSERVATIVE_RSLS
+                try:
+                    analytic = analytic_nmse(
+                        estimator,
+                        basis,
+                        snr,
+                        subspace_rank=container_rank if conservative else None,
+                        containment_residual=containment,
+                    )
+                except OracleInvalidError as exc:
+                    analytic = None
+                    if not warnings:
+                        warnings.append(str(exc))
                 point = mc[estimator]
                 ci = point.ci95 if math.isfinite(point.ci95) else None
-                records.append(
-                    NmseRecord(
-                        estimator=estimator,
-                        snr_db=snr_db,
-                        nmse_mc=point.nmse,
-                        nmse_mc_ci95=ci,
-                        nmse_analytic=analytic,
-                        trials=config.trials,
-                    )
-                )
+                rows.append((estimator.value, snr_db, point.nmse, ci, analytic, config.trials))
+                records.append(NmseRecord(estimator, *rows[-1][1:]))
 
-        csv_path = outputs.path(f"{config.output_stem}_nmse.csv")
-        lines = [_config_comment(config), "estimator,snr_db,nmse_mc,nmse_ci95,nmse_analytic,trials"]
-        for rec in records:
-            lines.append(
-                ",".join(
-                    (
-                        rec.estimator.value,
-                        _fmt(rec.snr_db),
-                        _fmt(rec.nmse_mc),
-                        _fmt(rec.nmse_mc_ci95),
-                        _fmt(rec.nmse_analytic),
-                        str(rec.trials),
-                    )
-                )
-            )
-        csv_path.write_text("\n".join(lines) + "\n")
-
-        payload = {
-            "truth_model": truth_model,
-            "containment_residual": containment,
-            "container_rank": container_rank,
-            "records": [
-                {
-                    "estimator": rec.estimator.value,
-                    "snr_db": rec.snr_db,
-                    "nmse_mc": rec.nmse_mc,
-                    "nmse_mc_ci95": rec.nmse_mc_ci95,
-                    "nmse_analytic": rec.nmse_analytic,
-                    "trials": rec.trials,
-                }
-                for rec in records
-            ],
-            "warnings": warnings,
-            "config": config.resolved,
-        }
-        json_path = outputs.path(f"{config.output_stem}_nmse.json")
-        _write_json(json_path, payload)
+        header = "estimator,snr_db,nmse_mc,nmse_ci95,nmse_analytic,trials"
+        outputs.write_csv("nmse.csv", header, rows)
+        outputs.write_json(
+            "nmse.json",
+            {
+                "truth_model": truth_model,
+                "containment_residual": containment,
+                "container_rank": container_rank,
+                "records": [dict(zip(_NMSE_KEYS, row)) for row in rows],
+                "warnings": warnings,
+            },
+        )
         return records, outputs.paths
 
 
@@ -292,11 +271,9 @@ def run_approx_validation(config: ExperimentConfig, out_dir: str | Path) -> tupl
     rank metrics for both, and the per-cluster quadrature self-check.
     Requires clustered scattering. Returns (report, written paths).
     """
-    if config.scattering is None:
-        raise ConfigurationError("approx validation requires clustered scattering")
-    with _OutputSet(out_dir) as outputs:
-        exact = build_exact_clustered(config.geometry, config.scattering, config.quadrature)
-        approx = build_approx_clustered(config.geometry, config.scattering)
+    with _OutputSet(config, out_dir) as outputs:
+        exact = _build_model(config, "exact")
+        approx = _build_model(config, "approx")
         self_check = quadrature_self_check(config.scattering, config.quadrature)
         exact_spec = eigendecompose(exact, vectors=False)
         approx_spec = eigendecompose(approx, vectors=False)
@@ -304,22 +281,22 @@ def run_approx_validation(config: ExperimentConfig, out_dir: str | Path) -> tupl
             np.max(np.abs(exact_spec.eigenvalues - approx_spec.eigenvalues))
             / exact_spec.eigenvalues[0]
         )
-        report = {
-            "cmd": correlation_matrix_distance(exact, approx),
-            "max_entry_deviation": float(np.max(np.abs(exact.entries - approx.entries))),
-            "max_eigenvalue_deviation_rel": eig_dev,
-            "effective_rank_exact": exact_spec.effective_rank,
-            "effective_rank_approx": approx_spec.effective_rank,
-            "quadrature_self_check": {
-                "per_cluster_relative_error": [float(e) for e in self_check],
-                "worst_relative_error": float(self_check[np.argmax(np.abs(self_check))]),
-                "tolerance": config.quadrature.density_check_tol,
-                "status": "pass",
+        report = outputs.write_json(
+            "approx_validation.json",
+            {
+                "cmd": correlation_matrix_distance(exact, approx),
+                "max_entry_deviation": float(np.max(np.abs(exact.entries - approx.entries))),
+                "max_eigenvalue_deviation_rel": eig_dev,
+                "effective_rank_exact": exact_spec.effective_rank,
+                "effective_rank_approx": approx_spec.effective_rank,
+                "quadrature_self_check": {
+                    "per_cluster_relative_error": [float(e) for e in self_check],
+                    "worst_relative_error": float(self_check[np.argmax(np.abs(self_check))]),
+                    "tolerance": config.quadrature.density_check_tol,
+                    "status": "pass",
+                },
             },
-            "config": config.resolved,
-        }
-        json_path = outputs.path(f"{config.output_stem}_approx_validation.json")
-        _write_json(json_path, report)
+        )
         return report, outputs.paths
 
 
@@ -331,10 +308,10 @@ def run_export_matrix(
     Optionally also writes the lossy-by-omission CSV view. Returns a small
     manifest and the written paths.
     """
-    with _OutputSet(out_dir) as outputs:
+    with _OutputSet(config, out_dir) as outputs:
         which = _sweep_truth_model(config)
         matrix = _build_model(config, which)
-        container_path = outputs.path(f"{config.output_stem}_{matrix.provenance.label}.hmrc")
+        container_path = outputs.path(f"{matrix.provenance.label}.hmrc")
         save_matrix(container_path, matrix)
         manifest = {
             "model": which,
@@ -344,7 +321,7 @@ def run_export_matrix(
             "self_check_error": matrix.self_check_error,
         }
         if write_csv:
-            csv_path = outputs.path(f"{config.output_stem}_{matrix.provenance.label}.csv")
+            csv_path = outputs.path(f"{matrix.provenance.label}.csv")
             export_matrix_csv(csv_path, matrix)
             manifest["csv"] = csv_path.name
         return manifest, outputs.paths

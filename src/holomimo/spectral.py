@@ -177,42 +177,28 @@ def _solve_parity(entries: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.nd
     The real form of a real matrix is block diagonal: Re(A+BJ), bordered by
     the middle row and column for odd M, and Re(A-BJ). Their eigenvectors v
     map back to the real [v; sqrt(2) v_mid; Jv] / sqrt(2) and
-    [v; 0; -Jv] / sqrt(2). For even M both blocks go to LAPACK in one
-    stacked call.
+    [v; 0; -Jv] / sqrt(2).
     """
     m = entries.shape[0]
     n, h = m // 2, m - m // 2
-    if h == n:
-        stacked = np.empty((2, n, n))
-        plus, minus = stacked
-    else:
-        plus, minus = np.empty((h, h)), np.empty((n, n))
+    plus, minus = np.empty((h, h)), np.empty((n, n))
     _parity_blocks(entries, plus, minus)
-    solver = np.linalg.eigh if vectors else np.linalg.eigvalsh
-    if h == n:
-        results = solver(stacked)
-        plus_result, minus_result = zip(*results) if vectors else results
-    else:
-        plus_result, minus_result = solver(plus), solver(minus)
     if not vectors:
-        return np.sort(np.concatenate([plus_result, minus_result]))[::-1], None
-    (plus_values, plus_vectors), (minus_values, minus_vectors) = plus_result, minus_result
+        values = np.concatenate([np.linalg.eigvalsh(plus), np.linalg.eigvalsh(minus)])
+        return np.sort(values)[::-1], None
+    plus_values, plus_vectors = np.linalg.eigh(plus)
+    minus_values, minus_vectors = np.linalg.eigh(minus)
     values = np.concatenate([plus_values, minus_values])
     order = np.argsort(values, kind="stable")[::-1]
+    position = np.argsort(order)  # the inverse sort: where each block eigenvector lands
     columns = np.zeros((m, m), dtype=np.complex128)
-    real = columns.real
-    for block, picked, offset, sign in (
-        (plus_vectors, order < h, 0, 1.0),
-        (minus_vectors, order >= h, h, -1.0),
-    ):
-        targets = np.flatnonzero(picked)
-        sources = order[targets] - offset
-        top = block[:n, sources] * _HALF_SQRT2
-        real[:n, targets] = top
-        real[h:, targets] = sign * top[::-1]
+    blocks = ((plus_vectors, position[:h], 1.0), (minus_vectors, position[h:], -1.0))
+    for block, targets, sign in blocks:
+        top = block[:n] * _HALF_SQRT2
+        columns.real[:n, targets] = top
+        columns.real[h:, targets] = sign * top[::-1]
     if h > n:
-        targets = np.flatnonzero(order < h)
-        real[n, targets] = plus_vectors[n, order[targets]]
+        columns.real[n, position[:h]] = plus_vectors[n]
     return values[order], columns
 
 
@@ -251,9 +237,11 @@ def _solve(matrix: CorrelationMatrix, vectors: bool) -> tuple[np.ndarray, np.nda
 def _spectrum_from(matrix: CorrelationMatrix, descending: np.ndarray) -> Spectrum:
     """PSD-check, clamp and rank the solver's descending eigenvalues.
 
-    The one PSD check of the package: eigenvalues within -PSD_TOLERANCE *
-    lambda_max of zero are rounding artifacts and are clamped to zero;
-    anything more negative raises NumericalError.
+    The PSD check of both spectral entry points: eigenvalues within
+    -PSD_TOLERANCE * lambda_max of zero are rounding artifacts and are
+    clamped to zero; anything more negative raises NumericalError.
+    CorrelationMatrix.validate() applies its own floor, `psd_tol`, to the
+    eigenvalues of the same solver.
     """
     values = descending.copy()
     largest = float(values[0])

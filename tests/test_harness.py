@@ -63,6 +63,74 @@ def clustered_payload(**overrides):
     return payload
 
 
+def fail_json_write(monkeypatch, seen):
+    """Make the first JSON write raise, noting the files already on disk."""
+    write_text = Path.write_text
+
+    def failing(self, *args, **kwargs):
+        if self.suffix == ".json":
+            seen.append(sorted(p.name for p in self.parent.iterdir()))
+            raise OSError("disk full")
+        return write_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", failing)
+
+
+def fail_csv_export(monkeypatch, seen):
+    """Make the matrix CSV export raise, noting the files already on disk."""
+
+    def failing(path, matrix):
+        seen.append(sorted(p.name for p in Path(path).parent.iterdir()))
+        raise OSError("disk full")
+
+    monkeypatch.setattr(holomimo.harness, "export_matrix_csv", failing)
+
+
+class TestOutputContract:
+    """The rules every run's artifacts share: stem prefix and embedded config."""
+
+    @pytest.mark.parametrize(
+        "run", [run_eigen_report, run_nmse_sweep, run_approx_validation], ids=lambda r: r.__name__
+    )
+    def test_artifacts_embed_resolved_config_under_the_stem(self, tmp_path, run):
+        payload = clustered_payload(models=["exact", "isotropic", "approx"])
+        config = load_config(write_config(tmp_path, payload), stem_override="pinned")
+        comment = "# config: " + json.dumps(config.resolved, sort_keys=True, separators=(",", ":"))
+        _, paths = run(config, tmp_path / "out")
+        assert paths
+        for path in paths:
+            assert path.name.startswith("pinned_")
+            if path.suffix == ".csv":
+                assert path.read_text().splitlines()[0] == comment
+            else:
+                assert path.suffix == ".json"
+                assert json.loads(path.read_text())["config"] == config.resolved
+
+    @pytest.mark.parametrize(
+        "run, breaker, first_file",
+        [
+            (run_nmse_sweep, fail_json_write, "run_nmse.csv"),
+            (
+                lambda config, out_dir: run_export_matrix(config, out_dir, write_csv=True),
+                fail_csv_export,
+                "run_exact.hmrc",
+            ),
+        ],
+        ids=["nmse-sweep", "export-matrix-csv"],
+    )
+    def test_failure_after_first_file_removes_it(
+        self, tmp_path, monkeypatch, run, breaker, first_file
+    ):
+        config = load_config(write_config(tmp_path, clustered_payload()))
+        out_dir = tmp_path / "out"
+        seen = []
+        breaker(monkeypatch, seen)
+        with pytest.raises(OSError, match="disk full"):
+            run(config, out_dir)
+        assert seen == [[first_file]]
+        assert list(out_dir.iterdir()) == []
+
+
 class TestEigenReport:
     def test_file_set_and_summary(self, tmp_path):
         config = load_config(write_config(tmp_path, clustered_payload()))
@@ -347,6 +415,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("holomimo: error:") and "specular" in err
         assert not out_dir.exists() or not any(out_dir.iterdir())
+
+    def test_integer_too_large_for_a_float_exits_1(self, tmp_path):
+        # json.loads keeps 1e400 written as an integer exact; float() of it overflows
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(isotropic_payload(beta=10**400)))
+        result = subprocess.run(
+            [sys.executable, "-m", "holomimo", "eigen-report", str(path), "--out", str(tmp_path)],
+            capture_output=True,
+            text=True,
+            check=False,
+        )
+        assert result.returncode == 1
+        assert result.stderr.startswith("holomimo: error: beta")
+        assert "Traceback" not in result.stderr
 
     def test_bad_thread_count_exits_1(self, tmp_path, capsys):
         path = write_config(tmp_path, isotropic_payload())

@@ -328,7 +328,11 @@ class TestRealPath:
             )
         result = solve(matrix)
         monkeypatch.undo()
-        assert seen == [operand]
+        if operand is np.float64:
+            # one LAPACK call per parity block of the centro-symmetric matrix
+            assert seen and all(dtype == np.float64 for dtype in seen)
+        else:
+            assert seen == [operand]
         expected = np.clip(np.linalg.eigh(entries)[0][::-1], 0.0, None)
         assert np.max(np.abs(result.eigenvalues - expected)) <= 1e-12 * expected[0]
 
