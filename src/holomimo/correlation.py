@@ -26,6 +26,7 @@ trace(R) = M * gain without relying on quadrature accuracy.
 from __future__ import annotations
 
 import enum
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,10 +37,11 @@ from .errors import AccuracyError, NumericalError, UnsupportedModelError
 from .geometry import ArrayGeometry
 from .scattering import (
     ScatteringConfig,
-    azimuth_profile,
+    _axis_profile,
+    _cluster_axes,
+    _gauss_legendre,
     cluster_reference_masses,
     deviation_window,
-    elevation_profile,
 )
 
 _MAGIC = b"HMRC"
@@ -118,10 +120,12 @@ class CorrelationMatrix:
         e = self.entries
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise ValueError(f"correlation matrix must be square, got shape {e.shape}")
+        if e.shape[0] == 0:
+            raise ValueError("correlation matrix must not be empty")
         if e.dtype != np.complex128:
             raise ValueError(f"correlation matrix must be complex128, got {e.dtype}")
-        if not self.gain > 0:
-            raise ValueError(f"gain must be positive, got {self.gain}")
+        if not 0 < self.gain < math.inf:
+            raise ValueError(f"gain must be finite and positive, got {self.gain}")
 
     @property
     def num_antennas(self) -> int:
@@ -134,19 +138,19 @@ class CorrelationMatrix:
         M * gain within `trace_tol` (relative), a diagonal equal to the gain
         bit for bit (every builder pins it), and eigenvalues no more negative
         than -psd_tol times the largest one. The eigenvalues come from the
-        spectral layer's solver.
+        spectral layer's solver and go through its PSD floor with `psd_tol`
+        in place of PSD_TOLERANCE. A solver failure raises NumericalError.
         """
-        from .spectral import _solve  # spectral imports this module
+        from .spectral import _solve, _spectrum_from  # spectral imports this module
 
         self._check_structure(trace_tol)
         if not np.all(np.diagonal(self.entries) == self.gain):
             raise ValueError(f"diagonal differs from the gain {self.gain}")
         eigenvalues, _ = _solve(self, vectors=False)
-        floor = -psd_tol * max(eigenvalues[0], 0.0)
-        if eigenvalues[-1] < floor:
-            raise ValueError(
-                f"matrix is not PSD: min eigenvalue {eigenvalues[-1]} below {floor}"
-            )
+        try:
+            _spectrum_from(self, eigenvalues, psd_tol)
+        except NumericalError as exc:
+            raise ValueError(str(exc)) from exc
 
     def _check_structure(self, trace_tol: float = 1e-9) -> None:
         """The O(M^2) part of validate(), which load_matrix also runs.
@@ -171,6 +175,20 @@ class CorrelationMatrix:
         trace = float(diag.real.sum())
         if abs(trace - m * self.gain) > trace_tol * m * self.gain:
             raise ValueError(f"trace {trace} deviates from M*gain {m * self.gain}")
+
+    def _is_centro_hermitian(self) -> bool:
+        """Whether reversing both indices conjugates every entry, bit for bit.
+
+        Row block [a, b) is compared with the conjugate of the mirrored block
+        [M - b, M - a) read backwards in both axes. The mirror of the first
+        half of the rows is the second half, so only the first half is read,
+        in blocks of STRUCTURE_CHECK_ROWS rows.
+        """
+        e, m = self.entries, self.num_antennas
+        half = (m + 1) // 2
+        starts = range(0, half, STRUCTURE_CHECK_ROWS)
+        blocks = [(a, min(a + STRUCTURE_CHECK_ROWS, half)) for a in starts]
+        return all(np.array_equal(e[a:b], e[m - b : m - a][::-1, ::-1].conj()) for a, b in blocks)
 
 
 def _offset_grids(geometry: ArrayGeometry) -> tuple[np.ndarray, np.ndarray]:
@@ -240,29 +258,23 @@ def _diffuse_rules(
 ) -> dict[int, _ClusterRule]:
     """The fixed-node rule of every diffuse cluster with power, by cluster index.
 
-    Maps the Gauss-Legendre rule onto each cluster's deviation windows and
-    weights the axis profiles at the mapped nodes.
+    Maps the cached Gauss-Legendre rule onto each of the cluster's two
+    deviation windows and weights the axis profile, from the scattering
+    module's one axis routine, at the mapped nodes.
     """
-    x_az, w_az = np.polynomial.legendre.leggauss(quadrature.nodes_azimuth)
-    x_el, w_el = np.polynomial.legendre.leggauss(quadrature.nodes_elevation)
-
-    def mapped(nominal: float, sigma: float, x: np.ndarray, w: np.ndarray):
-        lo, hi = deviation_window(nominal, sigma, quadrature.support_radius)
-        half = (hi - lo) / 2.0
-        return (lo + hi) / 2.0 + half * x, half * w
-
+    orders = (quadrature.nodes_azimuth, quadrature.nodes_elevation)
     rules = {}
     for n, cluster in enumerate(config.clusters):
         if cluster.power == 0.0 or cluster.specular:
             continue
-        az_nodes, az_w = mapped(cluster.azimuth, config.sigma_azimuth, x_az, w_az)
-        el_nodes, el_w = mapped(cluster.elevation, config.sigma_elevation, x_el, w_el)
-        rules[n] = (
-            az_nodes,
-            azimuth_profile(config, n, az_nodes) * az_w,
-            el_nodes,
-            elevation_profile(config, n, el_nodes) * el_w,
-        )
+        rule = []
+        for order, (nominal, exponent, sigma) in zip(orders, _cluster_axes(config, n)):
+            x, w = _gauss_legendre(order)
+            lo, hi = deviation_window(nominal, sigma, quadrature.support_radius)
+            half = (hi - lo) / 2.0
+            nodes = (lo + hi) / 2.0 + half * x
+            rule += [nodes, _axis_profile(nominal, exponent, sigma, nodes) * (half * w)]
+        rules[n] = tuple(rule)
     return rules
 
 

@@ -6,6 +6,13 @@ von Mises lobes in azimuth/elevation deviation around per-cluster nominal
 angles, weighted by the antenna directivity pattern cos^a(phi) cos^b(theta)
 and the cos(theta) solid-angle factor.
 
+A cluster's density is the product of two axis factors, each a von Mises
+lobe times a cosine power of the arrival angle (cos^a in azimuth,
+cos^(b+1) in elevation). One routine evaluates that factor from the nominal
+angle, the cosine exponent and the spread. It serves the public axis
+profiles, the reference masses and the correlation builder's fixed-node
+rule, so the formula is written once.
+
 Von Mises factors exp(cos(2*x)/(4*sigma^2)) overflow float64 for angular
 spreads below roughly 1.5 degrees, so every internal evaluation works with
 the peak-referenced factor exp((cos(2*x) - 1)/(4*sigma^2)) instead, which
@@ -128,19 +135,41 @@ def peak_relative_lobe(deviation: np.ndarray, sigma: float) -> np.ndarray:
     return np.exp((np.cos(2.0 * np.asarray(deviation, dtype=float)) - 1.0) / (4.0 * sigma**2))
 
 
+def _cluster_axes(config: ScatteringConfig, n: int) -> tuple[tuple[float, float, float], ...]:
+    """Cluster n's (nominal angle, cosine exponent, spread) on azimuth, then elevation.
+
+    The elevation exponent carries one extra cosine power, the solid-angle factor.
+    """
+    cluster = config.clusters[n]
+    return (
+        (cluster.azimuth, config.directivity_a, config.sigma_azimuth),
+        (cluster.elevation, config.directivity_b + 1.0, config.sigma_elevation),
+    )
+
+
+def _axis_profile(
+    nominal: float, exponent: float, sigma: float, deviation: np.ndarray
+) -> np.ndarray:
+    """cos^exponent(nominal + deviation) * exp((cos(2*deviation) - 1) / (4*sigma^2)).
+
+    Elementwise; zero where nominal + deviation leaves the hemisphere. The
+    one formula behind both axis profiles, the specular peaks and the
+    builder's fixed-node rule.
+    """
+    deviation = np.asarray(deviation, dtype=float)
+    angle = nominal + deviation
+    inside = np.abs(angle) <= _HALF_PI
+    value = _clamped_cos_power(angle, exponent) * peak_relative_lobe(deviation, sigma)
+    return np.where(inside, value, 0.0)
+
+
 def azimuth_profile(config: ScatteringConfig, n: int, deviation: np.ndarray) -> np.ndarray:
     """Azimuth factor of cluster n's density in peak-referenced form.
 
     Evaluates cos^a(azimuth_n + deviation) * exp((cos(2*deviation) - 1) /
     (4*sigma_azimuth^2)) elementwise; zero outside the hemisphere.
     """
-    cluster = config.clusters[n]
-    deviation = np.asarray(deviation, dtype=float)
-    angle = cluster.azimuth + deviation
-    inside = np.abs(angle) <= _HALF_PI
-    value = _clamped_cos_power(angle, config.directivity_a)
-    value = value * peak_relative_lobe(deviation, config.sigma_azimuth)
-    return np.where(inside, value, 0.0)
+    return _axis_profile(*_cluster_axes(config, n)[0], deviation)
 
 
 def elevation_profile(config: ScatteringConfig, n: int, deviation: np.ndarray) -> np.ndarray:
@@ -149,13 +178,12 @@ def elevation_profile(config: ScatteringConfig, n: int, deviation: np.ndarray) -
     Evaluates cos^(b+1)(elevation_n + deviation) * exp((cos(2*deviation) - 1) /
     (4*sigma_elevation^2)); the extra cosine power is the solid-angle factor.
     """
-    cluster = config.clusters[n]
-    deviation = np.asarray(deviation, dtype=float)
-    angle = cluster.elevation + deviation
-    inside = np.abs(angle) <= _HALF_PI
-    value = _clamped_cos_power(angle, config.directivity_b + 1.0)
-    value = value * peak_relative_lobe(deviation, config.sigma_elevation)
-    return np.where(inside, value, 0.0)
+    return _axis_profile(*_cluster_axes(config, n)[1], deviation)
+
+
+def _log_peak(config: ScatteringConfig) -> float:
+    """Log of the shared peak factor, 1/(4*sigma_azimuth^2) + 1/(4*sigma_elevation^2)."""
+    return 1.0 / (4.0 * config.sigma_azimuth**2) + 1.0 / (4.0 * config.sigma_elevation**2)
 
 
 def unnormalized_cluster_density(
@@ -171,15 +199,12 @@ def unnormalized_cluster_density(
     """
     if config.clusters[n].specular:
         raise ValueError("specular clusters have no pointwise density")
-    peak = math.exp(
-        1.0 / (4.0 * config.sigma_azimuth**2) + 1.0 / (4.0 * config.sigma_elevation**2)
-    )
     value = (
         config.clusters[n].power
         * azimuth_profile(config, n, deviation_azimuth)
         * elevation_profile(config, n, deviation_elevation)
     )
-    return float(value) * peak
+    return float(value) * math.exp(_log_peak(config))
 
 
 def deviation_window(
@@ -259,70 +284,43 @@ def _adaptive_integral(integrand, lo: float, hi: float) -> float:
     )
 
 
-def _axis_reference_mass(config: ScatteringConfig, n: int, axis: str) -> float:
-    """Adaptive integral of one axis profile (peak-referenced)."""
-    if axis == "azimuth":
-        nominal, sigma = config.clusters[n].azimuth, config.sigma_azimuth
-        profile = azimuth_profile
-    else:
-        nominal, sigma = config.clusters[n].elevation, config.sigma_elevation
-        profile = elevation_profile
-    lo, hi = deviation_window(nominal, sigma, None)
-    return _adaptive_integral(lambda x: profile(config, n, x), lo, hi)
-
-
-def _specular_width_factors(config: ScatteringConfig) -> tuple[float, float]:
-    """Peak-referenced lobe areas shared by all specular point masses.
-
-    A specular cluster is the zero-spread limit of a von Mises lobe, whose
-    mass factorizes as (peak density) * (lobe area); mixing point masses with
-    finite-spread clusters therefore weights each specular cluster by the
-    same lobe-area factors a vanishing lobe would carry.
-    """
-
-    def lobe_area(sigma: float) -> float:
-        return _adaptive_integral(lambda x: peak_relative_lobe(x, sigma), -_HALF_PI, _HALF_PI)
-
-    return lobe_area(config.sigma_azimuth), lobe_area(config.sigma_elevation)
-
-
 def cluster_reference_masses(config: ScatteringConfig) -> np.ndarray:
     """Peak-referenced mass of each cluster, shape (N,).
 
     Entry n is the cluster's contribution to the mixture integral divided by
     the shared peak factor exp(1/(4*sigma_azimuth^2) + 1/(4*sigma_elevation^2)).
     Serves as the accuracy reference for the fixed-node rules used by the
-    correlation builders. A diffuse cluster's mass is the product of its two
-    axis-profile integrals over the hemisphere window; a specular cluster's
-    is its directivity at the nominal angles times the two lobe areas. Every
-    1-D integral comes from the adaptive Gauss-Legendre scheme of this
-    module, to relative error 1e-12; it raises NumericalError on a
+    correlation builders. Both axes go through the module's one axis
+    routine, which also serves the builders' fixed-node rule and the public
+    profiles. A diffuse cluster's mass is the product of its two
+    axis-profile integrals over the hemisphere window. A specular cluster is
+    the zero-spread limit of a von Mises lobe, whose mass factorizes as (peak
+    density) * (lobe area): its mass is the product of its two profiles at
+    zero deviation and the two lobe areas, each area integrated once per
+    spread. Every 1-D integral comes from the adaptive Gauss-Legendre scheme
+    of this module, to relative error 1e-12; it raises NumericalError on a
     non-finite integrand value or when it does not converge within
     MAX_BISECTIONS rounds.
     """
+
+    @functools.cache
+    def lobe_area(sigma: float) -> float:
+        return _adaptive_integral(lambda x: peak_relative_lobe(x, sigma), -_HALF_PI, _HALF_PI)
+
     masses = np.zeros(len(config.clusters))
-    specular_factors: tuple[float, float] | None = None
     for n, cluster in enumerate(config.clusters):
         if cluster.power == 0.0:
             continue
-        if cluster.specular:
-            if specular_factors is None:
-                specular_factors = _specular_width_factors(config)
-            masses[n] = (
-                cluster.power
-                * float(_clamped_cos_power(np.asarray(cluster.azimuth), config.directivity_a))
-                * float(
-                    _clamped_cos_power(np.asarray(cluster.elevation), config.directivity_b + 1.0)
-                )
-                * specular_factors[0]
-                * specular_factors[1]
-            )
-        else:
-            masses[n] = (
-                cluster.power
-                * _axis_reference_mass(config, n, "azimuth")
-                * _axis_reference_mass(config, n, "elevation")
-            )
+        peaks, areas = [], []
+        axes = zip((azimuth_profile, elevation_profile), _cluster_axes(config, n))
+        for profile, (nominal, _, sigma) in axes:
+            if cluster.specular:
+                peaks.append(float(profile(config, n, 0.0)))
+                areas.append(lobe_area(sigma))
+            else:
+                window = deviation_window(nominal, sigma, None)
+                areas.append(_adaptive_integral(lambda x: profile(config, n, x), *window))
+        masses[n] = math.prod([cluster.power, *peaks, *areas])
     return masses
 
 
@@ -333,9 +331,8 @@ def normalization_constant(config: ScatteringConfig) -> float:
     the constant has to cancel the astronomically large von Mises peak; the
     correlation builders work in peak-referenced form and never hit this.
     """
-    log_peak = 1.0 / (4.0 * config.sigma_azimuth**2) + 1.0 / (4.0 * config.sigma_elevation**2)
     total = float(np.sum(cluster_reference_masses(config)))
-    return math.exp(-(log_peak + math.log(total)))
+    return math.exp(-(_log_peak(config) + math.log(total)))
 
 
 def directivity_gain(direction: Direction, a: float = 0.0, b: float = 0.0) -> float:

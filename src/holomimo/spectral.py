@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import STRUCTURE_CHECK_ROWS, CorrelationMatrix
+from .correlation import CorrelationMatrix
 from .errors import NumericalError
 from .geometry import ArrayGeometry
 
@@ -80,23 +80,6 @@ def effective_rank(
         raise ValueError("effective rank is undefined for a zero spectrum")
     cumulative = np.cumsum(values)
     return int(np.searchsorted(cumulative, (1.0 - fraction_complement) * total)) + 1
-
-
-def _is_centro_hermitian(entries: np.ndarray) -> bool:
-    """Whether reversing both indices conjugates every entry, bit for bit.
-
-    Row block [a, b) is compared with the conjugate of the mirrored block
-    [M - b, M - a) read backwards in both axes. The mirror of the first half
-    of the rows is the second half, so only the first half is read.
-    """
-    m = entries.shape[0]
-    half = (m + 1) // 2
-    for start in range(0, half, STRUCTURE_CHECK_ROWS):
-        stop = min(start + STRUCTURE_CHECK_ROWS, half)
-        mirrored = entries[m - stop : m - start][::-1, ::-1]
-        if not np.array_equal(entries[start:stop], mirrored.conj()):
-            return False
-    return True
 
 
 def _parity_blocks(
@@ -218,7 +201,7 @@ def _solve(matrix: CorrelationMatrix, vectors: bool) -> tuple[np.ndarray, np.nda
     entries = matrix.entries
     real = not entries.imag.any()
     try:
-        if _is_centro_hermitian(entries):
+        if matrix._is_centro_hermitian():
             if real:
                 return _solve_parity(entries, vectors)
             return _solve_real_form(entries, vectors)
@@ -234,20 +217,21 @@ def _solve(matrix: CorrelationMatrix, vectors: bool) -> tuple[np.ndarray, np.nda
         ) from exc
 
 
-def _spectrum_from(matrix: CorrelationMatrix, descending: np.ndarray) -> Spectrum:
+def _spectrum_from(
+    matrix: CorrelationMatrix, descending: np.ndarray, psd_tol: float = PSD_TOLERANCE
+) -> Spectrum:
     """PSD-check, clamp and rank the solver's descending eigenvalues.
 
-    The PSD check of both spectral entry points: eigenvalues within
-    -PSD_TOLERANCE * lambda_max of zero are rounding artifacts and are
-    clamped to zero; anything more negative raises NumericalError.
-    CorrelationMatrix.validate() applies its own floor, `psd_tol`, to the
-    eigenvalues of the same solver.
+    The one PSD check, shared by both spectral entry points and
+    CorrelationMatrix.validate(): eigenvalues within -psd_tol * lambda_max of
+    zero are rounding artifacts and are clamped to zero; anything more
+    negative raises NumericalError.
     """
     values = descending.copy()
     largest = float(values[0])
     if largest <= 0:
         raise NumericalError("correlation matrix has no positive eigenvalue")
-    floor = -PSD_TOLERANCE * largest
+    floor = -psd_tol * largest
     smallest = float(values[-1])
     if smallest < floor:
         raise NumericalError(

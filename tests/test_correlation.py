@@ -22,6 +22,7 @@ from holomimo import (
     Cluster,
     CorrelationMatrix,
     MatrixProvenance,
+    NumericalError,
     QuadratureSpec,
     ScatteringConfig,
     UnsupportedModelError,
@@ -176,6 +177,38 @@ class TestCorrelationMatrixType:
         entries = np.array([[1.0, 3.0], [3.0, 1.0]], dtype=np.complex128)
         matrix = CorrelationMatrix(entries, 1.0, MatrixProvenance.EXTERNAL)
         with pytest.raises(ValueError, match="PSD"):
+            matrix.validate()
+
+    @pytest.mark.parametrize("gain", [math.inf, math.nan, -math.inf])
+    def test_rejects_non_finite_gain(self, gain):
+        with pytest.raises(ValueError, match="finite"):
+            CorrelationMatrix(np.eye(2, dtype=np.complex128), gain, MatrixProvenance.EXTERNAL)
+
+    def test_rejects_empty_matrix(self):
+        with pytest.raises(ValueError, match="empty"):
+            CorrelationMatrix(
+                np.zeros((0, 0), dtype=np.complex128), 1.0, MatrixProvenance.EXTERNAL
+            )
+
+    @pytest.mark.parametrize("phase", [1.0, 1j], ids=["real", "complex"])
+    def test_validate_applies_psd_tol(self, phase):
+        # eigenvalues 1 + c and 1 - c, the smaller -1e-8 times the larger
+        eps = 1e-8
+        c = (1.0 + eps) / (1.0 - eps)
+        entries = np.array([[1.0, phase * c], [np.conj(phase) * c, 1.0]], dtype=np.complex128)
+        matrix = CorrelationMatrix(entries, 1.0, MatrixProvenance.EXTERNAL)
+        matrix.validate(psd_tol=1e-6)
+        with pytest.raises(ValueError, match="PSD") as raised:
+            matrix.validate()
+        assert not isinstance(raised.value, NumericalError)
+
+    def test_validate_keeps_solver_failures_numerical(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        matrix = build_isotropic(ArrayGeometry(2, 2, 0.25, 1.0))
+        with pytest.raises(NumericalError, match="did not converge"):
             matrix.validate()
 
     def test_provenance_labels(self):
@@ -597,6 +630,23 @@ class TestContainerRoundtrip:
         struct.pack_into("<d", data, offset, value)
         path.write_bytes(bytes(data))
         with pytest.raises(ValueError, match=message):
+            load_matrix(path)
+
+    def test_rejects_infinite_gain_header(self, tmp_path):
+        # the trace check alone would compare inf > inf, which is False
+        matrix = build_isotropic(ArrayGeometry(3, 1, 0.25, 1.0))
+        path = save_matrix(tmp_path / "inf.hmrc", matrix)
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<d", data, 12, math.inf)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="gain"):
+            load_matrix(path)
+
+    def test_rejects_empty_container(self, tmp_path):
+        path = tmp_path / "empty.hmrc"
+        path.write_bytes(struct.pack("<4sIIdB", b"HMRC", 1, 0, 1.0, 0))
+        assert path.stat().st_size == 21
+        with pytest.raises(ValueError, match="empty"):
             load_matrix(path)
 
 
