@@ -241,8 +241,8 @@ def build_isotropic(geometry: ArrayGeometry, gain: float = 1.0) -> CorrelationMa
     r is the antenna separation in wavelengths; sinc is the normalized
     sin(pi x)/(pi x). Real-valued and exact, no quadrature involved.
     """
-    if not gain > 0:
-        raise ValueError(f"gain must be positive, got {gain}")
+    if not 0 < gain < math.inf:
+        raise ValueError(f"gain must be finite and positive, got {gain}")
     d_h, d_v = _offset_grids(geometry)
     radius = np.sqrt(d_h[:, None] ** 2 + d_v[None, :] ** 2)
     table = (gain * np.sinc(2.0 * radius)).astype(np.complex128)
@@ -311,6 +311,30 @@ def quadrature_self_check(
     return _mass_errors(config, _diffuse_rules(config, quadrature), reference)
 
 
+def _horizontal_sums(
+    geometry: ArrayGeometry, g_az: np.ndarray, sin_az: np.ndarray, cos_el: np.ndarray
+) -> np.ndarray:
+    """Azimuth-weighted horizontal phase sums of one diffuse cluster, shape (M_H, N_el).
+
+    Entry [h, e] is sum_d g_az[d] exp(i h x[e, d]) with
+    x[e, d] = 2 pi s cos_el[e] sin_az[d], s the spacing in wavelengths: the
+    horizontal phase couples both deviations through sin(az) * cos(el).
+    The offset index is split as h = B j + k with B = ceil(sqrt(M_H)),
+    k < B and j < J = ceil(M_H / B), and exp(i h x) = exp(i B j x) exp(i k x).
+    The two short tables low[e, d, k] = exp(i k x) and
+    high[e, j, d] = g_az[d] exp(i B j x) cost (B + J) N_az N_el exponentials
+    instead of M_H N_az N_el, and one stacked GEMM over the elevation nodes
+    contracts them over the azimuth nodes; its J B columns are cut to M_H.
+    """
+    m_h = geometry.num_horizontal
+    b = math.isqrt(m_h - 1) + 1
+    j = -(-m_h // b)
+    x = (2 * np.pi * geometry.spacing_fraction) * (cos_el[:, None] * sin_az[None, :])
+    low = np.exp(1j * (x[:, :, None] * np.arange(b)))
+    high = np.exp(1j * (x[:, None, :] * (b * np.arange(j))[:, None])) * g_az
+    return (high @ low).reshape(cos_el.size, j * b)[:, :m_h].T
+
+
 def build_exact_clustered(
     geometry: ArrayGeometry,
     scattering: ScatteringConfig,
@@ -321,7 +345,11 @@ def build_exact_clustered(
     Each cluster's contribution to an offset value is a double integral of
     the plane-wave phase against its density. The elevation-dependent factors
     separate, so the integral is evaluated as a weighted tensor contraction
-    over the two axis rules rather than a generic 2-D sum. Densities are
+    over the two axis rules rather than a generic 2-D sum. The horizontal
+    phase of a diffuse cluster is split over the offset index h = B j + k,
+    B = ceil(sqrt(M_H)), into two short exponential tables joined by one
+    stacked GEMM (_horizontal_sums): (B + J) N_az N_el exponentials with
+    J = ceil(M_H / B), instead of one per offset and node pair. Densities are
     handled in peak-referenced form and the final matrix is scaled so the
     diagonal equals the gain exactly, which cancels the peak factor and the
     mixture normalization without ever forming either.
@@ -360,11 +388,7 @@ def build_exact_clustered(
         sin_az = np.sin(cluster.azimuth + az_nodes)
         cos_el = np.cos(cluster.elevation + el_nodes)
         sin_el = np.sin(cluster.elevation + el_nodes)
-        # Horizontal phase couples both deviations through sin(az) * cos(el).
-        phase_h = np.exp(
-            2j * np.pi * d_h[:, None, None] * (sin_az[None, :, None] * cos_el[None, None, :])
-        )
-        partial = np.einsum("d,hde->he", g_az.astype(np.complex128), phase_h)
+        partial = _horizontal_sums(geometry, g_az, sin_az, cos_el)
         phase_v = np.exp(2j * np.pi * d_v[:, None] * sin_el[None, :])
         table += cluster.power * (partial * g_el[None, :]) @ phase_v.T
 

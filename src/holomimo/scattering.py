@@ -105,8 +105,8 @@ class ScatteringConfig:
             raise ValueError(f"sigma_elevation must be positive, got {self.sigma_elevation}")
         if self.directivity_a < 0 or self.directivity_b < 0:
             raise ValueError("directivity exponents must be nonnegative")
-        if not self.gain > 0:
-            raise ValueError(f"gain must be positive, got {self.gain}")
+        if not 0 < self.gain < math.inf:
+            raise ValueError(f"gain must be finite and positive, got {self.gain}")
 
     @property
     def has_specular(self) -> bool:

@@ -153,7 +153,7 @@ quadratures = st.builds(
 
 
 class TestMatchesPerAxisCode:
-    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=150)
     @given(config=scenes(), quadrature=quadratures)
     def test_masses_and_rules_are_bit_identical(self, config, quadrature):
         masses = cluster_reference_masses(config)
@@ -166,7 +166,7 @@ class TestMatchesPerAxisCode:
             for got, want in zip(rule, expected[n]):
                 assert np.array_equal(bits(got), bits(want))
 
-    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=100)
     @given(config=scenes(), deviation=st.floats(-3.2, 3.2))
     def test_public_profiles_are_bit_identical(self, config, deviation):
         grid = np.array([deviation, 0.0, -deviation, deviation / 7.0])

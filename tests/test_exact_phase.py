@@ -1,0 +1,178 @@
+"""Split horizontal phase of the exact builder: agreement with the per-offset table.
+
+The oracle below is the previous horizontal table, kept here verbatim in
+behaviour: one complex exponential per offset and node pair, an
+M_H x N_az x N_el tensor contracted over the azimuth nodes with `einsum`.
+The shipped builder splits the offset index h = B j + k into two short
+exponential tables joined by one stacked GEMM. Its matrices must agree
+with the oracle's to rounding, keep the gain on the diagonal bit for bit,
+and leave every statistic of the preset runs where the oracle puts it.
+"""
+
+import json
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import holomimo.correlation
+from holomimo import ArrayGeometry, Cluster, QuadratureSpec, ScatteringConfig, build_exact_clustered
+from holomimo.cli import main
+
+M_H_VALUES = [1, 2, 3, 4, 5, 8, 9, 16, 17, 63, 64, 65, 130]
+
+
+def per_offset_horizontal_sums(geometry, g_az, sin_az, cos_el):
+    """The previous horizontal table: one exponential per offset and node pair."""
+    d_h = np.arange(geometry.num_horizontal) * geometry.spacing_fraction
+    phase_h = np.exp(
+        2j * np.pi * d_h[:, None, None] * (sin_az[None, :, None] * cos_el[None, None, :])
+    )
+    return np.einsum("d,hde->he", g_az.astype(np.complex128), phase_h)
+
+
+def bits(values):
+    return values.view(np.uint64)
+
+
+def per_offset_table():
+    """A context in which the exact builder uses the oracle's horizontal table."""
+    return mock.patch.object(holomimo.correlation, "_horizontal_sums", per_offset_horizontal_sums)
+
+
+@st.composite
+def scenes(draw):
+    """Diffuse, specular and zero-power clusters with nonzero directivity."""
+    count = draw(st.integers(1, 4))
+    clusters = tuple(
+        Cluster(
+            math.radians(draw(st.floats(-80.0, 80.0))),
+            math.radians(draw(st.floats(-60.0, 60.0))),
+            1.0 if n == 0 else draw(st.sampled_from([0.0, 0.05, 0.3, 1.0])),
+            specular=n > 0 and draw(st.booleans()),
+        )
+        for n in range(count)
+    )
+    spread = st.floats(1.0, 20.0)
+    exponent = st.floats(0.25, 3.0)
+    return ScatteringConfig(
+        clusters=clusters,
+        sigma_azimuth=math.radians(draw(spread)),
+        sigma_elevation=math.radians(draw(spread)),
+        directivity_a=draw(exponent),
+        directivity_b=draw(exponent),
+        gain=draw(st.floats(0.1, 10.0)),
+    )
+
+
+# Any rule passes the mass self-check: the oracle and the split evaluate
+# the same rule, so only their arithmetic is compared here.
+quadratures = st.builds(
+    QuadratureSpec,
+    nodes_azimuth=st.integers(2, 96),
+    nodes_elevation=st.integers(2, 96),
+    density_check_tol=st.just(1e300),
+)
+
+
+class TestMatchesPerOffsetTable:
+    @pytest.mark.parametrize("m_h", M_H_VALUES)
+    @settings(max_examples=15)
+    @given(
+        m_v=st.integers(1, 3),
+        spacing=st.floats(0.125, 0.5),
+        scattering=scenes(),
+        quadrature=quadratures,
+    )
+    def test_entries_agree_to_rounding(self, m_h, m_v, spacing, scattering, quadrature):
+        # spacing in wavelengths, lambda/8 to lambda/2
+        geometry = ArrayGeometry(m_h, m_v, spacing, 1.0)
+        matrix = build_exact_clustered(geometry, scattering, quadrature)
+        with per_offset_table():
+            expected = build_exact_clustered(geometry, scattering, quadrature)
+        gain = scattering.gain
+        assert np.abs(matrix.entries - expected.entries).max() <= 1e-13 * gain
+        diagonal = np.diagonal(matrix.entries).copy()
+        assert np.array_equal(bits(diagonal), bits(np.full_like(diagonal, gain)))
+
+
+class CountingNumpy:
+    """numpy, with the elements passed through `exp` counted."""
+
+    def __init__(self):
+        self.exponentials = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, x, *args, **kwargs):
+        self.exponentials += np.size(x)
+        return np.exp(x, *args, **kwargs)
+
+
+@pytest.mark.parametrize("m_h, m_v", [(1, 2), (16, 3), (17, 1), (64, 2), (130, 1)])
+def test_exponential_count(monkeypatch, m_h, m_v):
+    # per diffuse cluster: (B + J) N_az N_el horizontal exponentials, then
+    # (2 M_V - 1) N_el vertical ones; specular and zero-power clusters add
+    # one exponential per offset, or none
+    scattering = ScatteringConfig(
+        clusters=(
+            Cluster(0.4, 0.1, 1.0),
+            Cluster(-0.7, -0.3, 0.5),
+            Cluster(0.2, 0.3, 0.0),
+            Cluster(-0.1, 0.2, 0.4, specular=True),
+        ),
+        sigma_azimuth=0.08,
+        sigma_elevation=0.06,
+        directivity_a=1.0,
+        directivity_b=1.0,
+    )
+    quadrature = QuadratureSpec(nodes_azimuth=64, nodes_elevation=48)
+    counting = CountingNumpy()
+    monkeypatch.setattr(holomimo.correlation, "np", counting)
+    build_exact_clustered(ArrayGeometry(m_h, m_v, 0.25, 1.0), scattering, quadrature)
+    b = math.isqrt(m_h - 1) + 1
+    j = -(-m_h // b)
+    offsets = m_h * (2 * m_v - 1)
+    per_diffuse = (b + j) * 64 * 48 + (2 * m_v - 1) * 48
+    assert counting.exponentials == 2 * per_diffuse + offsets
+
+
+def run_cli(command, out_dir):
+    assert main([command, "fig1_desk", "--out", str(out_dir)]) == 0
+    stem = {"nmse-sweep": "nmse.json", "eigen-report": "eigen_summary.json"}[command]
+    return json.loads((out_dir / f"fig1_desk_{stem}").read_text())
+
+
+class TestStatisticalAgreement:
+    """Preset runs on the shipped table agree with runs on the oracle's."""
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        shipped, oracle = {}, {}
+        for command in ("nmse-sweep", "eigen-report"):
+            shipped[command] = run_cli(command, tmp_path_factory.mktemp("shipped"))
+            with per_offset_table():
+                oracle[command] = run_cli(command, tmp_path_factory.mktemp("oracle"))
+        return shipped, oracle
+
+    def test_ranks_are_equal(self, runs):
+        shipped, oracle = (run["eigen-report"]["models"] for run in runs)
+        assert shipped.keys() == oracle.keys() == {"isotropic", "exact", "approx"}
+        for model, summary in shipped.items():
+            for key in ("effective_rank", "numerical_rank"):
+                assert summary[key] == oracle[model][key], (model, key)
+
+    def test_sweep_agrees(self, runs):
+        shipped, oracle = (run["nmse-sweep"] for run in runs)
+        assert shipped["truth_model"] == oracle["truth_model"] == "exact"
+        assert shipped["container_rank"] == oracle["container_rank"]
+        assert shipped["warnings"] == oracle["warnings"]
+        assert len(shipped["records"]) == len(oracle["records"]) > 0
+        for got, want in zip(shipped["records"], oracle["records"]):
+            assert (got["estimator"], got["snr_db"]) == (want["estimator"], want["snr_db"])
+            assert got["nmse_mc"] == pytest.approx(want["nmse_mc"], rel=1e-9, abs=0.0)
+            assert abs(got["nmse_mc"] - want["nmse_mc"]) < want["nmse_mc_ci95"]

@@ -101,6 +101,18 @@ class TestScatteringConfig:
                 gain=0.0,
             )
 
+    @pytest.mark.parametrize("gain", [math.inf, math.nan])
+    def test_rejects_non_finite_gain(self, gain):
+        # +inf passed a bare `gain > 0`, and the builders then failed late
+        # with a RuntimeWarning and NumericalError instead of at the argument
+        with pytest.raises(ValueError, match="finite and positive"):
+            ScatteringConfig(
+                clusters=(Cluster(0.0, 0.0, 1.0),),
+                sigma_azimuth=0.1,
+                sigma_elevation=0.1,
+                gain=gain,
+            )
+
     def test_has_specular(self):
         diffuse = Cluster(0.0, 0.0, 1.0)
         point = Cluster(0.1, 0.1, 1.0, specular=True)
@@ -253,8 +265,51 @@ class TestReferenceMasses:
         assert cluster_reference_masses(cfg)[0] == pytest.approx(expected, rel=1e-10)
 
 
+def edge_weighted_axis_mass(nominal, power, sigma):
+    """Integral of cos(nominal + x)**power times the lobe over the hemisphere window.
+
+    Near either edge of the window, cos(nominal + x)**power vanishes like the
+    distance to that edge to the power `power`. QUADPACK's algebraic end-point
+    weight (`weight="alg"`) takes that factor out, and quad integrates the
+    smooth rest, split at the lobe peak. Plain quad misjudges this end-point
+    behaviour for tiny fractional powers: at power 6.1e-5 and a 19 degree
+    spread it missed by 6e-11 relative, with its own error estimate at 1e-8.
+    """
+    lo, hi = deviation_window(nominal, sigma, None)
+
+    def smooth(x, edges):
+        angle = nominal + x
+        # cos(angle) / ((pi/2 + angle)(pi/2 - angle)) -> 1/pi at either edge
+        gap = (math.pi / 2 + angle) * (math.pi / 2 - angle)
+        ratio = math.cos(angle) / gap if gap > 0.0 else 1.0 / math.pi
+        return (ratio * edges) ** power * float(peak_relative_lobe(x, sigma))
+
+    def piece(a, b, weights, edges):
+        value, _ = integrate.quad(
+            lambda x: smooth(x, edges(x)),
+            a,
+            b,
+            weight="alg",
+            wvar=weights,
+            limit=400,
+            epsabs=0.0,
+            epsrel=1e-12,
+        )
+        return value
+
+    # [lo, 0] carries the lower edge as its weight, [0, hi] the upper one;
+    # the other edge's distance is smooth on each piece
+    return piece(lo, 0.0, (power, 0.0), lambda x: hi - x) + piece(
+        0.0, hi, (0.0, power), lambda x: x - lo
+    )
+
+
 def quad_reference_masses(config):
-    """Oracle: the reference masses by scipy's adaptive quad, as computed before."""
+    """Oracle: the reference masses by scipy's adaptive quad.
+
+    Specular lobe areas are plain quad, as computed before; each diffuse
+    axis factor is edge_weighted_axis_mass.
+    """
 
     def quad(integrand, lo, hi):
         value, _ = integrate.quad(
@@ -282,13 +337,9 @@ def quad_reference_masses(config):
             ) * float(_clamped_cos_power(np.asarray(cluster.elevation), config.directivity_b + 1))
             masses[n] = cluster.power * directivity * areas[0] * areas[1]
             continue
-        az = quad(
-            lambda x: azimuth_profile(config, n, x),
-            *deviation_window(cluster.azimuth, config.sigma_azimuth, None),
-        )
-        el = quad(
-            lambda x: elevation_profile(config, n, x),
-            *deviation_window(cluster.elevation, config.sigma_elevation, None),
+        az = edge_weighted_axis_mass(cluster.azimuth, config.directivity_a, config.sigma_azimuth)
+        el = edge_weighted_axis_mass(
+            cluster.elevation, config.directivity_b + 1.0, config.sigma_elevation
         )
         masses[n] = cluster.power * az * el
     return masses
@@ -322,13 +373,13 @@ def cluster_scenes(draw, specular):
 
 
 class TestReferenceMassesMatchQuad:
-    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=60)
     @given(config=cluster_scenes(specular=False))
     def test_diffuse_clusters(self, config):
         masses = cluster_reference_masses(config)
         assert masses == pytest.approx(quad_reference_masses(config), rel=1e-12, abs=0.0)
 
-    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=30)
     @given(config=cluster_scenes(specular=True))
     def test_specular_clusters(self, config):
         masses = cluster_reference_masses(config)
@@ -448,7 +499,7 @@ class TestDirectivityGain:
         expected = self.scipy_gamma_gain(direction, a, b)
         assert directivity_gain(direction, a, b) == pytest.approx(expected, rel=1e-15, abs=0.0)
 
-    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=200)
     @given(a=exponents, b=exponents, az=st.floats(-1.5, 1.5), el=st.floats(-1.5, 1.5))
     def test_matches_scipy_gamma_formula_at_fractional_exponents(self, a, b, az, el):
         # math.gamma and scipy's gamma are each a few ulps off the exact
