@@ -333,7 +333,8 @@ def load_config(
 
     geometry = _parse_geometry(_require(raw, "geometry", str(path)))
     beta = _number(raw.get("beta", 1.0), "beta")
-    # Checked here as well as in ScatteringConfig: isotropic runs build none.
+    # Checked here as well as in ScatteringConfig and build_isotropic, whose
+    # ValueError is no ConfigurationError: the CLI would exit with a traceback.
     if not beta > 0:
         raise ConfigurationError(f"beta: must be positive, got {beta}")
     directivity = _parse_directivity(raw.get("directivity"))

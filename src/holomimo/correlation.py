@@ -19,8 +19,9 @@ approximation of the clustered model. All three share three structural facts:
   matrix. The matrix is centro-Hermitian, which the spectral layer uses to
   solve it as a real symmetric matrix.
 
-Every builder normalizes the diagonal to the average gain exactly, giving
-trace(R) = M * gain without relying on quadrature accuracy.
+Every builder ends in one routine, _assemble, which divides the offset table
+by its own zero-offset value and pins the diagonal to the average gain,
+giving trace(R) = M * gain without relying on quadrature accuracy.
 """
 
 from __future__ import annotations
@@ -235,6 +236,28 @@ def _scatter_offsets(geometry: ArrayGeometry, table: np.ndarray) -> np.ndarray:
     return entries
 
 
+def _assemble(
+    geometry: ArrayGeometry,
+    table: np.ndarray,
+    gain: float,
+    provenance: MatrixProvenance,
+    self_check_error: float | None = None,
+) -> CorrelationMatrix:
+    """The matrix of a builder's half-plane offset table, normalized to `gain`.
+
+    Every builder ends here. The table is divided by its own zero-offset
+    value, the model's total mass, and scaled to the gain, so the builder
+    never forms the mixture normalization or a density's peak factor. It is
+    then expanded by _scatter_offsets. (gain / mass) * mass can round 1 ulp
+    off the gain, so the diagonal is pinned to it, which puts the trace at
+    M * gain exactly.
+    """
+    mass = table[0, geometry.num_vertical - 1].real
+    entries = _scatter_offsets(geometry, (gain / mass) * table)
+    np.fill_diagonal(entries, gain)
+    return CorrelationMatrix(entries, gain, provenance, self_check_error)
+
+
 def build_isotropic(geometry: ArrayGeometry, gain: float = 1.0) -> CorrelationMatrix:
     """Correlation matrix under isotropic scattering, entry gain * sinc(2 r).
 
@@ -245,12 +268,7 @@ def build_isotropic(geometry: ArrayGeometry, gain: float = 1.0) -> CorrelationMa
         raise ValueError(f"gain must be finite and positive, got {gain}")
     d_h, d_v = _offset_grids(geometry)
     radius = np.sqrt(d_h[:, None] ** 2 + d_v[None, :] ** 2)
-    table = (gain * np.sinc(2.0 * radius)).astype(np.complex128)
-    return CorrelationMatrix(
-        entries=_scatter_offsets(geometry, table),
-        gain=gain,
-        provenance=MatrixProvenance.ISOTROPIC,
-    )
+    return _assemble(geometry, np.sinc(2.0 * radius), gain, MatrixProvenance.ISOTROPIC)
 
 
 def _diffuse_rules(
@@ -350,9 +368,9 @@ def build_exact_clustered(
     B = ceil(sqrt(M_H)), into two short exponential tables joined by one
     stacked GEMM (_horizontal_sums): (B + J) N_az N_el exponentials with
     J = ceil(M_H / B), instead of one per offset and node pair. Densities are
-    handled in peak-referenced form and the final matrix is scaled so the
-    diagonal equals the gain exactly, which cancels the peak factor and the
-    mixture normalization without ever forming either.
+    handled in peak-referenced form; _assemble divides the table by its
+    zero-offset value, which cancels the peak factor and the mixture
+    normalization without ever forming either.
 
     Raises AccuracyError when the fixed-node rule fails the per-cluster mass
     self-check, which is the symptom of an under-resolved angular spread.
@@ -392,16 +410,11 @@ def build_exact_clustered(
         phase_v = np.exp(2j * np.pi * d_v[:, None] * sin_el[None, :])
         table += cluster.power * (partial * g_el[None, :]) @ phase_v.T
 
-    # table[0, center] is the total mass; dividing by it normalizes the
-    # mixture and puts the diagonal (hence the trace) at the gain.
-    total = table[0, geometry.num_vertical - 1].real
-    entries = _scatter_offsets(geometry, (scattering.gain / total) * table)
-    # (gain / total) * total can round 1 ulp off the gain; pin it exactly.
-    np.fill_diagonal(entries, scattering.gain)
-    return CorrelationMatrix(
-        entries=entries,
-        gain=scattering.gain,
-        provenance=MatrixProvenance.EXACT_CLUSTERED,
+    return _assemble(
+        geometry,
+        table,
+        scattering.gain,
+        MatrixProvenance.EXACT_CLUSTERED,
         self_check_error=float(errors[worst]),
     )
 
@@ -433,8 +446,7 @@ def build_approx_clustered(
     d_h = d_h[:, None]
     d_v = d_v[None, :]
 
-    numerator = np.zeros((d_h.size, d_v.shape[1]), dtype=np.complex128)
-    denominator = 0.0
+    table = np.zeros((d_h.size, d_v.shape[1]), dtype=np.complex128)
     for cluster in scattering.clusters:
         if cluster.power == 0.0:
             continue
@@ -442,11 +454,10 @@ def build_approx_clustered(
         sin_az = np.sin(cluster.azimuth)
         cos_el = np.cos(cluster.elevation)
         sin_el = np.sin(cluster.elevation)
-        cos_az_a = cos_az**a if a > 0 else 1.0
-        cos_az_da = a * cos_az ** (a - 1) if a > 0 else 0.0
-        cos_el_b = cos_el**b if b > 0 else 1.0
+        cos_az_a = cos_az**a
+        cos_az_da = a * cos_az ** (a - 1)
+        cos_el_b = cos_el**b
         cos_el_b1 = cos_el_b * cos_el
-        denominator += cluster.power * cos_az_a * cos_el_b1
 
         anchor = np.exp(2j * np.pi * (d_h * sin_az * cos_el + d_v * sin_el))
         b_h = 2 * np.pi * d_h * cos_az * cos_el
@@ -464,18 +475,9 @@ def build_approx_clustered(
             cos_az_a * c_h - cos_az_da * sin_az * d_mix
         )
         bracket = x_term - y_term * (1j * b_h * var_eff - c_h * d_mix * var_el * var_eff)
-        numerator += cluster.power * anchor * magnitude * twist * bracket
+        table += cluster.power * anchor * magnitude * twist * bracket
 
-    table = (scattering.gain / denominator) * numerator
-    entries = _scatter_offsets(geometry, table)
-    # The closed form returns exactly the gain at zero offset; pin it to
-    # remove the last-ulp wobble between the two accumulation orders.
-    np.fill_diagonal(entries, scattering.gain)
-    return CorrelationMatrix(
-        entries=entries,
-        gain=scattering.gain,
-        provenance=MatrixProvenance.APPROX_CLUSTERED,
-    )
+    return _assemble(geometry, table, scattering.gain, MatrixProvenance.APPROX_CLUSTERED)
 
 
 def correlation_matrix_distance(first: CorrelationMatrix, second: CorrelationMatrix) -> float:

@@ -14,7 +14,6 @@ NMSE is normalized by tr(R): E[||h_hat - h||^2] / tr(R).
 from __future__ import annotations
 
 import enum
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -25,7 +24,8 @@ from .spectral import EigenBasis
 
 GRAM_TOLERANCE = 1e-8
 CONTAINMENT_TOLERANCE = 1e-5
-# Trials per Monte Carlo block; fixed so that results never depend on threads.
+# Trials per Monte Carlo block. Fixed, so the shape of every projection GEMM,
+# and with it the rounding of each trial's error, depends on no argument.
 MC_BLOCK_TRIALS = 128
 
 
@@ -48,8 +48,7 @@ class PilotObservation:
     def __post_init__(self) -> None:
         if self.received.ndim != 1:
             raise ValueError(f"received pilot must be a vector, got shape {self.received.shape}")
-        if not self.snr > 0:
-            raise ValueError(f"snr must be positive (linear scale), got {self.snr}")
+        _checked_snrs(self.snr)
 
 
 @dataclass(frozen=True)
@@ -58,6 +57,18 @@ class ChannelEstimate:
 
     h_hat: np.ndarray
     estimator: Estimator
+
+
+def _checked_snrs(snr: float | Sequence[float]) -> np.ndarray:
+    """One SNR or a grid of them as a 1-D float array; each must be finite and positive.
+
+    An infinite SNR would divide the noise by infinity and turn the MMSE
+    shrinkage into inf / inf, so it is rejected along with zero and negatives.
+    """
+    snrs = np.atleast_1d(np.asarray(snr, dtype=float))
+    if snrs.ndim != 1 or snrs.size == 0 or not np.all((snrs > 0) & (snrs < np.inf)):
+        raise ValueError(f"snr must be finite and positive (linear scale), got {snr}")
+    return snrs
 
 
 def complex_normal(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -80,8 +91,7 @@ def observe_pilot(
     channel: np.ndarray, snr: float, rng: np.random.Generator
 ) -> PilotObservation:
     """Pass a channel realization through the pilot model at the given SNR."""
-    if not snr > 0:
-        raise ValueError(f"snr must be positive (linear scale), got {snr}")
+    _checked_snrs(snr)
     noise = complex_normal(rng, channel.shape[0])
     return PilotObservation(received=np.sqrt(snr) * channel + noise, snr=snr)
 
@@ -173,8 +183,7 @@ def analytic_nmse(
     variant pass the measured `containment_residual` and the oracle refuses
     to answer when that assumption fails.
     """
-    if not snr > 0:
-        raise ValueError(f"snr must be positive (linear scale), got {snr}")
+    _checked_snrs(snr)
     trace = basis.source_trace
     m = basis.num_antennas
     if estimator is Estimator.MMSE:
@@ -250,7 +259,6 @@ def monte_carlo_nmse(
     seed: int,
     rsls_rank: int | None = None,
     container_subspace: np.ndarray | None = None,
-    threads: int | None = None,
 ) -> dict[Estimator, MonteCarloNmse] | list[dict[Estimator, MonteCarloNmse]]:
     """Empirical NMSE of several estimators over shared channel realizations.
 
@@ -266,9 +274,10 @@ def monte_carlo_nmse(
     projected once per subspace; every SNR then costs elementwise work on the
     projected coordinates:
 
-    * LS: ||n||^2 / snr.
-    * RS-LS onto an orthonormal P (RSLS and CONSERVATIVE_RSLS):
-      ||(I - P P^H) h||^2 + ||P^H n||^2 / snr; the two parts are orthogonal.
+    * LS, RSLS and CONSERVATIVE_RSLS share one kernel: projecting onto an
+      orthonormal P costs ||(I - P P^H) h||^2 + ||P^H n||^2 / snr, the two
+      parts being orthogonal. LS is the case P = I, with residual 0 and
+      noise energy ||n||^2. One broadcast writes the whole SNR grid.
     * MMSE: ||d||^2 with d = shrink / sqrt(snr) (sqrt(snr) a + U_1^H n) - a in
       the coordinates a = diag(sqrt(l)) v of h on U_1.
 
@@ -278,26 +287,13 @@ def monte_carlo_nmse(
     `rsls_rank` sets the RSLS projection rank (default: effective rank of
     `basis`); `container_subspace` is the orthonormal M x r basis used by
     CONSERVATIVE_RSLS and is required when that estimator is requested.
-    `threads` is deprecated and changes nothing: the block size is fixed,
-    and BLAS parallelizes the projections. Passing it warns, and a value
-    below 1 still raises ValueError.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    if threads is not None:
-        warnings.warn(
-            "monte_carlo_nmse(threads=...) is deprecated and has no effect",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if threads < 1:
-            raise ValueError(f"threads must be at least 1, got {threads}")
     if not estimators:
         raise ValueError("at least one estimator is required")
     scalar = np.ndim(snr) == 0
-    snrs = np.atleast_1d(np.asarray(snr, dtype=float))
-    if snrs.ndim != 1 or snrs.size == 0 or not np.all(snrs > 0):
-        raise ValueError(f"snr must be positive (linear scale), got {snr}")
+    snrs = _checked_snrs(snr)
 
     m = basis.num_antennas
     r = basis.numerical_rank
@@ -321,38 +317,36 @@ def monte_carlo_nmse(
         a = scale * v
         rows = slice(block.start, block.stop)
         for k, estimator in enumerate(estimators):
-            if estimator is Estimator.LS:
-                noise_energy = _row_energy(noise)
-                for s, rho in enumerate(snrs):
-                    errors[s, k, rows] = noise_energy / rho
-            elif estimator is Estimator.MMSE:
+            if estimator is Estimator.MMSE:
+                # Per SNR: broadcasting over the grid would hold SNRs x block x r temporaries.
                 a_noise = noise @ u1.conj()
                 for s, rho in enumerate(snrs):
                     sqrt_rho = np.sqrt(rho)
                     shrink = rho * basis.eigenvalues[:r] / (rho * basis.eigenvalues[:r] + 1.0)
                     d = shrink / sqrt_rho * (sqrt_rho * a + a_noise) - a
                     errors[s, k, rows] = _row_energy(d)
+                continue
+            if estimator is Estimator.LS:
+                residual, noise_energy = 0.0, _row_energy(noise)
             elif estimator in projections:
                 subspace_conj, dropped = projections[estimator]
                 residual = _row_energy(a @ dropped.T)
                 noise_energy = _row_energy(noise @ subspace_conj)
-                for s, rho in enumerate(snrs):
-                    errors[s, k, rows] = residual + noise_energy / rho
             else:
                 raise ValueError(f"unknown estimator {estimator!r}")
+            errors[:, k, rows] = residual + noise_energy / snrs[:, None]
 
     trace = basis.source_trace
-    grid: list[dict[Estimator, MonteCarloNmse]] = []
-    for per_snr in errors:
-        results: dict[Estimator, MonteCarloNmse] = {}
-        for estimator, column in zip(estimators, per_snr):
-            mean = float(column.mean())
-            if trials > 1:
-                spread = float(column.std(ddof=1)) / np.sqrt(trials)
-            else:
-                spread = float("nan")
-            results[estimator] = MonteCarloNmse(
-                nmse=mean / trace, ci95=1.96 * spread / trace, trials=trials
-            )
-        grid.append(results)
+    nmse = errors.mean(axis=2) / trace
+    if trials > 1:
+        ci95 = 1.96 * (errors.std(axis=2, ddof=1) / np.sqrt(trials)) / trace
+    else:
+        ci95 = np.full_like(nmse, np.nan)
+    grid = [
+        {
+            estimator: MonteCarloNmse(nmse=float(value), ci95=float(half_width), trials=trials)
+            for estimator, value, half_width in zip(estimators, nmse_row, ci95_row)
+        }
+        for nmse_row, ci95_row in zip(nmse, ci95)
+    ]
     return grid[0] if scalar else grid

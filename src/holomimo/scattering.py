@@ -124,10 +124,7 @@ def _clamped_cos_power(angle: np.ndarray, exponent: float) -> np.ndarray:
     At the hemisphere edge cos can round to a tiny negative, which a
     fractional exponent would turn into NaN.
     """
-    c = np.maximum(np.cos(angle), 0.0)
-    if exponent == 0.0:
-        return np.ones_like(c)
-    return c**exponent
+    return np.maximum(np.cos(angle), 0.0) ** exponent
 
 
 def peak_relative_lobe(deviation: np.ndarray, sigma: float) -> np.ndarray:

@@ -225,8 +225,15 @@ def _spectrum_from(
     The one PSD check, shared by both spectral entry points and
     CorrelationMatrix.validate(): eigenvalues within -psd_tol * lambda_max of
     zero are rounding artifacts and are clamped to zero; anything more
-    negative raises NumericalError.
+    negative raises NumericalError. So do non-finite eigenvalues, which
+    LAPACK returns for a matrix with Inf entries and which would pass every
+    NaN comparison below.
     """
+    if not np.isfinite(descending).all():
+        raise NumericalError(
+            f"eigensolver returned non-finite eigenvalues "
+            f"(provenance {matrix.provenance.label}, M={matrix.num_antennas})"
+        )
     values = descending.copy()
     largest = float(values[0])
     if largest <= 0:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holomimo import (
     ArrayGeometry,
@@ -26,7 +28,7 @@ from holomimo import (
     observe_pilot,
     sample_channel,
 )
-from holomimo.estimation import MC_BLOCK_TRIALS
+from holomimo.estimation import MC_BLOCK_TRIALS, _draw_block, _projection, _row_energy
 
 
 def clustered_basis():
@@ -100,6 +102,26 @@ class TestSampling:
             PilotObservation(received=np.zeros((2, 2), dtype=np.complex128), snr=1.0)
         with pytest.raises(ValueError):
             PilotObservation(received=np.zeros(2, dtype=np.complex128), snr=-1.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda snr: PilotObservation(received=np.zeros(3, dtype=np.complex128), snr=snr),
+        lambda snr: observe_pilot(np.zeros(3, dtype=np.complex128), snr, np.random.default_rng(0)),
+        lambda snr: analytic_nmse(Estimator.MMSE, diagonal_basis([2.0, 1.0, 1.0]), snr),
+        lambda snr: monte_carlo_nmse(
+            diagonal_basis([2.0, 1.0, 1.0]), (Estimator.MMSE,), snr=snr, trials=2, seed=0
+        ),
+        lambda snr: monte_carlo_nmse(
+            diagonal_basis([2.0, 1.0, 1.0]), (Estimator.LS,), snr=(1.0, snr), trials=2, seed=0
+        ),
+    ],
+    ids=["PilotObservation", "observe_pilot", "analytic_nmse", "monte_carlo_nmse", "grid"],
+)
+def test_every_entry_point_rejects_an_infinite_snr(call):
+    with pytest.raises(ValueError, match="snr"):
+        call(math.inf)
 
 
 class TestEstimators:
@@ -235,16 +257,9 @@ class TestMonteCarloNmse:
             assert results[estimator].nmse == pytest.approx(analytic, rel=0.05)
             assert results[estimator].trials == 6000
 
-    def test_thread_count_does_not_change_results(self):
-        estimators = (Estimator.MMSE, Estimator.LS)
-        serial = monte_carlo_nmse(self.basis, estimators, snr=1.0, trials=300, seed=5)
-        with pytest.warns(DeprecationWarning, match="threads"):
-            threaded = monte_carlo_nmse(
-                self.basis, estimators, snr=1.0, trials=300, seed=5, threads=4
-            )
-        for estimator in estimators:
-            assert serial[estimator].nmse == threaded[estimator].nmse
-            assert serial[estimator].ci95 == threaded[estimator].ci95
+    def test_threads_keyword_is_removed(self):
+        with pytest.raises(TypeError, match="threads"):
+            monte_carlo_nmse(self.basis, (Estimator.LS,), snr=1.0, trials=10, seed=0, threads=4)
 
     def test_estimator_subset_sees_same_randomness(self):
         alone = monte_carlo_nmse(self.basis, (Estimator.LS,), snr=1.0, trials=200, seed=9)
@@ -282,8 +297,6 @@ class TestMonteCarloNmse:
     def test_validation(self):
         with pytest.raises(ValueError):
             monte_carlo_nmse(self.basis, (Estimator.LS,), snr=1.0, trials=0, seed=0)
-        with pytest.warns(DeprecationWarning, match="threads"), pytest.raises(ValueError):
-            monte_carlo_nmse(self.basis, (Estimator.LS,), snr=1.0, trials=10, seed=0, threads=0)
         with pytest.raises(ValueError):
             monte_carlo_nmse(self.basis, (), snr=1.0, trials=10, seed=0)
         with pytest.raises(ValueError, match="container"):
@@ -292,8 +305,62 @@ class TestMonteCarloNmse:
             )
 
 
+def per_snr_loops(basis, estimators, snrs, trials, seed, container_subspace):
+    """The Monte Carlo engine before its shared LS/RS-LS kernel, kept as an oracle.
+
+    Same draws and projections as monte_carlo_nmse, but every estimator
+    writes its errors one SNR at a time and every record is summarized in
+    its own loop iteration. Returns (nmse, ci95) per estimator, per SNR.
+    """
+    m = basis.num_antennas
+    r = basis.numerical_rank
+    u1 = basis.eigenvectors[:, :r]
+    scale = np.sqrt(basis.eigenvalues[:r])
+    projections = {
+        Estimator.RSLS: _projection(basis.eigenvectors[:, : basis.effective_rank], u1),
+        Estimator.CONSERVATIVE_RSLS: _projection(container_subspace, u1),
+    }
+    errors = np.empty((snrs.size, len(estimators), trials))
+    for start in range(0, trials, MC_BLOCK_TRIALS):
+        block = range(start, min(start + MC_BLOCK_TRIALS, trials))
+        v, noise = _draw_block(seed, block, r, m)
+        a = scale * v
+        rows = slice(block.start, block.stop)
+        for k, estimator in enumerate(estimators):
+            if estimator is Estimator.LS:
+                noise_energy = _row_energy(noise)
+                for s, rho in enumerate(snrs):
+                    errors[s, k, rows] = noise_energy / rho
+            elif estimator is Estimator.MMSE:
+                a_noise = noise @ u1.conj()
+                for s, rho in enumerate(snrs):
+                    sqrt_rho = np.sqrt(rho)
+                    shrink = rho * basis.eigenvalues[:r] / (rho * basis.eigenvalues[:r] + 1.0)
+                    d = shrink / sqrt_rho * (sqrt_rho * a + a_noise) - a
+                    errors[s, k, rows] = _row_energy(d)
+            else:
+                subspace_conj, dropped = projections[estimator]
+                residual = _row_energy(a @ dropped.T)
+                noise_energy = _row_energy(noise @ subspace_conj)
+                for s, rho in enumerate(snrs):
+                    errors[s, k, rows] = residual + noise_energy / rho
+    trace = basis.source_trace
+    grid = []
+    for per_snr in errors:
+        results = {}
+        for estimator, column in zip(estimators, per_snr):
+            mean = float(column.mean())
+            if trials > 1:
+                spread = float(column.std(ddof=1)) / np.sqrt(trials)
+            else:
+                spread = float("nan")
+            results[estimator] = (mean / trace, 1.96 * spread / trace)
+        grid.append(results)
+    return grid
+
+
 class TestMonteCarloEngine:
-    """The blocked, SNR-grid engine against a per-trial oracle."""
+    """The blocked, SNR-grid engine against a per-trial oracle and the per-SNR loops."""
 
     def setup_method(self):
         geometry = ArrayGeometry(6, 6, 0.25, 1.0)
@@ -386,3 +453,29 @@ class TestMonteCarloEngine:
         for snr in (0.0, -1.0, (1.0, 0.0), ()):
             with pytest.raises(ValueError, match="snr"):
                 monte_carlo_nmse(self.basis, (Estimator.LS,), snr=snr, trials=10, seed=0)
+
+    @settings(max_examples=60)
+    @given(
+        trials=st.sampled_from([1, 2, 127, 128, 129, 300]),
+        estimators=st.permutations(list(Estimator)).flatmap(
+            lambda order: st.integers(1, len(order)).map(lambda k: tuple(order[:k]))
+        ),
+        snrs_db=st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=7),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_per_snr_loops(self, trials, estimators, snrs_db, seed):
+        snrs = 10.0 ** (np.asarray(snrs_db) / 10.0)
+        kwargs = dict(trials=trials, seed=seed, container_subspace=self.container)
+        grid = monte_carlo_nmse(self.basis, estimators, snr=snrs, **kwargs)
+        expected = per_snr_loops(self.basis, estimators, snrs, **kwargs)
+        assert len(grid) == len(expected) == snrs.size
+        for results, oracle in zip(grid, expected):
+            assert list(results) == list(estimators)
+            for estimator, (nmse, ci95) in oracle.items():
+                record = results[estimator]
+                assert type(record.nmse) is float and type(record.ci95) is float
+                assert record.nmse == nmse
+                if trials == 1:
+                    assert math.isnan(record.ci95) and math.isnan(ci95)
+                else:
+                    assert record.ci95 == ci95

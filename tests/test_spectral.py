@@ -120,6 +120,16 @@ class TestEigendecompose:
         with pytest.raises(NumericalError, match="PSD"):
             solve(matrix)
 
+    @ENTRY_POINTS
+    def test_rejects_non_finite_eigenvalues(self, solve):
+        # Inf on the diagonal makes LAPACK return NaN eigenvalues, which pass
+        # every NaN comparison of the PSD check
+        entries = build_isotropic(ArrayGeometry(3, 3, 0.25, 1.0)).entries.copy()
+        entries[0, 0] = entries[8, 8] = np.inf
+        matrix = CorrelationMatrix(entries, 1.0, MatrixProvenance.EXTERNAL)
+        with pytest.raises(NumericalError, match="non-finite"):
+            solve(matrix)
+
     def test_rejects_zero_matrix(self):
         matrix = CorrelationMatrix(
             np.zeros((3, 3), dtype=np.complex128), 1.0, MatrixProvenance.EXTERNAL
