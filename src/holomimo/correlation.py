@@ -8,9 +8,11 @@ approximation of the clustered model. All three share three structural facts:
 * Entry (m, l) depends on the antenna pair only through the normalized grid
   offsets (d_h, d_v), so builders evaluate one value per distinct offset
   (O(M) values). The matrix is two-level Toeplitz: viewed as
-  (M_V, M_H, M_V, M_H), it is a sliding window over the offset table, and
-  it is filled by one strided copy of that window, with no M x M
-  temporary.
+  (M_V, M_H, M_V, M_H), it is a sliding window over the offset table. A
+  builder's matrix keeps the table and forms the dense M x M array by one
+  strided copy of that window on first access only; the container and CSV
+  writers read rows straight from the window until then, so exporting it
+  forms no M x M array.
 * Offset negation conjugates the value, so only offsets with d_h >= 0 (and
   d_v >= 0 when d_h = 0) are evaluated; the rest are exact conjugate mirrors,
   which keeps the stored matrix Hermitian to the last bit.
@@ -20,8 +22,9 @@ approximation of the clustered model. All three share three structural facts:
   solve it as a real symmetric matrix.
 
 Every builder ends in one routine, _assemble, which divides the offset table
-by its own zero-offset value and pins the diagonal to the average gain,
-giving trace(R) = M * gain without relying on quadrature accuracy.
+by its own zero-offset value and pins that value, the diagonal, to the
+average gain, giving trace(R) = M * gain without relying on quadrature
+accuracy.
 """
 
 from __future__ import annotations
@@ -29,8 +32,9 @@ from __future__ import annotations
 import enum
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -52,6 +56,10 @@ _HEADER = struct.Struct("<4sIIdB")
 # Rows per block in the structural checks and in the container's
 # lower-triangle mirror: 4 MB of temporaries per block at M = 1024.
 STRUCTURE_CHECK_ROWS = 256
+# save_matrix's file buffer: it gathers the row slices (16 (M - m) bytes
+# each) into writes of this size, one system call per 256 KiB instead of
+# one per row.
+_WRITE_BUFFER = 1 << 18
 
 # (azimuth nodes, weighted azimuth profile, elevation nodes, weighted elevation profile)
 _ClusterRule = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -81,10 +89,15 @@ class QuadratureSpec:
 
     Gauss-Legendre rules with `nodes_azimuth` x `nodes_elevation` points are
     applied per cluster over its deviation window, truncated to
-    +/- support_radius standard deviations around the lobe peak (the mass
-    outside is below 1e-30 for the default radius). Builders verify the rule
-    by integrating each cluster's density against an adaptive reference and
-    fail if any cluster's mass is off by more than `density_check_tol`.
+    +/- support_radius standard deviations around the lobe peak (None keeps
+    the whole hemisphere). The truncation is not always harmless: the
+    peak-referenced lobe exp((cos 2x - 1)/(4 sigma^2)) is pi-periodic, so for
+    a cluster near the hemisphere edge it climbs back toward the far end of
+    the window, and the default radius cuts that mass off (6.4e-3 of it for
+    a = 0, azimuth 1.186 rad, sigma 0.149 rad). Builders verify the rule by
+    integrating each cluster's density against an untruncated adaptive
+    reference and fail if any cluster's mass is off by more than
+    `density_check_tol`, so such a cut fails loudly.
     """
 
     nodes_azimuth: int = 96
@@ -101,7 +114,6 @@ class QuadratureSpec:
             raise ValueError("density_check_tol must be positive")
 
 
-@dataclass(frozen=True, eq=False)
 class CorrelationMatrix:
     """Hermitian PSD spatial correlation matrix with its construction metadata.
 
@@ -110,27 +122,98 @@ class CorrelationMatrix:
     both indices conjugates an entry, bit for bit. `self_check_error`
     records the worst per-cluster relative quadrature mass error for matrices
     built by numerical integration (None for closed-form builders).
+
+    A builder's matrix is backed by its offset table: it carries its
+    `geometry` and the full (2 M_V - 1) x (2 M_H - 1) table, and forms the
+    dense `entries` on first access, once. Until then save_matrix and
+    export_matrix_csv write rows straight from the table, so exporting it
+    never forms the M x M array; from the first access on, `entries` is the
+    source of truth, in-place edits included. CorrelationMatrix(entries,
+    gain, provenance, self_check_error) is a dense matrix from the start
+    (loaded or external data), with `geometry` None. Attributes are
+    read-only.
     """
 
-    entries: np.ndarray
-    gain: float
-    provenance: MatrixProvenance
-    self_check_error: float | None = None
-
-    def __post_init__(self) -> None:
-        e = self.entries
-        if e.ndim != 2 or e.shape[0] != e.shape[1]:
-            raise ValueError(f"correlation matrix must be square, got shape {e.shape}")
-        if e.shape[0] == 0:
+    def __init__(
+        self,
+        entries: np.ndarray,
+        gain: float,
+        provenance: MatrixProvenance,
+        self_check_error: float | None = None,
+    ) -> None:
+        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+            raise ValueError(f"correlation matrix must be square, got shape {entries.shape}")
+        if entries.shape[0] == 0:
             raise ValueError("correlation matrix must not be empty")
-        if e.dtype != np.complex128:
-            raise ValueError(f"correlation matrix must be complex128, got {e.dtype}")
-        if not 0 < self.gain < math.inf:
-            raise ValueError(f"gain must be finite and positive, got {self.gain}")
+        if entries.dtype != np.complex128:
+            raise ValueError(f"correlation matrix must be complex128, got {entries.dtype}")
+        self._init(entries, None, None, gain, provenance, self_check_error)
+
+    @classmethod
+    def _from_offsets(
+        cls,
+        geometry: ArrayGeometry,
+        offsets: np.ndarray,
+        gain: float,
+        provenance: MatrixProvenance,
+        self_check_error: float | None,
+    ) -> CorrelationMatrix:
+        """The matrix of a full offset table, as _full_offsets lays it out."""
+        matrix = cls.__new__(cls)
+        matrix._init(None, geometry, offsets, gain, provenance, self_check_error)
+        return matrix
+
+    def _init(self, entries, geometry, offsets, gain, provenance, self_check_error) -> None:
+        if not 0 < gain < math.inf:
+            raise ValueError(f"gain must be finite and positive, got {gain}")
+        self.__dict__.update(
+            _entries=entries,
+            _offsets=offsets,
+            geometry=geometry,
+            gain=gain,
+            provenance=provenance,
+            self_check_error=self_check_error,
+        )
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    @property
+    def entries(self) -> np.ndarray:
+        if self._entries is None:
+            self.__dict__["_entries"] = _expand(self.geometry, self._offsets)
+        return self._entries
 
     @property
     def num_antennas(self) -> int:
-        return self.entries.shape[0]
+        if self.geometry is not None:
+            return self.geometry.num_antennas
+        return self._entries.shape[0]
+
+    def _row_blocks(self, upper: bool) -> Iterator[np.ndarray]:
+        """The matrix's rows in consecutive blocks.
+
+        With `upper`, each block keeps only the columns from its first row
+        on, so row i of a block starts its upper triangle at column i. Dense
+        matrices yield views of `entries`, STRUCTURE_CHECK_ROWS rows at a
+        time. A table-backed matrix whose `entries` was never read yields the
+        M_H rows of one array row at a time, copied from the offset table's
+        sliding window into one reused buffer, so a block is valid only until
+        the next one is drawn.
+        """
+        m = self.num_antennas
+        if self._entries is not None:
+            for first in range(0, m, STRUCTURE_CHECK_ROWS):
+                yield self._entries[first : first + STRUCTURE_CHECK_ROWS, first if upper else 0 :]
+            return
+        m_h = self.geometry.num_horizontal
+        window = _offset_window(self.geometry, self._offsets)
+        buffer = np.empty((m_h, m), dtype=np.complex128)
+        for v in range(self.geometry.num_vertical):
+            skipped = v if upper else 0  # array rows left of the block's first column
+            rows = buffer[:, skipped * m_h :]
+            np.copyto(rows.reshape(m_h, -1, m_h), window[v, :, skipped:])
+            yield rows
 
     def validate(self, psd_tol: float = 1e-10, trace_tol: float = 1e-9) -> None:
         """Check the structural invariants; raises ValueError on violation.
@@ -205,23 +288,19 @@ def _offset_grids(geometry: ArrayGeometry) -> tuple[np.ndarray, np.ndarray]:
     return d_h, d_v
 
 
-def _scatter_offsets(geometry: ArrayGeometry, table: np.ndarray) -> np.ndarray:
-    """Expand a half-plane offset table into the full M x M matrix.
+def _full_offsets(geometry: ArrayGeometry, table: np.ndarray) -> np.ndarray:
+    """The (2 M_V - 1) x (2 M_H - 1) table over all offsets, from its half plane.
 
     `table[h, v]` holds the value at horizontal offset h >= 0 and vertical
     offset v - (M_V - 1); the entries at h = 0, v < M_V - 1 are not read.
-    The full (2 M_V - 1) x (2 M_H - 1) table over all offsets is built
-    first, O(M): each negative horizontal offset (and zero horizontal,
-    negative vertical offset) gets the conjugate of its mirrored value.
-    Entry (m, l) is the full-table value at the offset of antenna m from
-    antenna l, so the matrix viewed as (M_V, M_H, M_V, M_H) is a sliding
-    window over the flipped table, written with one strided copy and no
-    M x M temporary. Every entry is a copy of a table value, which makes the
-    result Hermitian (given a real zero-offset value) and centro-Hermitian
-    bit for bit.
+    In the result, [d_v + M_V - 1, d_h + M_H - 1] holds the value at offset
+    (d_v, d_h): each negative horizontal offset (and zero horizontal,
+    negative vertical offset) gets the conjugate of its mirrored value, so a
+    matrix copied from it is Hermitian (given a real zero-offset value) and
+    centro-Hermitian bit for bit. O(M).
 
-    Raises NumericalError if the table holds NaN or Inf, checked in O(M)
-    before the copy: a finite table gives a finite matrix.
+    Raises NumericalError if the table holds NaN or Inf: a finite table
+    gives a finite matrix.
     """
     m_h, m_v = geometry.num_horizontal, geometry.num_vertical
     full = np.empty((2 * m_v - 1, 2 * m_h - 1), dtype=np.complex128)
@@ -230,9 +309,26 @@ def _scatter_offsets(geometry: ArrayGeometry, table: np.ndarray) -> np.ndarray:
     full[:, : m_h - 1] = full[::-1, ::-1][:, : m_h - 1].conj()
     if not np.isfinite(full).all():
         raise NumericalError("correlation offset table has non-finite values (NaN or Inf)")
+    return full
+
+
+def _offset_window(geometry: ArrayGeometry, offsets: np.ndarray) -> np.ndarray:
+    """The matrix as a (M_V, M_H, M_V, M_H) strided view of its full offset table.
+
+    Entry (m, l) is the table value at the offset of antenna m from antenna
+    l, so [v_m, h_m, v_l, h_l] reads a sliding window over the flipped
+    table. Only the O(M) table is copied, into a contiguous flipped copy.
+    """
+    m_h, m_v = geometry.num_horizontal, geometry.num_vertical
+    window = np.lib.stride_tricks.sliding_window_view(offsets[::-1, ::-1].copy(), (m_v, m_h))
+    return window[::-1, ::-1]
+
+
+def _expand(geometry: ArrayGeometry, offsets: np.ndarray) -> np.ndarray:
+    """The dense M x M matrix of a full offset table, by one strided copy."""
+    m_h, m_v = geometry.num_horizontal, geometry.num_vertical
     entries = np.empty((geometry.num_antennas,) * 2, dtype=np.complex128)
-    window = np.lib.stride_tricks.sliding_window_view(full[::-1, ::-1].copy(), (m_v, m_h))
-    np.copyto(entries.reshape(m_v, m_h, m_v, m_h), window[::-1, ::-1])
+    np.copyto(entries.reshape(m_v, m_h, m_v, m_h), _offset_window(geometry, offsets))
     return entries
 
 
@@ -248,14 +344,17 @@ def _assemble(
     Every builder ends here. The table is divided by its own zero-offset
     value, the model's total mass, and scaled to the gain, so the builder
     never forms the mixture normalization or a density's peak factor. It is
-    then expanded by _scatter_offsets. (gain / mass) * mass can round 1 ulp
-    off the gain, so the diagonal is pinned to it, which puts the trace at
-    M * gain exactly.
+    then completed over all offsets by _full_offsets, which rejects
+    non-finite values. (gain / mass) * mass can round 1 ulp off the gain, so
+    the zero offset, the only one on the diagonal, is pinned to it, which
+    puts the trace at M * gain exactly. The matrix keeps the table; nothing
+    of size M^2 is formed here.
     """
-    mass = table[0, geometry.num_vertical - 1].real
-    entries = _scatter_offsets(geometry, (gain / mass) * table)
-    np.fill_diagonal(entries, gain)
-    return CorrelationMatrix(entries, gain, provenance, self_check_error)
+    m_h, m_v = geometry.num_horizontal, geometry.num_vertical
+    mass = table[0, m_v - 1].real
+    offsets = _full_offsets(geometry, (gain / mass) * table)
+    offsets[m_v - 1, m_h - 1] = gain
+    return CorrelationMatrix._from_offsets(geometry, offsets, gain, provenance, self_check_error)
 
 
 def build_isotropic(geometry: ArrayGeometry, gain: float = 1.0) -> CorrelationMatrix:
@@ -381,12 +480,24 @@ def build_exact_clustered(
     errors = _mass_errors(scattering, rules, reference)
     worst = int(np.argmax(np.abs(errors)))
     if abs(errors[worst]) > quadrature.density_check_tol:
-        raise AccuracyError(
+        message = (
             f"quadrature mass self-check failed: cluster {worst} relative error "
             f"{errors[worst]:.3e} exceeds {quadrature.density_check_tol:.1e}; "
             f"increase nodes_azimuth/nodes_elevation (currently "
             f"{quadrature.nodes_azimuth}x{quadrature.nodes_elevation})"
         )
+        radius = quadrature.support_radius
+        if radius is not None and any(
+            deviation_window(nominal, sigma, radius) != deviation_window(nominal, sigma, None)
+            for nominal, _, sigma in _cluster_axes(scattering, worst)
+        ):
+            message += (
+                f"; its deviation window was cut to +/- {radius:g} sigma around the lobe "
+                "peak, and near the hemisphere edge the lobe climbs back beyond the cut, "
+                "which no node count restores: if more nodes do not help, set "
+                "quadrature.support_radius to null to integrate over the whole hemisphere"
+            )
+        raise AccuracyError(message)
 
     d_h, d_v = _offset_grids(geometry)
     table = np.zeros((d_h.size, d_v.size), dtype=np.complex128)
@@ -505,14 +616,17 @@ def save_matrix(path: str | Path, matrix: CorrelationMatrix) -> Path:
     then the upper triangle (row-major, diagonal included) as little-endian
     complex128. Exact roundtrip; the lower triangle is implied by symmetry.
     Streams the header and then each row's upper-triangle slice to the open
-    file, so it allocates nothing of size M^2.
+    file, so it allocates nothing of size M^2. A builder's matrix whose
+    `entries` was never read is written straight from its offset table,
+    one array row of antennas at a time.
     """
     path = Path(path)
-    m = matrix.num_antennas
-    with path.open("wb") as f:
-        f.write(_HEADER.pack(_MAGIC, _CONTAINER_VERSION, m, matrix.gain, int(matrix.provenance)))
-        for row in range(m):
-            f.write(np.ascontiguousarray(matrix.entries[row, row:], dtype="<c16"))
+    with path.open("wb", buffering=_WRITE_BUFFER) as f:
+        code = int(matrix.provenance)
+        f.write(_HEADER.pack(_MAGIC, _CONTAINER_VERSION, matrix.num_antennas, matrix.gain, code))
+        for rows in matrix._row_blocks(upper=True):
+            for i, row in enumerate(rows):
+                f.write(np.ascontiguousarray(row[i:], dtype="<c16"))
     return path
 
 
@@ -561,12 +675,19 @@ def export_matrix_csv(path: str | Path, matrix: CorrelationMatrix) -> Path:
 
     Row m holds re(R[m,0]), im(R[m,0]), re(R[m,1]), ... Full float64
     precision per value, but the container metadata (gain, provenance) is not
-    carried; prefer save_matrix for machine consumption. Rows are formatted
-    from a float64 view of the complex entries (re and im are adjacent in
-    memory), so no M x 2M copy is made.
+    carried; prefer save_matrix for machine consumption. The layout is
+    np.savetxt's with fmt "%.17g", a "# " header line and "\n" newlines.
+    Rows come in the same blocks as save_matrix's and are formatted one at
+    a time from a float64 view of their complex entries (re and im are
+    adjacent in memory), so no M x 2M copy is made, and a builder's matrix
+    whose `entries` was never read is written without forming the M x M
+    array.
     """
     path = Path(path)
-    flat = np.ascontiguousarray(matrix.entries).view(np.float64)
-    header = "columns alternate re/im per antenna index; row = first antenna of the pair"
-    np.savetxt(path, flat, delimiter=",", fmt="%.17g", header=header)
+    line = ",".join(["%.17g"] * (2 * matrix.num_antennas)) + "\n"
+    with path.open("w") as f:
+        f.write("# columns alternate re/im per antenna index; row = first antenna of the pair\n")
+        for rows in matrix._row_blocks(upper=False):
+            for row in np.ascontiguousarray(rows).view(np.float64):
+                f.write(line % tuple(row.tolist()))
     return path

@@ -211,8 +211,14 @@ def deviation_window(
 
     The hemisphere limits the deviation to [-pi/2 - nominal, pi/2 - nominal];
     when `support_radius` is given the window is additionally truncated to
-    +/- support_radius * sigma around the lobe peak, outside of which the
-    peak-referenced factor is negligible for any support_radius >= 10.
+    +/- support_radius * sigma around the lobe peak. Within pi/2 of the peak
+    the peak-referenced factor exp((cos(2x) - 1)/(4 sigma^2)) falls off like
+    a Gaussian, so there the cut loses only a negligible tail. But the factor
+    is pi-periodic and climbs back to 1 at x = +/- pi: for a nominal angle
+    near the hemisphere edge, the far end of the hemisphere window comes
+    close to x = -/+ pi and the cut drops real mass there, whatever the node
+    count (6.4e-3 of it for a = 0, azimuth 1.186 rad, sigma 0.149 rad at
+    radius 12). `support_radius` None keeps the whole hemisphere.
     """
     lo = -_HALF_PI - nominal
     hi = _HALF_PI - nominal

@@ -4,16 +4,20 @@ The oracles below are the previous implementations, kept here verbatim in
 behaviour: the fancy-index expansion of the offset table, the
 `triu_indices` container writer and the M x 2M CSV writer. The new code
 must match them bit for bit and byte for byte while allocating no M x M
-temporary, which the tracemalloc budgets check.
+temporary, which the tracemalloc budgets check. A builder's matrix is
+backed by its offset table, and the writers stream its rows from the table
+until `entries` is first read; TestTableBackedMatrix, TestStreamedExportBudget
+and TestStreamedCli check that they never form the dense matrix on that path.
 """
 
+import json
 import math
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -31,11 +35,15 @@ from holomimo import (
     export_matrix_csv,
     load_config,
     load_matrix,
+    quadrature_self_check,
     save_matrix,
 )
 from holomimo.cli import main, resolve_config_path
-from holomimo.correlation import STRUCTURE_CHECK_ROWS, _scatter_offsets
+from holomimo.correlation import STRUCTURE_CHECK_ROWS, _assemble, _expand, _full_offsets
 from holomimo.geometry import grid_indices
+from holomimo.harness import run_export_matrix
+
+PRESETS = ["fig1_desk", "fig2_desk", "fig3_desk", "fig4_desk"]
 
 SCATTERING = ScatteringConfig(
     clusters=(
@@ -51,7 +59,7 @@ SCATTERING = ScatteringConfig(
 
 
 def fancy_index_expansion(geometry, table):
-    """The previous _scatter_offsets: int64 offset grids, a mirror mask, a gather."""
+    """The original offset-table expansion: int64 offset grids, a mirror mask, a gather."""
     i, j = grid_indices(geometry)
     di = i[:, None] - i[None, :]
     dj = j[:, None] - j[None, :]
@@ -120,6 +128,63 @@ def fortran_order(matrix):
     )
 
 
+def is_streamed(matrix):
+    """Whether the matrix has never formed its dense entries."""
+    return matrix._entries is None
+
+
+def forbidden_expansion(geometry, offsets):
+    raise AssertionError("the dense M x M matrix was formed")
+
+
+@pytest.fixture
+def no_dense_expansion(monkeypatch):
+    """Fail any formation of a table-backed matrix's dense entries."""
+    monkeypatch.setattr(holomimo.correlation, "_expand", forbidden_expansion)
+
+
+@st.composite
+def offset_tables(draw):
+    """(geometry, half-plane table, gain) with a positive zero-offset value."""
+    m_h, m_v = draw(st.integers(1, 13)), draw(st.integers(1, 13))
+    finite = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+    table = draw(arrays(np.complex128, (m_h, 2 * m_v - 1), elements=finite)).copy()
+    table[0, m_v - 1] = draw(st.floats(1e-3, 1e3))
+    return ArrayGeometry(m_h, m_v, 0.3, 1.0), table, draw(st.floats(1e-3, 1e3))
+
+
+def ramp_table(m_h, m_v):
+    """A table with a distinct value at every offset, for the explicit examples."""
+    table = np.arange(m_h * (2 * m_v - 1)).reshape(m_h, 2 * m_v - 1) * (0.5 - 0.25j)
+    table[0, m_v - 1] = 7.0
+    return ArrayGeometry(m_h, m_v, 0.3, 1.0), table, 2.5
+
+
+def with_edge_cases(**fixed):
+    """Always try the 1 x 1, 1 x N, N x 1 and largest arrays too, with `fixed` arguments."""
+
+    def decorate(test):
+        for shape in [(1, 1), (1, 13), (13, 1), (13, 13)]:
+            test = example(case=ramp_table(*shape), **fixed)(test)
+        return test
+
+    return decorate
+
+
+def assemble(case):
+    geometry, table, gain = case
+    return _assemble(geometry, table, gain, MatrixProvenance.EXACT_CLUSTERED, 1e-9)
+
+
+def export_config(tmp_path, m_h, m_v):
+    """The fig2_desk preset with its geometry resized to m_h x m_v."""
+    raw = json.loads(resolve_config_path("fig2_desk").read_text())
+    raw["geometry"].update(m_h=m_h, m_v=m_v)
+    path = tmp_path / "resized.json"
+    path.write_text(json.dumps(raw))
+    return load_config(path)
+
+
 @pytest.fixture
 def poisoned_offsets(monkeypatch):
     """Make the most negative vertical offset NaN in every builder's table."""
@@ -140,7 +205,7 @@ class TestStridedAssembly:
         finite = st.complex_numbers(allow_nan=False, allow_infinity=False)
         table = data.draw(arrays(np.complex128, (m_h, 2 * m_v - 1), elements=finite))
         geometry = ArrayGeometry(m_h, m_v, 0.3, 1.0)
-        entries = _scatter_offsets(geometry, table)
+        entries = _expand(geometry, _full_offsets(geometry, table))
         assert entries.shape == (m_h * m_v,) * 2
         assert np.array_equal(bits(entries), bits(fancy_index_expansion(geometry, table)))
 
@@ -155,7 +220,7 @@ class TestStridedAssembly:
         table = np.ones((5, 9), dtype=np.complex128)
         table[index] = value
         with pytest.raises(NumericalError, match="non-finite"):
-            _scatter_offsets(geometry, table)
+            _full_offsets(geometry, table)
 
     @pytest.mark.parametrize("builder", ["isotropic", "exact", "approx"])
     def test_builders_raise_on_non_finite_offsets(self, builder, poisoned_offsets):
@@ -182,6 +247,69 @@ class TestStridedAssembly:
             assert np.isfinite(e).all()
             assert np.array_equal(e, e.conj().T)
             assert np.array_equal(np.diagonal(e), np.full(matrix.num_antennas, matrix.gain + 0j))
+
+
+class TestTableBackedMatrix:
+    """Random finite tables over M_H, M_V in 1..13, with 1 x 1, 1 x N and N x 1 always tried."""
+
+    CASES = settings(max_examples=150, deadline=None)
+
+    @CASES
+    @with_edge_cases()
+    @given(case=offset_tables())
+    def test_streamed_writers_match_the_dense_oracles(self, tmp_path_factory, case):
+        out = tmp_path_factory.mktemp("streamed")
+        streamed, dense = assemble(case), assemble(case)
+        save_matrix(out / "new.hmrc", streamed)
+        export_matrix_csv(out / "new.csv", streamed)
+        assert is_streamed(streamed)
+        triu_indices_save(out / "old.hmrc", dense)
+        interleaved_copy_csv(out / "old.csv", dense)
+        assert (out / "new.hmrc").read_bytes() == (out / "old.hmrc").read_bytes()
+        assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
+
+    @CASES
+    @with_edge_cases()
+    @given(case=offset_tables())
+    def test_entries_match_the_fancy_index_expansion(self, case):
+        geometry, table, gain = case
+        matrix = assemble(case)
+        assert matrix.num_antennas == geometry.num_antennas
+        assert is_streamed(matrix)
+        mass = table[0, geometry.num_vertical - 1].real
+        expected = fancy_index_expansion(geometry, (gain / mass) * table)
+        np.fill_diagonal(expected, gain)
+        assert np.array_equal(bits(matrix.entries), bits(expected))
+        assert np.array_equal(np.diagonal(matrix.entries), np.full(matrix.num_antennas, gain + 0j))
+        assert matrix.entries is matrix.entries  # formed once, then kept
+
+    @CASES
+    @with_edge_cases(position=(0.5, 1.0))
+    @given(case=offset_tables(), position=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+    def test_edited_entries_are_what_is_saved(self, tmp_path_factory, case, position):
+        # one upper-triangle entry, picked by `position`, is edited after a read
+        out = tmp_path_factory.mktemp("edited")
+        matrix = assemble(case)
+        m = matrix.num_antennas
+        row = min(int(position[0] * m), m - 1)
+        column = min(row + int(position[1] * (m - row)), m - 1)
+        edited = matrix.entries[row, column] + (1.0 + 2.0j)
+        matrix.entries[row, column] = edited
+        save_matrix(out / "new.hmrc", matrix)
+        triu_indices_save(out / "old.hmrc", matrix)
+        assert (out / "new.hmrc").read_bytes() == (out / "old.hmrc").read_bytes()
+        payload = np.frombuffer((out / "new.hmrc").read_bytes()[21:], dtype="<c16")
+        assert payload[row * m - row * (row - 1) // 2 + column - row] == edited
+
+    def test_is_read_only(self):
+        matrix = build_isotropic(ArrayGeometry(2, 2, 0.25, 1.0))
+        with pytest.raises(AttributeError):
+            matrix.gain = 2.0
+
+    def test_dense_matrix_has_no_geometry(self):
+        matrix = CorrelationMatrix(np.eye(3, dtype=np.complex128), 1.0, MatrixProvenance.EXTERNAL)
+        assert matrix.geometry is None
+        assert matrix.num_antennas == 3
 
 
 class TestStreamedContainer:
@@ -248,6 +376,59 @@ class TestMemoryBudget:
         loaded, load_peak = traced_peak(lambda: load_matrix(path))
         assert load_peak <= 1.25 * self.B
         assert np.array_equal(loaded.entries, matrix.entries)
+
+
+class TestStreamedExportBudget:
+    """Export peaks against B = 16 M^2 at M = 1536: streamed, they hold no M x M array."""
+
+    B = TestMemoryBudget.B
+
+    @pytest.fixture
+    def config(self, tmp_path):
+        """fig2_desk at 32 x 48, its rules computed once before any tracing.
+
+        That first run imports numpy.polynomial and fills the Gauss-Legendre
+        cache (0.018 B here), state a process builds once, not export memory.
+        """
+        geometry = TestMemoryBudget.GEOMETRY
+        config = export_config(tmp_path, geometry.num_horizontal, geometry.num_vertical)
+        quadrature_self_check(config.scattering, config.quadrature)
+        return config
+
+    def test_build_and_save(self, tmp_path, config, no_dense_expansion):
+        def build_and_save():
+            matrix = build_exact_clustered(config.geometry, config.scattering, config.quadrature)
+            return save_matrix(tmp_path / "budget.hmrc", matrix)
+
+        path, peak = traced_peak(build_and_save)
+        assert path.stat().st_size == 21 + 16 * 1536 * 1537 // 2
+        assert peak <= 0.10 * self.B
+
+    @pytest.mark.parametrize("write_csv", [False, True], ids=["container", "csv"])
+    def test_run_export_matrix(self, tmp_path, config, write_csv, no_dense_expansion):
+        export = lambda: run_export_matrix(config, tmp_path / "out", write_csv=write_csv)
+        (manifest, paths), peak = traced_peak(export)
+        assert manifest["num_antennas"] == 1536
+        assert len(paths) == 1 + write_csv
+        assert peak <= 0.10 * self.B
+
+
+class TestStreamedCli:
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_export_matrix_matches_dense_oracles(self, tmp_path, monkeypatch, preset):
+        with monkeypatch.context() as patched:
+            patched.setattr(holomimo.correlation, "_expand", forbidden_expansion)
+            assert main(["export-matrix", preset, "--out", str(tmp_path / "plain")]) == 0
+            assert main(["export-matrix", preset, "--csv", "--out", str(tmp_path / "csv")]) == 0
+        config = load_config(resolve_config_path(preset))
+        matrix = build_exact_clustered(config.geometry, config.scattering, config.quadrature)
+        container = triu_indices_save(tmp_path / "oracle.hmrc", matrix).read_bytes()
+        view = interleaved_copy_csv(tmp_path / "oracle.csv", matrix).read_bytes()
+        stem = tmp_path / "plain" / f"{preset}_exact"
+        assert stem.with_suffix(".hmrc").read_bytes() == container
+        stem = tmp_path / "csv" / f"{preset}_exact"
+        assert stem.with_suffix(".hmrc").read_bytes() == container
+        assert stem.with_suffix(".csv").read_bytes() == view
 
 
 class TestStreamedCsv:

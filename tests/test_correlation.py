@@ -392,6 +392,28 @@ class TestExactClustered:
         with pytest.raises(AccuracyError, match="nodes"):
             build_exact_clustered(ORACLE_GEOMETRY, ORACLE_SCATTERING, spec)
 
+    @pytest.mark.parametrize("nodes", [96, 400])
+    def test_support_radius_cut_names_its_remedy(self, nodes):
+        # near the hemisphere edge the pi-periodic lobe climbs back toward the
+        # far end of the window, and the default +/- 12 sigma cut drops that
+        # mass at any node count; only an uncut window passes
+        scattering = ScatteringConfig(
+            clusters=(Cluster(1.186, 0.0, 1.0),), sigma_azimuth=0.149, sigma_elevation=0.149
+        )
+        spec = QuadratureSpec(nodes_azimuth=nodes, nodes_elevation=nodes)
+        assert quadrature_self_check(scattering, spec)[0] == pytest.approx(-6.43e-3, rel=1e-3)
+        with pytest.raises(AccuracyError, match="set quadrature.support_radius to null"):
+            build_exact_clustered(ORACLE_GEOMETRY, scattering, spec)
+        uncut = dataclasses.replace(spec, support_radius=None)
+        matrix = build_exact_clustered(ORACLE_GEOMETRY, scattering, uncut)
+        assert abs(matrix.self_check_error) <= uncut.density_check_tol
+
+    def test_uncut_window_failure_advises_nodes_only(self):
+        spec = QuadratureSpec(nodes_azimuth=8, nodes_elevation=8, support_radius=None)
+        with pytest.raises(AccuracyError, match="nodes") as raised:
+            build_exact_clustered(ORACLE_GEOMETRY, ORACLE_SCATTERING, spec)
+        assert "support_radius" not in str(raised.value)
+
     @pytest.mark.parametrize("scene", ["fig4_desk", "diffuse_specular_dead"])
     def test_self_check_error_is_worst_self_check_entry(self, scene):
         # the builder and quadrature_self_check share one rule and one mass
