@@ -324,9 +324,11 @@ def load_config(
     """
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigurationError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"{path}: cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"{path}: invalid JSON: {exc}") from exc
     raw = _object(raw, _TOP_LEVEL_KEYS, str(path))
@@ -383,7 +385,7 @@ def load_config(
     quadrature = _parse_quadrature(raw.get("quadrature"))
 
     stem = stem_override if stem_override is not None else raw.get("output_stem", path.stem)
-    if not isinstance(stem, str) or not stem or "/" in stem or "\\" in stem:
+    if not isinstance(stem, str) or not stem or any(c in stem for c in ("/", "\\", "\0")):
         raise ConfigurationError(f"output_stem: expected a bare filename stem, got {stem!r}")
 
     config = ExperimentConfig(

@@ -9,17 +9,19 @@ approximation of the clustered model. All three share three structural facts:
   offsets (d_h, d_v), so builders evaluate one value per distinct offset
   (O(M) values). The matrix is two-level Toeplitz: viewed as
   (M_V, M_H, M_V, M_H), it is a sliding window over the offset table. A
-  builder's matrix keeps the table and forms the dense M x M array by one
-  strided copy of that window on first access only; the container and CSV
-  writers read rows straight from the window until then, so exporting it
+  builder's matrix is fixed at construction, and its table is its only
+  source: the dense M x M array is a read-only expansion of that window,
+  formed by one strided copy on first access only, and the container and
+  CSV writers always read rows straight from the window, so exporting it
   forms no M x M array.
 * Offset negation conjugates the value, so only offsets with d_h >= 0 (and
   d_v >= 0 when d_h = 0) are evaluated; the rest are exact conjugate mirrors,
   which keeps the stored matrix Hermitian to the last bit.
 * Reversing the storage index (m -> M - 1 - m) negates both grid offsets, so
   it conjugates the entry: J R J = conj(R) bit for bit, with J the exchange
-  matrix. The matrix is centro-Hermitian, which the spectral layer uses to
-  solve it as a real symmetric matrix.
+  matrix. The matrix is centro-Hermitian by construction, so the spectral
+  layer solves it as a real symmetric matrix without testing for the
+  symmetry; only dense (loaded or external) matrices are tested.
 
 Every builder ends in one routine, _assemble, which divides the offset table
 by its own zero-offset value and pins that value, the diagonal, to the
@@ -60,6 +62,10 @@ STRUCTURE_CHECK_ROWS = 256
 # each) into writes of this size, one system call per 256 KiB instead of
 # one per row.
 _WRITE_BUFFER = 1 << 18
+# Elevation nodes per block of _horizontal_sums' phase tables: at the
+# default 96 nodes a block's tables are a sixth of the whole rule's, and
+# larger blocks measured no faster.
+_ELEVATION_BLOCK = 16
 
 # (azimuth nodes, weighted azimuth profile, elevation nodes, weighted elevation profile)
 _ClusterRule = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -118,20 +124,22 @@ class CorrelationMatrix:
     """Hermitian PSD spatial correlation matrix with its construction metadata.
 
     `entries` is complex128 with exact conjugate symmetry and a real diagonal
-    equal to `gain`. Builders' matrices are also centro-Hermitian: reversing
-    both indices conjugates an entry, bit for bit. `self_check_error`
-    records the worst per-cluster relative quadrature mass error for matrices
-    built by numerical integration (None for closed-form builders).
+    equal to `gain`. `self_check_error` records the worst per-cluster
+    relative quadrature mass error for matrices built by numerical
+    integration (None for closed-form builders).
 
-    A builder's matrix is backed by its offset table: it carries its
-    `geometry` and the full (2 M_V - 1) x (2 M_H - 1) table, and forms the
-    dense `entries` on first access, once. Until then save_matrix and
-    export_matrix_csv write rows straight from the table, so exporting it
-    never forms the M x M array; from the first access on, `entries` is the
-    source of truth, in-place edits included. CorrelationMatrix(entries,
-    gain, provenance, self_check_error) is a dense matrix from the start
-    (loaded or external data), with `geometry` None. Attributes are
-    read-only.
+    A builder's matrix is a value fixed at construction. It carries its
+    `geometry` and its full (2 M_V - 1) x (2 M_H - 1) offset table, the
+    matrix's only source: `entries` is the read-only expansion of that
+    table, formed on first access and kept, and save_matrix and
+    export_matrix_csv always write rows straight from the table, so
+    exporting it never forms the M x M array. Such a matrix is
+    centro-Hermitian by construction (reversing both indices conjugates an
+    entry, bit for bit), and real exactly when its table is.
+    CorrelationMatrix(entries, gain, provenance, self_check_error) is a
+    dense matrix (loaded or external data), with `geometry` None; its
+    `entries` is the array given, and its symmetry is tested exactly where
+    it is needed. `num_antennas` is M. Attributes are read-only.
     """
 
     def __init__(
@@ -149,31 +157,19 @@ class CorrelationMatrix:
             raise ValueError(f"correlation matrix must be complex128, got {entries.dtype}")
         self._init(entries, None, None, gain, provenance, self_check_error)
 
-    @classmethod
-    def _from_offsets(
-        cls,
-        geometry: ArrayGeometry,
-        offsets: np.ndarray,
-        gain: float,
-        provenance: MatrixProvenance,
-        self_check_error: float | None,
-    ) -> CorrelationMatrix:
-        """The matrix of a full offset table, as _full_offsets lays it out."""
-        matrix = cls.__new__(cls)
-        matrix._init(None, geometry, offsets, gain, provenance, self_check_error)
-        return matrix
-
-    def _init(self, entries, geometry, offsets, gain, provenance, self_check_error) -> None:
+    def _init(self, entries, geometry, offsets, gain, provenance, self_check_error):
         if not 0 < gain < math.inf:
             raise ValueError(f"gain must be finite and positive, got {gain}")
         self.__dict__.update(
             _entries=entries,
             _offsets=offsets,
             geometry=geometry,
+            num_antennas=entries.shape[0] if geometry is None else geometry.num_antennas,
             gain=gain,
             provenance=provenance,
             self_check_error=self_check_error,
         )
+        return self
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -184,27 +180,20 @@ class CorrelationMatrix:
             self.__dict__["_entries"] = _expand(self.geometry, self._offsets)
         return self._entries
 
-    @property
-    def num_antennas(self) -> int:
-        if self.geometry is not None:
-            return self.geometry.num_antennas
-        return self._entries.shape[0]
-
     def _row_blocks(self, upper: bool) -> Iterator[np.ndarray]:
-        """The matrix's rows in consecutive blocks.
+        """The matrix's rows in consecutive blocks, from its one source.
 
         With `upper`, each block keeps only the columns from its first row
-        on, so row i of a block starts its upper triangle at column i. Dense
-        matrices yield views of `entries`, STRUCTURE_CHECK_ROWS rows at a
-        time. A table-backed matrix whose `entries` was never read yields the
-        M_H rows of one array row at a time, copied from the offset table's
-        sliding window into one reused buffer, so a block is valid only until
-        the next one is drawn.
+        on, so row i of a block starts its upper triangle at column i. A
+        dense matrix yields views of `entries`, STRUCTURE_CHECK_ROWS rows at
+        a time. A builder's matrix yields the M_H rows of one array row at a
+        time, copied from its offset table's sliding window into one reused
+        buffer, so a block is valid only until the next one is drawn; its
+        `entries`, formed or not, is never read.
         """
         m = self.num_antennas
-        if self._entries is not None:
-            for first in range(0, m, STRUCTURE_CHECK_ROWS):
-                yield self._entries[first : first + STRUCTURE_CHECK_ROWS, first if upper else 0 :]
+        if self._offsets is None:
+            yield from (self._entries[a:b, a if upper else 0 :] for a, b in _row_ranges(m))
             return
         m_h = self.geometry.num_horizontal
         window = _offset_window(self.geometry, self._offsets)
@@ -246,12 +235,10 @@ class CorrelationMatrix:
         entry is checked for finiteness before any is compared with its
         mirror.
         """
-        e = self.entries
-        m = self.num_antennas
-        blocks = [slice(a, a + STRUCTURE_CHECK_ROWS) for a in range(0, m, STRUCTURE_CHECK_ROWS)]
-        if not all(np.isfinite(e[rows]).all() for rows in blocks):
+        e, m = self.entries, self.num_antennas
+        if not all(np.isfinite(e[a:b]).all() for a, b in _row_ranges(m)):
             raise ValueError("matrix has non-finite entries (NaN or Inf)")
-        if not all(np.array_equal(e[rows], e[:, rows].conj().T) for rows in blocks):
+        if not all(np.array_equal(e[a:b], e[:, a:b].conj().T) for a, b in _row_ranges(m)):
             raise ValueError("matrix is not exactly Hermitian")
         diag = np.diagonal(e)
         if np.any(diag.imag != 0.0) or np.any(diag.real < 0.0):
@@ -263,16 +250,23 @@ class CorrelationMatrix:
     def _is_centro_hermitian(self) -> bool:
         """Whether reversing both indices conjugates every entry, bit for bit.
 
-        Row block [a, b) is compared with the conjugate of the mirrored block
-        [M - b, M - a) read backwards in both axes. The mirror of the first
-        half of the rows is the second half, so only the first half is read,
-        in blocks of STRUCTURE_CHECK_ROWS rows.
+        A builder's matrix is, by construction (_full_offsets mirrors its
+        table), so this answers True for it without reading `entries`. A
+        dense matrix is tested exactly: row block [a, b) is compared with
+        the conjugate of the mirrored block [M - b, M - a) read backwards in
+        both axes. The mirror of the first half of the rows is the second
+        half, so only the first half is read, in blocks of
+        STRUCTURE_CHECK_ROWS rows.
         """
-        e, m = self.entries, self.num_antennas
-        half = (m + 1) // 2
-        starts = range(0, half, STRUCTURE_CHECK_ROWS)
-        blocks = [(a, min(a + STRUCTURE_CHECK_ROWS, half)) for a in starts]
-        return all(np.array_equal(e[a:b], e[m - b : m - a][::-1, ::-1].conj()) for a, b in blocks)
+        e, m = self._entries, self.num_antennas
+        blocks = _row_ranges((m + 1) // 2)
+        mirrored = (np.array_equal(e[a:b], e[m - b : m - a][::-1, ::-1].conj()) for a, b in blocks)
+        return self._offsets is not None or all(mirrored)
+
+
+def _row_ranges(stop: int) -> list[tuple[int, int]]:
+    """Consecutive [start, end) row ranges of STRUCTURE_CHECK_ROWS rows covering [0, stop)."""
+    return [(a, min(a + STRUCTURE_CHECK_ROWS, stop)) for a in range(0, stop, STRUCTURE_CHECK_ROWS)]
 
 
 def _offset_grids(geometry: ArrayGeometry) -> tuple[np.ndarray, np.ndarray]:
@@ -325,10 +319,11 @@ def _offset_window(geometry: ArrayGeometry, offsets: np.ndarray) -> np.ndarray:
 
 
 def _expand(geometry: ArrayGeometry, offsets: np.ndarray) -> np.ndarray:
-    """The dense M x M matrix of a full offset table, by one strided copy."""
+    """The dense M x M matrix of a full offset table, by one strided copy, read-only."""
     m_h, m_v = geometry.num_horizontal, geometry.num_vertical
     entries = np.empty((geometry.num_antennas,) * 2, dtype=np.complex128)
     np.copyto(entries.reshape(m_v, m_h, m_v, m_h), _offset_window(geometry, offsets))
+    entries.flags.writeable = False
     return entries
 
 
@@ -354,7 +349,8 @@ def _assemble(
     mass = table[0, m_v - 1].real
     offsets = _full_offsets(geometry, (gain / mass) * table)
     offsets[m_v - 1, m_h - 1] = gain
-    return CorrelationMatrix._from_offsets(geometry, offsets, gain, provenance, self_check_error)
+    matrix = CorrelationMatrix.__new__(CorrelationMatrix)
+    return matrix._init(None, geometry, offsets, gain, provenance, self_check_error)
 
 
 def build_isotropic(geometry: ArrayGeometry, gain: float = 1.0) -> CorrelationMatrix:
@@ -440,16 +436,25 @@ def _horizontal_sums(
     k < B and j < J = ceil(M_H / B), and exp(i h x) = exp(i B j x) exp(i k x).
     The two short tables low[e, d, k] = exp(i k x) and
     high[e, j, d] = g_az[d] exp(i B j x) cost (B + J) N_az N_el exponentials
-    instead of M_H N_az N_el, and one stacked GEMM over the elevation nodes
-    contracts them over the azimuth nodes; its J B columns are cut to M_H.
+    instead of M_H N_az N_el, and one GEMM per elevation node contracts them
+    over the azimuth nodes; its J B columns are cut to M_H. The tables are
+    formed in place for _ELEVATION_BLOCK elevation nodes at a time, so they
+    take O(_ELEVATION_BLOCK (B + J) N_az) memory, not O((B + J) N_az N_el).
     """
     m_h = geometry.num_horizontal
     b = math.isqrt(m_h - 1) + 1
     j = -(-m_h // b)
     x = (2 * np.pi * geometry.spacing_fraction) * (cos_el[:, None] * sin_az[None, :])
-    low = np.exp(1j * (x[:, :, None] * np.arange(b)))
-    high = np.exp(1j * (x[:, None, :] * (b * np.arange(j))[:, None])) * g_az
-    return (high @ low).reshape(cos_el.size, j * b)[:, :m_h].T
+    sums = np.empty((cos_el.size, j, b), dtype=np.complex128)
+    for first in range(0, cos_el.size, _ELEVATION_BLOCK):
+        rows = slice(first, first + _ELEVATION_BLOCK)
+        low = 1j * (x[rows, :, None] * np.arange(b))
+        high = 1j * (x[rows, None, :] * (b * np.arange(j))[:, None])
+        np.exp(low, out=low)
+        np.exp(high, out=high)
+        high *= g_az
+        np.matmul(high, low, out=sums[rows])
+    return sums.reshape(cos_el.size, j * b)[:, :m_h].T
 
 
 def build_exact_clustered(
@@ -465,8 +470,9 @@ def build_exact_clustered(
     over the two axis rules rather than a generic 2-D sum. The horizontal
     phase of a diffuse cluster is split over the offset index h = B j + k,
     B = ceil(sqrt(M_H)), into two short exponential tables joined by one
-    stacked GEMM (_horizontal_sums): (B + J) N_az N_el exponentials with
-    J = ceil(M_H / B), instead of one per offset and node pair. Densities are
+    GEMM per elevation node (_horizontal_sums): (B + J) N_az N_el
+    exponentials with J = ceil(M_H / B), instead of one per offset and node
+    pair, formed for a block of elevation nodes at a time. Densities are
     handled in peak-referenced form; _assemble divides the table by its
     zero-offset value, which cancels the peak factor and the mixture
     normalization without ever forming either.
@@ -592,7 +598,7 @@ def build_approx_clustered(
 
 
 def correlation_matrix_distance(first: CorrelationMatrix, second: CorrelationMatrix) -> float:
-    """Correlation matrix distance in [0, 1]; 0 for equal, 1 for orthogonal.
+    """Correlation matrix distance in [0, 1]; 0 for equal up to rounding, 1 for orthogonal.
 
     Computes 1 - tr(R1 R2) / (||R1||_F ||R2||_F); the trace is real for
     Hermitian inputs. Raises ValueError on shape mismatch or zero matrices.
@@ -616,9 +622,9 @@ def save_matrix(path: str | Path, matrix: CorrelationMatrix) -> Path:
     then the upper triangle (row-major, diagonal included) as little-endian
     complex128. Exact roundtrip; the lower triangle is implied by symmetry.
     Streams the header and then each row's upper-triangle slice to the open
-    file, so it allocates nothing of size M^2. A builder's matrix whose
-    `entries` was never read is written straight from its offset table,
-    one array row of antennas at a time.
+    file, so it allocates nothing of size M^2. A builder's matrix is always
+    written straight from its offset table, its only source, one array row
+    of antennas at a time, whether or not its `entries` was formed.
     """
     path = Path(path)
     with path.open("wb", buffering=_WRITE_BUFFER) as f:
@@ -659,8 +665,7 @@ def load_matrix(path: str | Path) -> CorrelationMatrix:
         for row in range(m):
             if f.readinto(entries[row, row:]) != 16 * (m - row):
                 raise ValueError(f"{path}: payload ended before row {row}")
-    for start in range(0, m, STRUCTURE_CHECK_ROWS):
-        stop = min(start + STRUCTURE_CHECK_ROWS, m)
+    for start, stop in _row_ranges(m):
         upper = entries[start:stop, start:]
         entries[stop:, start:stop] = upper[:, stop - start :].conj().T
         lower = np.tri(stop - start, k=-1, dtype=bool)
@@ -679,8 +684,8 @@ def export_matrix_csv(path: str | Path, matrix: CorrelationMatrix) -> Path:
     np.savetxt's with fmt "%.17g", a "# " header line and "\n" newlines.
     Rows come in the same blocks as save_matrix's and are formatted one at
     a time from a float64 view of their complex entries (re and im are
-    adjacent in memory), so no M x 2M copy is made, and a builder's matrix
-    whose `entries` was never read is written without forming the M x M
+    adjacent in memory), so no M x 2M copy is made. A builder's matrix is
+    written from its offset table, without forming or reading the M x M
     array.
     """
     path = Path(path)

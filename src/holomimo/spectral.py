@@ -11,8 +11,10 @@ into the real symmetric Q^H R Q (A. Lee, "Centrohermitian and
 skew-centrohermitian matrices", Linear Algebra Appl. 29, 1980), which LAPACK
 solves several times faster than the Hermitian matrix. A real
 centro-symmetric matrix, such as the isotropic one, splits into two real
-parity blocks of half the size. The symmetry is tested exactly; a matrix
-that lacks it, such as a loaded or external one, is solved as it is.
+parity blocks of half the size. A builder's matrix has that structure by
+type, so the dispatch reads it from the matrix's offset table in O(M). A
+dense matrix (loaded or external) is tested exactly; one that lacks the
+symmetry is solved as it is.
 """
 
 from __future__ import annotations
@@ -188,23 +190,23 @@ def _solve_parity(entries: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.nd
 def _solve(matrix: CorrelationMatrix, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """Descending eigenvalues, plus eigenvector columns when `vectors` is set.
 
-    The columns come back as a C-contiguous complex128 array. Every builder's
-    matrix is centro-Hermitian (reversing both indices conjugates the entry),
-    so a sparse unitary Q makes Q^H R Q real symmetric with the same
-    eigenvalues; that real solve is several times cheaper than the Hermitian
-    one. A real centro-symmetric matrix, such as the isotropic one, splits
-    further into two parity blocks of half the size. The symmetry is tested
-    exactly, without tolerance. A matrix that lacks it is solved as is: in
-    real arithmetic when its imaginary part is exactly zero, else as a
-    Hermitian matrix.
+    The columns come back as a C-contiguous complex128 array. A
+    centro-Hermitian matrix (reversing both indices conjugates the entry)
+    is solved as the real symmetric Q^H R Q of the same eigenvalues, several
+    times cheaper than the Hermitian solve; a real centro-symmetric one,
+    such as the isotropic matrix, splits further into two parity blocks of
+    half the size. The structure comes from the type where it can: a
+    builder's matrix is centro-Hermitian by construction and real exactly
+    when its O(M) offset table is, so neither O(M^2) scan runs on it. A
+    dense matrix (loaded or external) is tested exactly, without tolerance,
+    and if it lacks the symmetry it is solved as is: in real arithmetic
+    when its imaginary part is exactly zero, else as a Hermitian matrix.
     """
-    entries = matrix.entries
-    real = not entries.imag.any()
+    entries, table = matrix.entries, matrix._offsets
+    real = not (entries if table is None else table).imag.any()
     try:
-        if matrix._is_centro_hermitian():
-            if real:
-                return _solve_parity(entries, vectors)
-            return _solve_real_form(entries, vectors)
+        if table is not None or matrix._is_centro_hermitian():
+            return (_solve_parity if real else _solve_real_form)(entries, vectors)
         operand = entries.real if real else entries
         if not vectors:
             return np.linalg.eigvalsh(operand)[::-1], None

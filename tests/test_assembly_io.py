@@ -5,8 +5,8 @@ behaviour: the fancy-index expansion of the offset table, the
 `triu_indices` container writer and the M x 2M CSV writer. The new code
 must match them bit for bit and byte for byte while allocating no M x M
 temporary, which the tracemalloc budgets check. A builder's matrix is
-backed by its offset table, and the writers stream its rows from the table
-until `entries` is first read; TestTableBackedMatrix, TestStreamedExportBudget
+backed by its offset table, its only source, and the writers always stream
+its rows from the table; TestTableBackedMatrix, TestStreamedExportBudget
 and TestStreamedCli check that they never form the dense matrix on that path.
 """
 
@@ -286,20 +286,22 @@ class TestTableBackedMatrix:
     @CASES
     @with_edge_cases(position=(0.5, 1.0))
     @given(case=offset_tables(), position=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
-    def test_edited_entries_are_what_is_saved(self, tmp_path_factory, case, position):
-        # one upper-triangle entry, picked by `position`, is edited after a read
+    def test_edits_raise_and_the_table_is_what_is_saved(self, tmp_path_factory, case, position):
+        # assigning into one entry, picked by `position`, raises after a read,
+        # and the container still holds the table's bytes
         out = tmp_path_factory.mktemp("edited")
         matrix = assemble(case)
         m = matrix.num_antennas
         row = min(int(position[0] * m), m - 1)
         column = min(row + int(position[1] * (m - row)), m - 1)
-        edited = matrix.entries[row, column] + (1.0 + 2.0j)
-        matrix.entries[row, column] = edited
+        kept = matrix.entries[row, column]
+        with pytest.raises(ValueError, match="read-only"):
+            matrix.entries[row, column] = kept + (1.0 + 2.0j)
         save_matrix(out / "new.hmrc", matrix)
-        triu_indices_save(out / "old.hmrc", matrix)
+        triu_indices_save(out / "old.hmrc", assemble(case))
         assert (out / "new.hmrc").read_bytes() == (out / "old.hmrc").read_bytes()
         payload = np.frombuffer((out / "new.hmrc").read_bytes()[21:], dtype="<c16")
-        assert payload[row * m - row * (row - 1) // 2 + column - row] == edited
+        assert payload[row * m - row * (row - 1) // 2 + column - row] == kept
 
     def test_is_read_only(self):
         matrix = build_isotropic(ArrayGeometry(2, 2, 0.25, 1.0))

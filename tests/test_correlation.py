@@ -167,12 +167,15 @@ class TestCorrelationMatrixType:
 
     @pytest.mark.parametrize("direction", [-math.inf, math.inf])
     def test_validate_requires_the_gain_on_the_diagonal(self, direction):
-        # one entry 1 ulp off passes the trace check but not the diagonal one
+        # one entry 1 ulp off passes the trace check but not the diagonal one;
+        # a builder's entries are read-only, so the edit goes into a dense copy
         matrix = build_exact_clustered(ORACLE_GEOMETRY, ORACLE_SCATTERING)
         matrix.validate()
-        matrix.entries[2, 2] = math.nextafter(matrix.gain, direction)
+        dense = CorrelationMatrix(matrix.entries.copy(), matrix.gain, matrix.provenance)
+        dense.validate()
+        dense.entries[2, 2] = math.nextafter(matrix.gain, direction)
         with pytest.raises(ValueError, match="diagonal"):
-            matrix.validate()
+            dense.validate()
 
     def test_validate_catches_indefinite_matrix(self):
         entries = np.array([[1.0, 3.0], [3.0, 1.0]], dtype=np.complex128)

@@ -86,6 +86,38 @@ def fail_csv_export(monkeypatch, seen):
     monkeypatch.setattr(holomimo.harness, "export_matrix_csv", failing)
 
 
+def config_is_a_directory(tmp_path):
+    (tmp_path / "run.json").mkdir()
+    return [str(tmp_path / "run.json")]
+
+
+def config_is_not_utf8(tmp_path):
+    text = json.dumps(isotropic_payload(output_stem="caf\u00e9"), ensure_ascii=False)
+    (tmp_path / "run.json").write_bytes(text.encode("latin-1"))
+    return [str(tmp_path / "run.json")]
+
+
+def out_is_a_file(tmp_path):
+    (tmp_path / "taken").write_text("")
+    return [str(write_config(tmp_path, isotropic_payload())), "--out", str(tmp_path / "taken")]
+
+
+def out_under_a_file(tmp_path):
+    (tmp_path / "taken").write_text("")
+    out = str(tmp_path / "taken" / "out")
+    return [str(write_config(tmp_path, isotropic_payload())), "--out", out]
+
+
+def stem_with_nul(tmp_path):
+    path = write_config(tmp_path, isotropic_payload(output_stem="a\0b"))
+    return [str(path), "--out", str(tmp_path / "out")]
+
+
+def stem_too_long(tmp_path):
+    path = write_config(tmp_path, isotropic_payload())
+    return [str(path), "--out", str(tmp_path / "out"), "--stem", "s" * 300]
+
+
 class TestOutputContract:
     """The rules every run's artifacts share: stem prefix and embedded config."""
 
@@ -429,6 +461,31 @@ class TestCli:
         assert result.returncode == 1
         assert result.stderr.startswith("holomimo: error: beta")
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("command", ["eigen-report", "export-matrix"])
+    @pytest.mark.parametrize(
+        "arguments, message",
+        [
+            pytest.param(config_is_a_directory, "cannot read config", id="config_dir"),
+            pytest.param(config_is_not_utf8, "cannot read config", id="config_latin1"),
+            pytest.param(out_is_a_file, "cannot write outputs", id="out_file"),
+            pytest.param(out_under_a_file, "cannot write outputs", id="out_under_file"),
+            pytest.param(stem_with_nul, "output_stem", id="stem_nul"),
+            pytest.param(stem_too_long, "cannot write outputs", id="stem_300_chars"),
+        ],
+    )
+    def test_unusable_input_or_output_path_exits_1(
+        self, tmp_path, capsys, command, arguments, message
+    ):
+        # one error line instead of a traceback; an unwritable directory is
+        # not covered, because the tests may run as root
+        code = main([command, *arguments(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("holomimo: error:") and message in err
+        assert len(err.splitlines()) == 1
+        out = tmp_path / "out"
+        assert not out.exists() or not any(out.iterdir())
 
     def test_bad_thread_count_exits_1(self, tmp_path, capsys):
         path = write_config(tmp_path, isotropic_payload())

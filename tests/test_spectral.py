@@ -1,10 +1,13 @@
 """Tests for eigenstructure analysis: ranks, containment, and the rank law."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from holomimo import (
     ArrayGeometry,
@@ -26,7 +29,7 @@ from holomimo import (
     spectrum,
     subspace_containment_residual,
 )
-from holomimo.cli import preset_names, resolve_config_path
+from holomimo.cli import main, preset_names, resolve_config_path
 from holomimo.correlation import STRUCTURE_CHECK_ROWS
 from holomimo.spectral import RANK_TOLERANCE, _real_form
 
@@ -492,3 +495,69 @@ def test_real_path_monte_carlo_agrees_with_previous_solver():
             for estimator in Estimator:
                 a, b = point_new[estimator], point_old[estimator]
                 assert abs(a.nmse - b.nmse) <= bound * math.hypot(a.ci95, b.ci95), estimator
+
+
+def same_bits(first, second):
+    return first.shape == second.shape and np.array_equal(
+        np.ascontiguousarray(first).view(np.uint64), np.ascontiguousarray(second).view(np.uint64)
+    )
+
+
+class TestStructureByType:
+    """A builder's matrix takes its structure from its type, a dense copy from the exact scans."""
+
+    @settings(max_examples=60)
+    @example(builder="isotropic", shape=(1, 1), spacing=0.25)
+    @example(builder="exact", shape=(1, 9), spacing=0.25)
+    @example(builder="approx", shape=(9, 1), spacing=0.25)
+    @example(builder="exact", shape=(3, 5), spacing=0.5)
+    @given(
+        builder=st.sampled_from(sorted(SMALL_BUILDERS)),
+        shape=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+        spacing=st.sampled_from([0.125, 0.25, 0.5]),
+    )
+    def test_builder_matrix_and_dense_copy_solve_bit_for_bit(self, builder, shape, spacing):
+        matrix = SMALL_BUILDERS[builder](ArrayGeometry(*shape, spacing, 1.0))
+        dense = CorrelationMatrix(
+            matrix.entries.copy(), matrix.gain, matrix.provenance, matrix.self_check_error
+        )
+        scan = CorrelationMatrix._is_centro_hermitian
+        with mock.patch.object(
+            CorrelationMatrix, "_is_centro_hermitian", autospec=True, side_effect=scan
+        ) as spy:
+            results = [(spectrum(m), eigendecompose(m)) for m in (matrix, dense)]
+            scanned = [call.args[0] for call in spy.call_args_list]
+            matrix.validate()
+            dense.validate()
+        # only the dense copy is scanned, and it is found centro-Hermitian
+        assert scanned == [dense, dense]
+        assert scan(dense) and scan(matrix)
+        (typed_spec, typed_basis), (scanned_spec, scanned_basis) = results
+        for typed, dense_result in [(typed_spec, scanned_spec), (typed_basis, scanned_basis)]:
+            assert same_bits(typed.eigenvalues, dense_result.eigenvalues)
+            assert typed.numerical_rank == dense_result.numerical_rank
+            assert typed.effective_rank == dense_result.effective_rank
+            assert typed.source_trace == dense_result.source_trace
+        assert same_bits(typed_basis.eigenvectors, scanned_basis.eigenvectors)
+
+
+def forbidden_scan(matrix):
+    raise AssertionError("a builder's matrix was scanned for centro-Hermitian symmetry")
+
+
+@pytest.mark.parametrize("preset", ["fig1_desk", "fig4_desk"])
+def test_cli_solves_builder_matrices_without_the_scan(tmp_path, monkeypatch, capsys, preset):
+    commands = [["eigen-report"], ["nmse-sweep"], ["approx-validate"], ["export-matrix", "--csv"]]
+    for run in ("patched", "plain"):
+        with monkeypatch.context() as patched:
+            if run == "patched":
+                patched.setattr(CorrelationMatrix, "_is_centro_hermitian", forbidden_scan)
+            for command, *flags in commands:
+                assert main([command, preset, *flags, "--out", str(tmp_path / run)]) == 0
+    capsys.readouterr()
+    names = sorted(path.name for path in (tmp_path / "plain").iterdir())
+    assert len(names) >= 8
+    assert names == sorted(path.name for path in (tmp_path / "patched").iterdir())
+    for name in names:
+        scanless, plain = tmp_path / "patched" / name, tmp_path / "plain" / name
+        assert scanless.read_bytes() == plain.read_bytes(), name
