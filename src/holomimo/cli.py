@@ -10,10 +10,10 @@ Subcommands map one-to-one onto the harness runs:
 CONFIG is a JSON file path or the name of a packaged preset (e.g.
 "fig2_desk"). Exit codes: 0 success, 1 configuration or usage error
 (including an unreadable config file, a model the scattering does not
-support, such as the closed-form approximation with specular clusters, and
-outputs that cannot be written), 2 numerical failure (quadrature
-self-check, non-PSD input, invalid oracle). Every error is one
-"holomimo: error:" line on stderr.
+support, such as the closed-form approximation with specular clusters,
+outputs that cannot be written, and a run whose arrays the machine cannot
+allocate), 2 numerical failure (quadrature self-check, non-PSD input,
+invalid oracle). Every error is one "holomimo: error:" line on stderr.
 
 The --threads knob is validated (at least 1) and otherwise ignored: it
 changes neither the bytes nor the speed. Parallelism comes from BLAS.
@@ -128,6 +128,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except OSError as exc:  # creating the output directory or writing a file
         print(f"holomimo: error: cannot write outputs: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a run larger than the machine, refused by the allocator
+        print(f"holomimo: error: out of memory: {exc}", file=sys.stderr)
         return 1
     except (AccuracyError, NumericalError, OracleInvalidError) as exc:
         print(f"holomimo: error: {exc}", file=sys.stderr)

@@ -15,10 +15,12 @@ Value ranges are checked by the constructor of the type built from them
 `_section` turns the ValueError it raises into a ConfigurationError naming
 the config section.
 
-The parsed result carries a `resolved` dictionary: the full post-default,
-post-generator settings (clusters listed explicitly even when drawn from the
-parametric generator). Every CSV and JSON report embeds it, so it records
-exactly what produced it.
+The parse also writes the run's record, the `resolved` dictionary: every
+setting after defaults, as the parsed value the run is built from. A
+`generate` block is drawn first and its clusters are recorded as cluster
+entries, angles in degrees; they then go through the same cluster parser as
+authored ones, so the run uses exactly the recorded values. Every CSV and
+JSON report embeds the record, and loading it back gives the same run.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ _TOP_LEVEL_KEYS = {
     "output_stem",
 }
 _CLUSTERED_KEYS = {"model", "sigma_azimuth_deg", "sigma_elevation_deg", "clusters", "generate"}
+_CLUSTER_NUMBERS = ("azimuth_deg", "elevation_deg", "power")
 
 
 def _require(
@@ -132,7 +135,11 @@ def _section(context: str) -> Iterator[None]:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully validated run settings plus their canonical `resolved` form."""
+    """Fully validated run settings plus `resolved`, the record they were built from.
+
+    Loading `resolved` as a config file gives the same settings and the same
+    record.
+    """
 
     geometry: ArrayGeometry
     scattering_model: str
@@ -170,19 +177,20 @@ def _parse_geometry(raw: Any) -> ArrayGeometry:
         )
 
 
-def _parse_cluster(raw: Any, context: str) -> Cluster:
-    raw = _object(raw, {"azimuth_deg", "elevation_deg", "power", "specular"}, context)
-    azimuth = _require(raw, "azimuth_deg", context, _number)
-    elevation = _require(raw, "elevation_deg", context, _number)
-    power = _require(raw, "power", context, _number)
-    specular = raw.get("specular", False)
-    if not isinstance(specular, bool):
+def _parse_cluster(raw: Any, context: str) -> tuple[Cluster, dict]:
+    """The cluster and its record: the parsed values, `specular` filled in."""
+    raw = _object(raw, {*_CLUSTER_NUMBERS, "specular"}, context)
+    record = {key: _require(raw, key, context, _number) for key in _CLUSTER_NUMBERS}
+    record["specular"] = raw.get("specular", False)
+    if not isinstance(record["specular"], bool):
         raise ConfigurationError(f"{context}.specular: expected a boolean")
     with _section(context):
-        return Cluster(math.radians(azimuth), math.radians(elevation), power, specular)
+        angles = (math.radians(record[key]) for key in ("azimuth_deg", "elevation_deg"))
+        return Cluster(*angles, record["power"], record["specular"]), record
 
 
-def _parse_generate(raw: Any, context: str) -> tuple[Cluster, ...]:
+def _parse_generate(raw: Any, context: str) -> list[dict]:
+    """The drawn clusters as cluster entries: angles in degrees, powers as drawn."""
     raw = _object(
         raw,
         {"count", "power_decay", "azimuth_range_deg", "elevation_range_deg", "seed"},
@@ -200,12 +208,21 @@ def _parse_generate(raw: Any, context: str) -> tuple[Cluster, ...]:
         ranges.append((math.radians(lo), math.radians(hi)))
     seed = _integer(raw.get("seed", 0), f"{context}.seed", minimum=0)
     with _section(context):
-        return generate_clusters(count, decay, *ranges, rng=np.random.default_rng(seed))
+        drawn = generate_clusters(count, decay, *ranges, rng=np.random.default_rng(seed))
+    return [
+        dict(zip(_CLUSTER_NUMBERS, (math.degrees(c.azimuth), math.degrees(c.elevation), c.power)))
+        for c in drawn
+    ]
 
 
 def _parse_scattering(
     raw: Any, beta: float, directivity: tuple[float, float]
-) -> tuple[str, ScatteringConfig | None]:
+) -> tuple[ScatteringConfig | None, dict]:
+    """The scattering model (None for isotropic) and its record.
+
+    Explicit and generated clusters alike go through `_parse_cluster`, so
+    the record holds exactly the values the model is built from.
+    """
     context = "scattering"
     model = _require(_object(raw, _CLUSTERED_KEYS, context), "model", context)
     if model not in _SCATTERING_MODELS:
@@ -214,31 +231,35 @@ def _parse_scattering(
         )
     if model == "isotropic":
         _object(raw, {"model"}, context)
-        return model, None
+        return None, {"model": model}
 
     sigma_az = _require(raw, "sigma_azimuth_deg", context, _number)
     sigma_el = _require(raw, "sigma_elevation_deg", context, _number)
     if ("clusters" in raw) == ("generate" in raw):
         raise ConfigurationError(f"{context}: give exactly one of 'clusters' or 'generate'")
     if "clusters" in raw:
-        raw_clusters = raw["clusters"]
-        if not isinstance(raw_clusters, list):
-            raise ConfigurationError(f"{context}.clusters: expected a list")
-        clusters = tuple(
-            _parse_cluster(c, f"{context}.clusters[{k}]") for k, c in enumerate(raw_clusters)
-        )
+        where, entries = f"{context}.clusters", raw["clusters"]
+        if not isinstance(entries, list):
+            raise ConfigurationError(f"{where}: expected a list")
     else:
-        clusters = _parse_generate(raw["generate"], f"{context}.generate")
+        where = f"{context}.generate"
+        entries = _parse_generate(raw["generate"], where)
+    parsed = [_parse_cluster(c, f"{where}[{k}]") for k, c in enumerate(entries)]
     with _section(context):
         scattering = ScatteringConfig(
-            clusters=clusters,
+            clusters=tuple(cluster for cluster, _ in parsed),
             sigma_azimuth=math.radians(sigma_az),
             sigma_elevation=math.radians(sigma_el),
             directivity_a=directivity[0],
             directivity_b=directivity[1],
             gain=beta,
         )
-    return model, scattering
+    return scattering, {
+        "model": model,
+        "sigma_azimuth_deg": sigma_az,
+        "sigma_elevation_deg": sigma_el,
+        "clusters": [record for _, record in parsed],
+    }
 
 
 def _parse_directivity(raw: Any) -> tuple[float, float]:
@@ -270,49 +291,6 @@ def _parse_quadrature(raw: Any) -> QuadratureSpec:
         return QuadratureSpec(**kwargs)
 
 
-def _resolved_dict(config: ExperimentConfig) -> dict:
-    """Canonical post-default settings for embedding into output files."""
-    resolved: dict[str, Any] = {
-        "geometry": {
-            "m_h": config.geometry.num_horizontal,
-            "m_v": config.geometry.num_vertical,
-            "spacing_over_lambda": config.geometry.spacing_fraction,
-        },
-        "beta": config.beta,
-        "scattering": {"model": config.scattering_model},
-        "models": list(config.models),
-        "snr_grid_db": list(config.snr_grid_db),
-        "trials": config.trials,
-        "seed": config.seed,
-        "estimators": [e.value for e in config.estimators],
-        "quadrature": asdict(config.quadrature),
-        "output_stem": config.output_stem,
-    }
-    if config.scattering is not None:
-        scattering = config.scattering
-        resolved["correlation_model"] = config.correlation_model
-        resolved["directivity"] = {
-            "a": scattering.directivity_a,
-            "b": scattering.directivity_b,
-        }
-        resolved["scattering"].update(
-            {
-                "sigma_azimuth_deg": math.degrees(scattering.sigma_azimuth),
-                "sigma_elevation_deg": math.degrees(scattering.sigma_elevation),
-                "clusters": [
-                    {
-                        "azimuth_deg": math.degrees(c.azimuth),
-                        "elevation_deg": math.degrees(c.elevation),
-                        "power": c.power,
-                        "specular": c.specular,
-                    }
-                    for c in scattering.clusters
-                ],
-            }
-        )
-    return resolved
-
-
 def load_config(
     path: str | Path, seed_override: int | None = None, stem_override: str | None = None
 ) -> ExperimentConfig:
@@ -320,7 +298,9 @@ def load_config(
 
     `seed_override` replaces the config seed (CLI --seed); `stem_override`
     replaces the output filename stem, which otherwise defaults to the config
-    filename without extension.
+    filename without extension. The returned config's `resolved` record is
+    assembled from the values parsed here, overrides and drawn clusters
+    included, so the record is a config that reproduces the run.
     """
     path = Path(path)
     try:
@@ -340,7 +320,7 @@ def load_config(
     if not beta > 0:
         raise ConfigurationError(f"beta: must be positive, got {beta}")
     directivity = _parse_directivity(raw.get("directivity"))
-    scattering_model, scattering = _parse_scattering(
+    scattering, scattering_record = _parse_scattering(
         _require(raw, "scattering", str(path)), beta, directivity
     )
     clustered = scattering is not None
@@ -388,9 +368,28 @@ def load_config(
     if not isinstance(stem, str) or not stem or any(c in stem for c in ("/", "\\", "\0")):
         raise ConfigurationError(f"output_stem: expected a bare filename stem, got {stem!r}")
 
-    config = ExperimentConfig(
+    resolved = {
+        "geometry": {
+            "m_h": geometry.num_horizontal,
+            "m_v": geometry.num_vertical,
+            "spacing_over_lambda": geometry.spacing_fraction,
+        },
+        "beta": beta,
+        "scattering": scattering_record,
+        "models": list(models),
+        "snr_grid_db": list(snr_grid_db),
+        "trials": trials,
+        "seed": seed,
+        "estimators": [e.value for e in estimators],
+        "quadrature": asdict(quadrature),
+        "output_stem": stem,
+    }
+    if clustered:
+        resolved["correlation_model"] = correlation_model
+        resolved["directivity"] = {"a": directivity[0], "b": directivity[1]}
+    return ExperimentConfig(
         geometry=geometry,
-        scattering_model=scattering_model,
+        scattering_model=scattering_record["model"],
         scattering=scattering,
         beta=beta,
         correlation_model=correlation_model,
@@ -401,7 +400,5 @@ def load_config(
         estimators=estimators,
         quadrature=quadrature,
         output_stem=stem,
-        resolved={},
+        resolved=resolved,
     )
-    object.__setattr__(config, "resolved", _resolved_dict(config))
-    return config

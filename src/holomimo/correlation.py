@@ -81,12 +81,8 @@ class MatrixProvenance(enum.IntEnum):
 
     @property
     def label(self) -> str:
-        return {
-            MatrixProvenance.ISOTROPIC: "isotropic",
-            MatrixProvenance.EXACT_CLUSTERED: "exact",
-            MatrixProvenance.APPROX_CLUSTERED: "approx",
-            MatrixProvenance.EXTERNAL: "external",
-        }[self]
+        """The member name's first word in lower case ("exact" for EXACT_CLUSTERED)."""
+        return self.name.partition("_")[0].lower()
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OracleInvalidError
-from .spectral import EigenBasis
+from .spectral import EigenBasis, _checked_rank
 
 GRAM_TOLERANCE = 1e-8
 CONTAINMENT_TOLERANCE = 1e-5
@@ -205,9 +205,7 @@ def analytic_nmse(
         rank = subspace_rank
     else:
         raise ValueError(f"unknown estimator {estimator!r}")
-    if not 1 <= rank <= m:
-        raise ValueError(f"subspace rank {rank} outside [1, {m}]")
-    return rank / (snr * trace)
+    return _checked_rank(rank, m, "subspace") / (snr * trace)
 
 
 @dataclass(frozen=True)
@@ -228,9 +226,10 @@ def _projection(subspace: np.ndarray, u1: np.ndarray) -> tuple[np.ndarray, np.nd
     """conj(P) for the noise GEMM, and (I - P P^H) U_1 for the channel.
 
     (I - P P^H) U_1 is the part of the channel basis that projecting onto
-    the orthonormal P drops.
+    the orthonormal P drops. P is not checked here: columns of an EigenBasis
+    are orthonormal by construction, and a caller's raw array is checked by
+    the caller.
     """
-    _check_orthonormal(subspace)
     return subspace.conj(), u1 - subspace @ (subspace.conj().T @ u1)
 
 
@@ -287,6 +286,8 @@ def monte_carlo_nmse(
     `rsls_rank` sets the RSLS projection rank (default: effective rank of
     `basis`); `container_subspace` is the orthonormal M x r basis used by
     CONSERVATIVE_RSLS and is required when that estimator is requested.
+    The container's Gram matrix is checked once per call; the RSLS columns
+    come from `basis`, which the sampler and MMSE already trust, and are not.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -299,15 +300,15 @@ def monte_carlo_nmse(
     r = basis.numerical_rank
     u1 = basis.eigenvectors[:, :r]
     scale = np.sqrt(basis.eigenvalues[:r])
+    u1_conj = u1.conj() if Estimator.MMSE in estimators else None
     projections: dict[Estimator, tuple[np.ndarray, np.ndarray]] = {}
     if Estimator.RSLS in estimators:
-        rank = basis.effective_rank if rsls_rank is None else rsls_rank
-        if not 1 <= rank <= m:
-            raise ValueError(f"rsls rank {rank} outside [1, {m}]")
+        rank = _checked_rank(basis.effective_rank if rsls_rank is None else rsls_rank, m, "rsls")
         projections[Estimator.RSLS] = _projection(basis.eigenvectors[:, :rank], u1)
     if Estimator.CONSERVATIVE_RSLS in estimators:
         if container_subspace is None:
             raise ValueError("CONSERVATIVE_RSLS requires a container_subspace")
+        _check_orthonormal(container_subspace)
         projections[Estimator.CONSERVATIVE_RSLS] = _projection(container_subspace, u1)
 
     errors = np.empty((snrs.size, len(estimators), trials))
@@ -319,7 +320,7 @@ def monte_carlo_nmse(
         for k, estimator in enumerate(estimators):
             if estimator is Estimator.MMSE:
                 # Per SNR: broadcasting over the grid would hold SNRs x block x r temporaries.
-                a_noise = noise @ u1.conj()
+                a_noise = noise @ u1_conj
                 for s, rho in enumerate(snrs):
                     sqrt_rho = np.sqrt(rho)
                     shrink = rho * basis.eigenvalues[:r] / (rho * basis.eigenvalues[:r] + 1.0)

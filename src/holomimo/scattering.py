@@ -26,8 +26,10 @@ vectorised adaptive Gauss-Legendre scheme in numpy: a 20-point rule gives
 each interval's value and its gap to a 10-point rule the error; the
 intervals that carry the error are bisected together, round by round,
 until the summed error is at most 1e-12 of the integral. A non-finite
-integrand value, or no convergence within MAX_BISECTIONS rounds, raises
-NumericalError.
+integrand value, or no convergence within MAX_BISECTIONS rounds or
+MAX_INTERVALS intervals, raises NumericalError. So does a cluster with
+positive power whose reference mass comes out 0, a lobe so narrow that it
+falls between the first nodes.
 """
 
 from __future__ import annotations
@@ -43,8 +45,12 @@ from .geometry import Direction
 
 _HALF_PI = np.pi / 2
 _REFERENCE_RTOL = 1e-12
-# Rounds of bisection before a reference integral counts as unconverged.
+# Rounds of bisection, and intervals held at once, before a reference
+# integral counts as unconverged. The presets' integrals hold at most 11
+# intervals, and one at a 0.065 degree spread 209; narrower lobes would
+# otherwise bisect into millions of intervals and exhaust memory.
 MAX_BISECTIONS = 50
+MAX_INTERVALS = 10_000
 
 
 @dataclass(frozen=True)
@@ -251,13 +257,25 @@ def _gauss_pair(integrand, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, 
     return fine, np.abs(fine - coarse)
 
 
-def _adaptive_integral(integrand, lo: float, hi: float) -> float:
+def _narrow_lobe(*sigmas: float) -> str:
+    """Advice appended to a reference-integral failure at the given spreads (radians)."""
+    spread = " x ".join(f"{math.degrees(sigma):.6g}" for sigma in sigmas)
+    return (
+        f"; at angular spread {spread} deg the lobe is too narrow for the reference integral: "
+        'widen the spread ("specular": true does not avoid this: a specular cluster '
+        "integrates its lobe area at the same spread)"
+    )
+
+
+def _adaptive_integral(integrand, lo: float, hi: float, advice: str = "") -> float:
     """Integral of a vectorised integrand over [lo, hi] to relative error 1e-12.
 
     The interval is split at 0, where every lobe peaks. Each round keeps the
     intervals of smallest error while their errors sum to at most half the
-    tolerance and bisects all the others at once. Raises NumericalError when
-    the summed error is still above the tolerance after MAX_BISECTIONS rounds.
+    tolerance and bisects all the others at once. Raises NumericalError, with
+    `advice` appended, when the summed error is still above the tolerance
+    after MAX_BISECTIONS rounds or when a round would hold more than
+    MAX_INTERVALS intervals.
     """
     edges = np.array([lo, 0.0, hi] if lo < 0.0 < hi else [lo, hi])
     left, right = edges[:-1], edges[1:]
@@ -267,11 +285,11 @@ def _adaptive_integral(integrand, lo: float, hi: float) -> float:
         tolerance = _REFERENCE_RTOL * abs(total)
         if errors.sum() <= tolerance:
             return total
-        if depth == MAX_BISECTIONS:
-            break
         order = np.argsort(errors)
         split = np.ones(errors.size, dtype=bool)
         split[order[np.cumsum(errors[order]) <= tolerance / 2.0]] = False
+        if depth == MAX_BISECTIONS or errors.size + np.count_nonzero(split) > MAX_INTERVALS:
+            break
         middle = (left[split] + right[split]) / 2.0
         child_left = np.concatenate([left[split], middle])
         child_right = np.concatenate([middle, right[split]])
@@ -283,7 +301,8 @@ def _adaptive_integral(integrand, lo: float, hi: float) -> float:
         errors = np.concatenate([errors[keep], child_errors])
     raise NumericalError(
         f"reference integral over [{lo:.6g}, {hi:.6g}] did not converge in "
-        f"{MAX_BISECTIONS} bisections (error {errors.sum():.3e}, value {total:.6e})"
+        f"{MAX_BISECTIONS} bisections or {MAX_INTERVALS} intervals (error "
+        f"{errors.sum():.3e}, value {total:.6e}, {errors.size} intervals){advice}"
     )
 
 
@@ -303,12 +322,15 @@ def cluster_reference_masses(config: ScatteringConfig) -> np.ndarray:
     spread. Every 1-D integral comes from the adaptive Gauss-Legendre scheme
     of this module, to relative error 1e-12; it raises NumericalError on a
     non-finite integrand value or when it does not converge within
-    MAX_BISECTIONS rounds.
+    MAX_BISECTIONS rounds or MAX_INTERVALS intervals. A cluster with positive
+    power and a zero mass raises NumericalError too: dropping it would
+    silently change the scene.
     """
 
     @functools.cache
     def lobe_area(sigma: float) -> float:
-        return _adaptive_integral(lambda x: peak_relative_lobe(x, sigma), -_HALF_PI, _HALF_PI)
+        lobe = functools.partial(peak_relative_lobe, sigma=sigma)
+        return _adaptive_integral(lobe, -_HALF_PI, _HALF_PI, _narrow_lobe(sigma))
 
     masses = np.zeros(len(config.clusters))
     for n, cluster in enumerate(config.clusters):
@@ -322,8 +344,12 @@ def cluster_reference_masses(config: ScatteringConfig) -> np.ndarray:
                 areas.append(lobe_area(sigma))
             else:
                 window = deviation_window(nominal, sigma, None)
-                areas.append(_adaptive_integral(lambda x: profile(config, n, x), *window))
+                integrand = functools.partial(profile, config, n)
+                areas.append(_adaptive_integral(integrand, *window, _narrow_lobe(sigma)))
         masses[n] = math.prod([cluster.power, *peaks, *areas])
+        if masses[n] == 0.0:
+            why = f"cluster {n} has power {cluster.power:.6g} but a zero reference mass"
+            raise NumericalError(why + _narrow_lobe(config.sigma_azimuth, config.sigma_elevation))
     return masses
 
 

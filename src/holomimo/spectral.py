@@ -291,6 +291,13 @@ def rank_fraction_prediction(geometry: ArrayGeometry) -> float:
     return min(1.0, np.pi * geometry.spacing_fraction**2)
 
 
+def _checked_rank(rank: int, size: int, name: str) -> int:
+    """`rank` if it lies in [1, size]; else ValueError "<name> rank ... outside [1, size]"."""
+    if not 1 <= rank <= size:
+        raise ValueError(f"{name} rank {rank} outside [1, {size}]")
+    return rank
+
+
 def subspace_containment_residual(
     container: EigenBasis,
     contained: EigenBasis,
@@ -312,10 +319,8 @@ def subspace_containment_residual(
         )
     r_container = container.numerical_rank if container_rank is None else container_rank
     r_contained = contained.effective_rank if contained_rank is None else contained_rank
-    if not 1 <= r_container <= container.num_antennas:
-        raise ValueError(f"container rank {r_container} outside [1, {container.num_antennas}]")
-    if not 1 <= r_contained <= contained.num_antennas:
-        raise ValueError(f"contained rank {r_contained} outside [1, {contained.num_antennas}]")
+    _checked_rank(r_container, container.num_antennas, "container")
+    _checked_rank(r_contained, contained.num_antennas, "contained")
     basis = container.eigenvectors[:, :r_container]
     probes = contained.eigenvectors[:, :r_contained]
     leakage = probes - basis @ (basis.conj().T @ probes)

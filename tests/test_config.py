@@ -1,12 +1,15 @@
 """Tests for JSON config parsing, validation, and canonical resolution."""
 
+import dataclasses
 import json
 import math
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from holomimo import ConfigurationError, Estimator, load_config
+from holomimo import ArrayGeometry, ConfigurationError, Estimator, load_config
 
 
 def write_config(tmp_path, payload, name="run.json"):
@@ -392,3 +395,118 @@ class TestRejectedValues:
         payload["seed"] = seed
         with pytest.raises(ConfigurationError, match="seed"):
             load_config(write_config(tmp_path, payload), seed_override=5)
+
+
+def numbers(low, high):
+    """JSON numbers in [low, high], as float literals and, where the range has any, int ones."""
+    floats = st.floats(low, high, allow_nan=False, allow_infinity=False)
+    if math.ceil(low) > math.floor(high):
+        return floats
+    return st.one_of(st.integers(math.ceil(low), math.floor(high)), floats)
+
+
+def subset(choices):
+    """A non-empty list of distinct entries from `choices`, in drawn order."""
+    return st.lists(st.sampled_from(choices), min_size=1, max_size=len(choices), unique=True)
+
+
+@st.composite
+def clustered_scattering(draw):
+    """A clustered scattering section: explicit clusters or a generate block."""
+    positive = numbers(1e-3, 30.0).filter(lambda value: value > 0)
+    scattering = {
+        "model": "clustered",
+        "sigma_azimuth_deg": draw(positive),
+        "sigma_elevation_deg": draw(positive),
+    }
+    if draw(st.booleans()):
+        angle = st.one_of(
+            st.integers(-89, 89), st.floats(-90.0, 90.0, exclude_min=True, exclude_max=True)
+        )
+        clusters = []
+        for _ in range(draw(st.integers(1, 4))):
+            cluster = {"azimuth_deg": draw(angle), "elevation_deg": draw(angle)}
+            cluster["power"] = draw(numbers(0.0, 5.0))
+            if draw(st.booleans()):
+                cluster["specular"] = draw(st.booleans())
+            clusters.append(cluster)
+        clusters[0]["power"] = draw(numbers(0.5, 5.0))
+        scattering["clusters"] = clusters
+    else:
+        pair = st.lists(numbers(-89.0, 89.0), min_size=2, max_size=2).map(sorted)
+        ranges = [draw(pair), draw(pair)]
+        scattering["generate"] = {
+            "count": draw(st.integers(1, 6)),
+            "power_decay": draw(numbers(0.5, 10.0)),
+            "azimuth_range_deg": ranges[0],
+            "elevation_range_deg": ranges[1],
+            "seed": draw(st.integers(0, 2**63)),
+        }
+    return scattering
+
+
+@st.composite
+def config_payloads(draw):
+    """Valid configs over both spacing forms, both scattering models and the optional keys."""
+    geometry = {"m_h": draw(st.integers(1, 8)), "m_v": draw(st.integers(1, 8))}
+    if draw(st.booleans()):
+        geometry["spacing_over_lambda"] = draw(numbers(0.01, 2.0).filter(lambda value: value > 0))
+    else:
+        geometry["spacing_m"] = draw(numbers(1e-3, 3.0).filter(lambda value: value > 0))
+        geometry["wavelength_m"] = draw(numbers(1e-3, 3.0).filter(lambda value: value > 0))
+    payload = {"geometry": geometry, "beta": draw(numbers(0.1, 10.0).filter(lambda b: b > 0))}
+    if draw(st.booleans()):
+        payload["scattering"] = draw(clustered_scattering())
+        payload["directivity"] = {"a": draw(numbers(0.0, 4.0)), "b": draw(numbers(0.0, 4.0))}
+        payload["correlation_model"] = draw(st.sampled_from(["exact", "approx"]))
+        payload["models"] = draw(subset(["isotropic", "exact", "approx"]))
+    else:
+        payload["scattering"] = {"model": "isotropic"}
+    if draw(st.booleans()):
+        grid = draw(st.lists(numbers(-300.0, 300.0), min_size=1, max_size=5, unique=True))
+        payload["snr_grid_db"] = sorted(grid, key=float)
+    payload["trials"] = draw(st.integers(1, 10**6))
+    payload["seed"] = draw(st.integers(0, 2**63))
+    payload["estimators"] = draw(subset([e.value for e in Estimator]))
+    if draw(st.booleans()):
+        payload["quadrature"] = {
+            "nodes_azimuth": draw(st.integers(2, 200)),
+            "support_radius": draw(st.one_of(st.none(), numbers(1.0, 20.0))),
+            "density_check_tol": draw(numbers(1e-9, 1e-3).filter(lambda tol: tol > 0)),
+        }
+    return payload
+
+
+NEGATIVE_57 = {
+    "geometry": {"m_h": 4, "m_v": 4, "spacing_over_lambda": 0.25},
+    "scattering": {
+        "model": "clustered",
+        "sigma_azimuth_deg": 5.0,
+        "sigma_elevation_deg": 5.0,
+        "clusters": [{"azimuth_deg": -57.0, "elevation_deg": -57.0, "power": 1.0}],
+    },
+}
+
+
+class TestResolvedRecordIsAFixedPoint:
+    """Loading a config's `resolved` record gives the same config, record included."""
+
+    @settings(max_examples=100)
+    @given(payload=config_payloads())
+    @example(payload=NEGATIVE_57)  # radians(degrees(radians(-57.0))) != radians(-57.0)
+    def test_loading_the_record_gives_the_same_config(self, tmp_path_factory, payload):
+        directory = tmp_path_factory.mktemp("record")
+        config = load_config(write_config(directory, payload, name="authored.json"))
+        loaded = load_config(write_config(directory, config.resolved, name="record.json"))
+        assert loaded.resolved == config.resolved
+        # the record holds the spacing in wavelengths, which loads with wavelength 1
+        geometry = config.geometry
+        expected = dataclasses.replace(
+            config,
+            geometry=ArrayGeometry(
+                geometry.num_horizontal, geometry.num_vertical, geometry.spacing_fraction, 1.0
+            ),
+        )
+        assert loaded == expected
+        if "spacing_over_lambda" in payload["geometry"]:
+            assert loaded == config

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import holomimo.estimation
 from holomimo import (
     ArrayGeometry,
     Cluster,
@@ -303,6 +304,24 @@ class TestMonteCarloNmse:
             monte_carlo_nmse(
                 self.basis, (Estimator.CONSERVATIVE_RSLS,), snr=1.0, trials=10, seed=0
             )
+
+    def test_gram_check_runs_on_the_container_only(self, monkeypatch):
+        # the RS-LS columns come from the basis the sampler and MMSE already
+        # trust; only the caller's raw container array is Gram-checked
+        checked = []
+        check = holomimo.estimation._check_orthonormal
+
+        def counted(subspace):
+            checked.append(subspace.shape)
+            check(subspace)
+
+        monkeypatch.setattr(holomimo.estimation, "_check_orthonormal", counted)
+        kwargs = dict(snr=[1.0, 10.0], trials=10, seed=0)
+        monte_carlo_nmse(self.basis, tuple(Estimator), container_subspace=self.container, **kwargs)
+        assert checked == [self.container.shape]
+        with pytest.raises(ValueError, match="orthonormal"):
+            skewed = self.container * 1.01
+            monte_carlo_nmse(self.basis, tuple(Estimator), container_subspace=skewed, **kwargs)
 
 
 def per_snr_loops(basis, estimators, snrs, trials, seed, container_subspace):

@@ -487,6 +487,56 @@ class TestCli:
         out = tmp_path / "out"
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("spread_deg", [0.02, 0.005])
+    def test_unresolvable_narrow_lobe_exits_2(self, tmp_path, capsys, interval_guard, spread_deg):
+        # 0.02 degrees used to bisect until the process was OOM-killed; 0.005
+        # degrees used to drop the specular cluster and exit 0
+        payload = clustered_payload()
+        scattering = payload["scattering"]
+        scattering["sigma_azimuth_deg"] = scattering["sigma_elevation_deg"] = spread_deg
+        scattering["clusters"][1]["specular"] = True
+        path = write_config(tmp_path, payload)
+        code = main(["eigen-report", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("holomimo: error:") and len(err.splitlines()) == 1
+        assert f"spread {spread_deg:g}" in err and '"specular": true' in err
+        out = tmp_path / "out"
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_allocation_beyond_the_machine_exits_1(self, tmp_path, capsys):
+        # 7 SNRs x 4 estimators x 1e12 trials of float64 errors: 204 TiB, more
+        # than any address space, so the allocator refuses it at once
+        payload = isotropic_payload(trials=10**12)
+        del payload["snr_grid_db"]
+        path = write_config(tmp_path, payload)
+        code = main(["nmse-sweep", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("holomimo: error: out of memory:") and len(err.splitlines()) == 1
+        out = tmp_path / "out"
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "command, preset",
+        [("eigen-report", name) for name in ("fig1_desk", "fig2_desk", "fig3_desk", "fig4_desk")]
+        + [("nmse-sweep", "fig1_desk")],
+    )
+    def test_embedded_config_reruns_to_the_same_bytes(self, tmp_path, capsys, command, preset):
+        # every artifact records the config it was built from: running that
+        # record again must reproduce each file byte for byte
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main([command, preset, "--out", str(first)]) == 0
+        summary = "eigen_summary.json" if command == "eigen-report" else "nmse.json"
+        record = json.loads((first / f"{preset}_{summary}").read_text())["config"]
+        config = write_config(tmp_path, record, name="record.json")
+        assert main([command, str(config), "--out", str(second)]) == 0
+        capsys.readouterr()
+        names = sorted(path.name for path in first.iterdir())
+        assert names == sorted(path.name for path in second.iterdir())
+        for name in names:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
     def test_bad_thread_count_exits_1(self, tmp_path, capsys):
         path = write_config(tmp_path, isotropic_payload())
         code = main(["nmse-sweep", str(path), "--threads", "0"])

@@ -11,10 +11,12 @@ from scipy import integrate, special
 
 import holomimo.scattering
 from holomimo import (
+    ArrayGeometry,
     Cluster,
     Direction,
     NumericalError,
     ScatteringConfig,
+    build_exact_clustered,
     directivity_gain,
     generate_clusters,
     isotropic_density,
@@ -414,6 +416,32 @@ class TestReferenceIntegralFailures:
         monkeypatch.setattr(holomimo.scattering, "MAX_BISECTIONS", 2)
         with pytest.raises(NumericalError, match="did not converge in 2 bisections"):
             cluster_reference_masses(two_cluster_config())
+
+    @pytest.mark.parametrize("spread_deg", [0.05, 0.03, 0.02, 0.01])
+    def test_interval_cap_raises(self, interval_guard, spread_deg):
+        # a lobe this narrow never converges: 673,252 intervals at 0.05 degrees
+        # and millions below, until memory ran out
+        sigma = math.radians(spread_deg)
+        config = ScatteringConfig((Cluster(0.3, -0.2, 1.0),), sigma, sigma)
+        with pytest.raises(NumericalError) as failure:
+            cluster_reference_masses(config)
+        message = str(failure.value)
+        assert f"{holomimo.scattering.MAX_INTERVALS} intervals" in message
+        assert f"spread {spread_deg:g} deg" in message and '"specular": true' in message
+
+    @pytest.mark.parametrize("specular_only", [False, True])
+    def test_zero_reference_mass_raises(self, interval_guard, specular_only):
+        # at 0.005 degrees the lobe falls between the first nodes, every mass
+        # came out 0.0 and the builder silently dropped the specular cluster
+        sigma = math.radians(0.005)
+        specular = Cluster(-0.4, 0.1, 0.5, specular=True)
+        clusters = (specular,) if specular_only else (Cluster(0.3, -0.2, 0.5), specular)
+        config = ScatteringConfig(clusters, sigma, sigma)
+        match = r'zero reference mass; at angular spread 0\.005 x 0\.005 deg.*"specular": true'
+        with pytest.raises(NumericalError, match=match):
+            cluster_reference_masses(config)
+        with pytest.raises(NumericalError, match="zero reference mass"):
+            build_exact_clustered(ArrayGeometry(4, 4, 0.25, 1.0), config)
 
 
 class TestNormalizationConstant:
