@@ -11,9 +11,10 @@ approximation of the clustered model. All three share three structural facts:
   (M_V, M_H, M_V, M_H), it is a sliding window over the offset table. A
   builder's matrix is fixed at construction, and its table is its only
   source: the dense M x M array is a read-only expansion of that window,
-  formed by one strided copy on first access only, and the container and
-  CSV writers always read rows straight from the window, so exporting it
-  forms no M x M array.
+  formed by one strided copy on first access only. The container and CSV
+  writers and the spectral layer read rows straight from the window, and
+  the distance of two such matrices is a sum over their tables, so
+  exporting, solving and comparing them form no M x M complex array.
 * Offset negation conjugates the value, so only offsets with d_h >= 0 (and
   d_v >= 0 when d_h = 0) are evaluated; the rest are exact conjugate mirrors,
   which keeps the stored matrix Hermitian to the last bit.
@@ -127,9 +128,12 @@ class CorrelationMatrix:
     A builder's matrix is a value fixed at construction. It carries its
     `geometry` and its full (2 M_V - 1) x (2 M_H - 1) offset table, the
     matrix's only source: `entries` is the read-only expansion of that
-    table, formed on first access and kept, and save_matrix and
-    export_matrix_csv always write rows straight from the table, so
-    exporting it never forms the M x M array. Such a matrix is
+    table, formed on first access and kept. save_matrix and
+    export_matrix_csv always write rows straight from the table, the
+    spectral layer fills its real forms from rows copied from the table,
+    and correlation_matrix_distance of two such matrices of one geometry
+    sums over their tables, so none of them forms the M x M array. It is
+    formed only where `entries` is read. Such a matrix is
     centro-Hermitian by construction (reversing both indices conjugates an
     entry, bit for bit), and real exactly when its table is.
     CorrelationMatrix(entries, gain, provenance, self_check_error) is a
@@ -199,6 +203,17 @@ class CorrelationMatrix:
             rows = buffer[:, skipped * m_h :]
             np.copyto(rows.reshape(m_h, -1, m_h), window[v, :, skipped:])
             yield rows
+
+    def _trace(self) -> float:
+        """The real part of np.trace(entries), bit for bit.
+
+        A builder's diagonal is pinned to the gain, so its trace is M complex
+        gains summed in the order np.trace sums the diagonal, without
+        reading `entries`.
+        """
+        if self._offsets is None:
+            return float(np.trace(self._entries).real)
+        return float(np.full(self.num_antennas, complex(self.gain)).sum().real)
 
     def validate(self, psd_tol: float = 1e-10, trace_tol: float = 1e-9) -> None:
         """Check the structural invariants; raises ValueError on violation.
@@ -593,22 +608,47 @@ def build_approx_clustered(
     return _assemble(geometry, table, scattering.gain, MatrixProvenance.APPROX_CLUSTERED)
 
 
+def _offset_multiplicities(geometry: ArrayGeometry) -> np.ndarray:
+    """How often each offset of the full table occurs in the matrix, same shape.
+
+    Offset (d_v, d_h) joins (M_V - |d_v|)(M_H - |d_h|) antenna pairs.
+    """
+    m_h, m_v = geometry.num_horizontal, geometry.num_vertical
+    vertical = m_v - np.abs(np.arange(1 - m_v, m_v))
+    horizontal = m_h - np.abs(np.arange(1 - m_h, m_h))
+    return np.outer(vertical, horizontal).astype(float)
+
+
 def correlation_matrix_distance(first: CorrelationMatrix, second: CorrelationMatrix) -> float:
     """Correlation matrix distance in [0, 1]; 0 for equal up to rounding, 1 for orthogonal.
 
     Computes 1 - tr(R1 R2) / (||R1||_F ||R2||_F); the trace is real for
     Hermitian inputs. Raises ValueError on shape mismatch or zero matrices.
+    Two builders' matrices of equal geometry are read from their offset
+    tables: the trace and both squared norms are O(M) sums over the
+    offsets, each weighted by how many entries hold it (a builder's matrix
+    is never zero). Every other pair is summed over the dense entries.
     """
-    a = first.entries
-    b = second.entries
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    norm_a = np.linalg.norm(a)
-    norm_b = np.linalg.norm(b)
-    if norm_a == 0.0 or norm_b == 0.0:
-        raise ValueError("correlation matrix distance is undefined for zero matrices")
-    inner = float(np.real(np.vdot(a, b)))
-    return max(0.0, 1.0 - inner / (norm_a * norm_b))
+    m, n = first.num_antennas, second.num_antennas
+    if m != n:
+        raise ValueError(f"shape mismatch: {(m, m)} vs {(n, n)}")
+    if first._offsets is not None and first.geometry == second.geometry:
+        weights = _offset_multiplicities(first.geometry).ravel()
+
+        def inner(x: np.ndarray, y: np.ndarray) -> float:
+            return float(weights @ (x.real * y.real + x.imag * y.imag).ravel())
+
+        # At unit gain the squared norms stay far from overflow; the
+        # distance does not depend on the scale of either matrix.
+        a, b = first._offsets / first.gain, second._offsets / second.gain
+        product, scale = inner(a, b), math.sqrt(inner(a, a) * inner(b, b))
+    else:
+        a, b = first.entries, second.entries
+        norm_a, norm_b = np.linalg.norm(a), np.linalg.norm(b)
+        if norm_a == 0.0 or norm_b == 0.0:
+            raise ValueError("correlation matrix distance is undefined for zero matrices")
+        product, scale = float(np.real(np.vdot(a, b))), norm_a * norm_b
+    return max(0.0, 1.0 - product / scale)
 
 
 def save_matrix(path: str | Path, matrix: CorrelationMatrix) -> Path:

@@ -15,6 +15,11 @@ parity blocks of half the size. A builder's matrix has that structure by
 type, so the dispatch reads it from the matrix's offset table in O(M). A
 dense matrix (loaded or external) is tested exactly; one that lacks the
 symmetry is solved as it is.
+
+A builder's matrix is read from its offset table throughout: the real
+form and the parity blocks are filled from its first ceil(M/2) rows, one
+block copied from the table at a time, and the trace is that of its
+pinned diagonal, so neither entry point forms its dense complex `entries`.
 """
 
 from __future__ import annotations
@@ -85,28 +90,51 @@ def effective_rank(
 
 
 def _parity_blocks(
-    entries: np.ndarray, plus: np.ndarray, minus: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Write the diagonal blocks of Lee's real form of R into `plus` and `minus`.
+    matrix: CorrelationMatrix,
+    plus: np.ndarray,
+    minus: np.ndarray,
+    form: np.ndarray | None = None,
+) -> None:
+    """Write Lee's real form of R, or its diagonal blocks, from R's first ceil(M/2) rows.
 
-    With n = M // 2, A = R[:n, :n] and BJ = R[:n, M-n:] with its columns
-    reversed, `plus` (ceil(M/2) square) gets Re(A+BJ), bordered for odd M by
-    sqrt(2) Re x and R[n, n], x = R[:n, n]; `minus` (n square) gets
-    Re(A-BJ). Returns the views A and BJ.
+    With n = M // 2, A = R[:n, :n], BJ = R[:n, M-n:] with its columns
+    reversed and x = R[:n, n] (odd M), `plus` (ceil(M/2) square) gets
+    Re(A+BJ), bordered for odd M by sqrt(2) Re x and R[n, n], and `minus`
+    (n square) gets Re(A-BJ). Given the whole real form `form`, of which
+    `plus` and `minus` are the diagonal blocks, its off-diagonal blocks get
+    Im(A+BJ) and -Im(A-BJ), bordered by sqrt(2) Im x (see _real_form).
+
+    The rows come from matrix._row_blocks, one block at a time: views of a
+    dense matrix's `entries`, or a builder's rows copied from its offset
+    table into a reused buffer, which is why each block is written out
+    before the next is drawn. Every value is one elementwise operation on
+    an entry, so both sources give the same bits.
     """
-    m = entries.shape[0]
+    m = matrix.num_antennas
     n, h = m // 2, m - m // 2
-    a = entries[:n, :n]
-    bj = entries[:n, h:][:, ::-1]
-    np.add(a.real, bj.real, out=plus[:n, :n])
-    np.subtract(a.real, bj.real, out=minus)
-    if h > n:
-        plus[n, :n] = plus[:n, n] = _SQRT2 * entries[:n, n].real
-        plus[n, n] = entries[n, n].real
-    return a, bj
+    start = 0
+    for rows in matrix._row_blocks(upper=False):
+        stop = min(start + rows.shape[0], n)
+        top = rows[: stop - start]
+        a, bj = top[:, :n], top[:, h:][:, ::-1]
+        np.add(a.real, bj.real, out=plus[start:stop, :n])
+        np.subtract(a.real, bj.real, out=minus[start:stop])
+        if form is not None:
+            np.add(a.imag, bj.imag, out=form[h + start : h + stop, :n])
+            np.subtract(bj.imag, a.imag, out=form[start:stop, h:])
+        if h > n:
+            x = top[:, n]
+            plus[n, start:stop] = plus[start:stop, n] = _SQRT2 * x.real
+            if form is not None:
+                form[n, h + start : h + stop] = form[h + start : h + stop, n] = _SQRT2 * x.imag
+            if start <= n < start + rows.shape[0]:
+                plus[n, n] = rows[n - start, n].real
+        start += rows.shape[0]
+        if start >= h:
+            break
 
 
-def _real_form(entries: np.ndarray) -> np.ndarray:
+def _real_form(matrix: CorrelationMatrix) -> np.ndarray:
     """The real symmetric matrix Q^H R Q of a centro-Hermitian R (Lee 1980).
 
     With n, A, BJ and x as in _parity_blocks,
@@ -117,32 +145,31 @@ def _real_form(entries: np.ndarray) -> np.ndarray:
          [sqrt(2) Re x^T, R[n, n],       sqrt(2) Im x^T],
          [Im(A+BJ),      sqrt(2) Im x,   Re(A-BJ)]]
 
-    Every block is elementwise on views of R.
+    Every block is elementwise on the first ceil(M/2) rows of R, filled by
+    _parity_blocks without forming R.
     """
-    m = entries.shape[0]
-    n, h = m // 2, m - m // 2
+    m = matrix.num_antennas
+    h = m - m // 2
     form = np.empty((m, m))
-    a, bj = _parity_blocks(entries, form[:h, :h], form[h:, h:])
-    np.add(a.imag, bj.imag, out=form[h:, :n])
-    np.subtract(bj.imag, a.imag, out=form[:n, h:])
-    if h > n:
-        form[n, h:] = form[h:, n] = _SQRT2 * entries[:n, n].imag
+    _parity_blocks(matrix, form[:h, :h], form[h:, h:], form)
     return form
 
 
-def _solve_real_form(entries: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
+def _solve_real_form(
+    matrix: CorrelationMatrix, vectors: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Solve a complex centro-Hermitian matrix through its real form.
 
     An eigenvector V = [V1; v; V2] of the real form maps back to
     [(V1 + i V2); sqrt(2) v; J (V1 - i V2)] / sqrt(2), written column by
     column into the descending complex128 result.
     """
-    form = _real_form(entries)
+    form = _real_form(matrix)
     if not vectors:
         return np.linalg.eigvalsh(form)[::-1], None
     values, real_vectors = np.linalg.eigh(form)
     del form
-    m = entries.shape[0]
+    m = matrix.num_antennas
     n, h = m // 2, m - m // 2
     descending = real_vectors[:, ::-1]
     columns = np.empty((m, m), dtype=np.complex128)
@@ -156,7 +183,7 @@ def _solve_real_form(entries: np.ndarray, vectors: bool) -> tuple[np.ndarray, np
     return values[::-1], columns
 
 
-def _solve_parity(entries: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
+def _solve_parity(matrix: CorrelationMatrix, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """Solve a real centro-symmetric matrix as its two parity blocks.
 
     The real form of a real matrix is block diagonal: Re(A+BJ), bordered by
@@ -164,10 +191,10 @@ def _solve_parity(entries: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.nd
     map back to the real [v; sqrt(2) v_mid; Jv] / sqrt(2) and
     [v; 0; -Jv] / sqrt(2).
     """
-    m = entries.shape[0]
+    m = matrix.num_antennas
     n, h = m // 2, m - m // 2
     plus, minus = np.empty((h, h)), np.empty((n, n))
-    _parity_blocks(entries, plus, minus)
+    _parity_blocks(matrix, plus, minus)
     if not vectors:
         values = np.concatenate([np.linalg.eigvalsh(plus), np.linalg.eigvalsh(minus)])
         return np.sort(values)[::-1], None
@@ -201,12 +228,19 @@ def _solve(matrix: CorrelationMatrix, vectors: bool) -> tuple[np.ndarray, np.nda
     dense matrix (loaded or external) is tested exactly, without tolerance,
     and if it lacks the symmetry it is solved as is: in real arithmetic
     when its imaginary part is exactly zero, else as a Hermitian matrix.
+
+    The real form and the parity blocks are filled from the matrix's rows,
+    which a builder's matrix copies from its offset table, so solving it
+    never forms its dense `entries`. Only a dense matrix's `entries` is read
+    here, by the symmetry scan and the direct solve. Every LAPACK failure
+    raises NumericalError.
     """
-    entries, table = matrix.entries, matrix._offsets
-    real = not (entries if table is None else table).imag.any()
+    table = matrix._offsets
+    real = not (matrix.entries if table is None else table).imag.any()
     try:
         if table is not None or matrix._is_centro_hermitian():
-            return (_solve_parity if real else _solve_real_form)(entries, vectors)
+            return (_solve_parity if real else _solve_real_form)(matrix, vectors)
+        entries = matrix.entries
         operand = entries.real if real else entries
         if not vectors:
             return np.linalg.eigvalsh(operand)[::-1], None
@@ -252,7 +286,7 @@ def _spectrum_from(
         eigenvalues=values,
         numerical_rank=int(np.count_nonzero(values > RANK_TOLERANCE * largest)),
         effective_rank=effective_rank(values),
-        source_trace=float(np.trace(matrix.entries).real),
+        source_trace=matrix._trace(),
     )
 
 

@@ -8,6 +8,9 @@ temporary, which the tracemalloc budgets check. A builder's matrix is
 backed by its offset table, its only source, and the writers always stream
 its rows from the table; TestTableBackedMatrix, TestStreamedExportBudget
 and TestStreamedCli check that they never form the dense matrix on that path.
+The spectral layer and the correlation matrix distance read the table too;
+TestSpectralBudget and TestStreamedCli check that solving and comparing
+builders' matrices never form it either.
 """
 
 import json
@@ -32,11 +35,14 @@ from holomimo import (
     build_approx_clustered,
     build_exact_clustered,
     build_isotropic,
+    correlation_matrix_distance,
+    eigendecompose,
     export_matrix_csv,
     load_config,
     load_matrix,
     quadrature_self_check,
     save_matrix,
+    spectrum,
 )
 from holomimo.cli import main, resolve_config_path
 from holomimo.correlation import STRUCTURE_CHECK_ROWS, _assemble, _expand, _full_offsets
@@ -415,6 +421,48 @@ class TestStreamedExportBudget:
         assert peak <= 0.10 * self.B
 
 
+class TestSpectralBudget:
+    """Spectral peaks against B at M = 1536: solves and distances read the offset table.
+
+    The real form is one float64 M x M array (B / 2) and the isotropic
+    parity blocks two of about a quarter of it (B / 4); eigenvectors add
+    the solver's real columns and the complex M x M result (B).
+    """
+
+    B = TestMemoryBudget.B
+
+    @pytest.fixture(scope="class")
+    def matrices(self):
+        geometry = TestMemoryBudget.GEOMETRY
+        config = load_config(resolve_config_path("fig2_desk"))
+        return {
+            "exact": build_exact_clustered(geometry, config.scattering, config.quadrature),
+            "isotropic": build_isotropic(geometry),
+        }
+
+    @pytest.mark.parametrize(
+        "solve, model, budget",
+        [
+            (spectrum, "exact", 0.60),
+            (spectrum, "isotropic", 0.35),
+            (eigendecompose, "exact", 1.60),
+            (eigendecompose, "isotropic", 1.85),
+        ],
+        ids=["spectrum-exact", "spectrum-isotropic", "eigendecompose-exact", "eigendecompose-isotropic"],
+    )
+    def test_solve(self, matrices, solve, model, budget, no_dense_expansion):
+        result, peak = traced_peak(lambda: solve(matrices[model]))
+        assert result.num_antennas == 1536
+        assert peak <= budget * self.B
+
+    def test_correlation_matrix_distance(self, matrices, no_dense_expansion):
+        distance, peak = traced_peak(
+            lambda: correlation_matrix_distance(matrices["exact"], matrices["isotropic"])
+        )
+        assert 0.0 < distance < 1.0
+        assert peak <= 0.05 * self.B
+
+
 class TestStreamedCli:
     @pytest.mark.parametrize("preset", PRESETS)
     def test_export_matrix_matches_dense_oracles(self, tmp_path, monkeypatch, preset):
@@ -431,6 +479,22 @@ class TestStreamedCli:
         stem = tmp_path / "csv" / f"{preset}_exact"
         assert stem.with_suffix(".hmrc").read_bytes() == container
         assert stem.with_suffix(".csv").read_bytes() == view
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_spectra_and_distances_form_no_dense_matrix(self, tmp_path, monkeypatch, preset):
+        commands = ["eigen-report", "nmse-sweep", "approx-validate"]
+        for run in ("patched", "plain"):
+            with monkeypatch.context() as patched:
+                if run == "patched":
+                    patched.setattr(holomimo.correlation, "_expand", forbidden_expansion)
+                for command in commands:
+                    assert main([command, preset, "--out", str(tmp_path / run)]) == 0
+        names = sorted(path.name for path in (tmp_path / "plain").iterdir())
+        assert len(names) >= 6
+        assert names == sorted(path.name for path in (tmp_path / "patched").iterdir())
+        for name in names:
+            patched, plain = tmp_path / "patched" / name, tmp_path / "plain" / name
+            assert patched.read_bytes() == plain.read_bytes(), name
 
 
 class TestStreamedCsv:

@@ -14,7 +14,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from holomimo import (
@@ -596,6 +596,61 @@ class TestCorrelationMatrixDistance:
         other = build_isotropic(ArrayGeometry(2, 1, 0.25, 1.0))
         with pytest.raises(ValueError):
             correlation_matrix_distance(zero, other)
+
+
+DISTANCE_BUILDERS = {
+    "isotropic": lambda geometry: build_isotropic(geometry, 1.5),
+    "exact": lambda geometry: build_exact_clustered(geometry, ORACLE_SCATTERING),
+    "approx": lambda geometry: build_approx_clustered(geometry, ORACLE_SCATTERING),
+}
+
+
+def dense_distance(first, second):
+    """The correlation matrix distance summed over the dense entries, as an oracle."""
+    a, b = first.entries, second.entries
+    return max(0.0, 1.0 - float(np.real(np.vdot(a, b))) / (np.linalg.norm(a) * np.linalg.norm(b)))
+
+
+class TestTableDistance:
+    """Two builders' matrices of one geometry: the distance is read from their offset tables."""
+
+    @settings(max_examples=80)
+    @example(builders=("exact", "approx"), shape=(1, 1))
+    @example(builders=("isotropic", "exact"), shape=(1, 9))
+    @example(builders=("approx", "isotropic"), shape=(9, 1))
+    @example(builders=("exact", "isotropic"), shape=(3, 5))
+    @example(builders=("exact", "exact"), shape=(9, 9))
+    @given(
+        builders=st.tuples(*[st.sampled_from(sorted(DISTANCE_BUILDERS))] * 2),
+        shape=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+    )
+    def test_matches_the_dense_oracle(self, builders, shape):
+        geometry = ArrayGeometry(*shape, 0.3, 1.0)
+        first, second = (DISTANCE_BUILDERS[name](geometry) for name in builders)
+        forward = correlation_matrix_distance(first, second)
+        backward = correlation_matrix_distance(second, first)
+        # neither call formed a dense matrix
+        assert first._entries is None and second._entries is None
+        expected = dense_distance(first, second)
+        assert abs(forward - expected) <= 1e-12
+        assert abs(backward - expected) <= 1e-12
+        assert 0.0 <= forward <= 1.0
+
+    def test_dense_and_builder_pair_is_summed_densely(self):
+        builder = build_exact_clustered(ORACLE_GEOMETRY, ORACLE_SCATTERING)
+        dense = CorrelationMatrix(builder.entries.copy(), builder.gain, MatrixProvenance.EXTERNAL)
+        other = build_isotropic(ORACLE_GEOMETRY)
+        forward = correlation_matrix_distance(dense, other)
+        assert other._entries is not None  # read as a dense matrix
+        assert forward == dense_distance(dense, other)
+        assert correlation_matrix_distance(other, dense) == dense_distance(other, dense)
+
+    def test_equal_size_but_other_geometry_is_summed_densely(self):
+        wide = build_exact_clustered(ArrayGeometry(3, 2, 0.3, 1.0), ORACLE_SCATTERING)
+        tall = build_approx_clustered(ArrayGeometry(2, 3, 0.3, 1.0), ORACLE_SCATTERING)
+        distance = correlation_matrix_distance(wide, tall)
+        assert wide._entries is not None and tall._entries is not None
+        assert distance == dense_distance(wide, tall)
 
 
 class TestContainerRoundtrip:

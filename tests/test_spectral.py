@@ -31,7 +31,7 @@ from holomimo import (
 )
 from holomimo.cli import main, preset_names, resolve_config_path
 from holomimo.correlation import STRUCTURE_CHECK_ROWS
-from holomimo.spectral import RANK_TOLERANCE, _real_form
+from holomimo.spectral import RANK_TOLERANCE, _parity_blocks, _real_form
 
 ENTRY_POINTS = pytest.mark.parametrize(
     "solve", [spectrum, eigendecompose], ids=["spectrum", "eigendecompose"]
@@ -385,7 +385,7 @@ class TestRealPath:
         q[h:, :n], q[h:, h:] = exchange, -1j * exchange
         q /= math.sqrt(2.0)
         q[n:h, n:h] = 1.0
-        form = _real_form(entries)
+        form = _real_form(CorrelationMatrix(entries, 1.0, MatrixProvenance.EXTERNAL))
         assert form.dtype == np.float64 and np.array_equal(form, form.T)
         assert np.max(np.abs(q.conj().T @ entries @ q - form)) <= 1e-14 * m
 
@@ -539,6 +539,41 @@ class TestStructureByType:
             assert typed.effective_rank == dense_result.effective_rank
             assert typed.source_trace == dense_result.source_trace
         assert same_bits(typed_basis.eigenvectors, scanned_basis.eigenvectors)
+
+
+@pytest.mark.parametrize("shape", [(23, 23), (24, 22)], ids=["23x23", "24x22"])
+def test_table_rows_and_dense_row_blocks_fill_the_same_forms(shape):
+    # M = 529 and 528: the first half of the rows spans two of the dense
+    # matrix's STRUCTURE_CHECK_ROWS blocks and a dozen of the builder's
+    # array-row blocks, and for odd M the middle row starts a block in neither
+    geometry = ArrayGeometry(*shape, 0.25, 1.0)
+    exact, isotropic = SMALL_BUILDERS["exact"](geometry), build_isotropic(geometry)
+    m = geometry.num_antennas
+    assert STRUCTURE_CHECK_ROWS < m // 2 < 2 * STRUCTURE_CHECK_ROWS
+    dense = [CorrelationMatrix(x.entries.copy(), x.gain, x.provenance) for x in (exact, isotropic)]
+    assert same_bits(_real_form(exact), _real_form(dense[0]))
+    n, h = m // 2, m - m // 2
+    blocks = []
+    for matrix in (isotropic, dense[1]):
+        plus, minus = np.empty((h, h)), np.empty((n, n))
+        _parity_blocks(matrix, plus, minus)
+        blocks.append((plus, minus))
+    assert same_bits(blocks[0][0], blocks[1][0]) and same_bits(blocks[0][1], blocks[1][1])
+
+
+@settings(max_examples=60)
+@example(shape=(1, 7), gain=0.1)
+@given(
+    shape=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+    gain=st.floats(1e-3, 1e3, allow_subnormal=False),
+)
+def test_builder_trace_is_the_trace_of_its_dense_copy(shape, gain):
+    # the trace comes from the pinned gain, summed as np.trace sums the
+    # diagonal: M * gain rounds differently (7 * 0.1 != 0.1 + ... + 0.1)
+    matrix = build_isotropic(ArrayGeometry(*shape, 0.25, 1.0), gain)
+    trace = spectrum(matrix).source_trace
+    assert matrix._entries is None
+    assert trace == float(np.trace(matrix.entries).real)
 
 
 def forbidden_scan(matrix):
