@@ -100,7 +100,8 @@ def _check_orthonormal(subspace: np.ndarray) -> None:
     if subspace.ndim != 2 or subspace.shape[0] < subspace.shape[1]:
         raise ValueError(f"subspace must be tall, got shape {subspace.shape}")
     gram = subspace.conj().T @ subspace
-    deviation = float(np.max(np.abs(gram - np.eye(subspace.shape[1]))))
+    gram.flat[:: subspace.shape[1] + 1] -= 1.0  # Gram - I, in the one r x r array
+    deviation = float(np.max(np.abs(gram)))
     if deviation > GRAM_TOLERANCE:
         raise ValueError(
             f"subspace columns are not orthonormal: Gram deviation {deviation:.3e} "
@@ -222,15 +223,15 @@ def _row_energy(rows: np.ndarray) -> np.ndarray:
     return (rows.real**2 + rows.imag**2).sum(axis=1)
 
 
-def _projection(subspace: np.ndarray, u1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """conj(P) for the noise GEMM, and (I - P P^H) U_1 for the channel.
+def _projection(subspace: np.ndarray, u1: np.ndarray) -> np.ndarray:
+    """(I - P P^H) U_1: the part of the channel basis that projecting onto P drops.
 
-    (I - P P^H) U_1 is the part of the channel basis that projecting onto
-    the orthonormal P drops. P is not checked here: columns of an EigenBasis
-    are orthonormal by construction, and a caller's raw array is checked by
+    P^H is formed from one transient conj(P); no conjugate copy outlives
+    the call. P is not checked here: columns of an EigenBasis are
+    orthonormal by construction, and a caller's raw array is checked by
     the caller.
     """
-    return subspace.conj(), u1 - subspace @ (subspace.conj().T @ u1)
+    return u1 - subspace @ (subspace.conj().T @ u1)
 
 
 def _draw_block(
@@ -280,12 +281,21 @@ def monte_carlo_nmse(
     * MMSE: ||d||^2 with d = shrink / sqrt(snr) (sqrt(snr) a + U_1^H n) - a in
       the coordinates a = diag(sqrt(l)) v of h on U_1.
 
+    No conjugate copy of a basis is held: each block's noise is conjugated
+    in place instead. U_1^H n is then conj(n)^T U_1 conjugated, and
+    ||P^H n||^2 is ||conj(n)^T P||^2 since |conj(z)| = |z|; both give the
+    bits of the products with conj(U_1) and conj(P). Besides the bases, the
+    call holds one M x r array (I - P P^H) U_1 per projection, r the
+    numerical rank of `basis`.
+
     A grid call therefore returns exactly the numbers of separate scalar
     calls, and a subset of `estimators` exactly those of the full set.
 
     `rsls_rank` sets the RSLS projection rank (default: effective rank of
-    `basis`); `container_subspace` is the orthonormal M x r basis used by
-    CONSERVATIVE_RSLS and is required when that estimator is requested.
+    `basis`), at most the columns `basis` holds: its numerical rank, for a
+    basis from eigendecompose. `container_subspace` is the orthonormal
+    M x r basis used by CONSERVATIVE_RSLS and is required when that
+    estimator is requested.
     The container's Gram matrix is checked once per call; the RSLS columns
     come from `basis`, which the sampler and MMSE already trust, and are not.
     """
@@ -300,27 +310,32 @@ def monte_carlo_nmse(
     r = basis.numerical_rank
     u1 = basis.eigenvectors[:, :r]
     scale = np.sqrt(basis.eigenvalues[:r])
-    u1_conj = u1.conj() if Estimator.MMSE in estimators else None
-    projections: dict[Estimator, tuple[np.ndarray, np.ndarray]] = {}
+    projections: dict[Estimator, tuple[np.ndarray, np.ndarray]] = {}  # P, (I - P P^H) U_1
     if Estimator.RSLS in estimators:
-        rank = _checked_rank(basis.effective_rank if rsls_rank is None else rsls_rank, m, "rsls")
-        projections[Estimator.RSLS] = _projection(basis.eigenvectors[:, :rank], u1)
+        held = basis.eigenvectors.shape[1]
+        rank = _checked_rank(basis.effective_rank if rsls_rank is None else rsls_rank, held, "rsls")
+        subspace = basis.eigenvectors[:, :rank]
+        projections[Estimator.RSLS] = subspace, _projection(subspace, u1)
     if Estimator.CONSERVATIVE_RSLS in estimators:
         if container_subspace is None:
             raise ValueError("CONSERVATIVE_RSLS requires a container_subspace")
         _check_orthonormal(container_subspace)
-        projections[Estimator.CONSERVATIVE_RSLS] = _projection(container_subspace, u1)
+        projections[Estimator.CONSERVATIVE_RSLS] = (
+            container_subspace,
+            _projection(container_subspace, u1),
+        )
 
     errors = np.empty((snrs.size, len(estimators), trials))
     for start in range(0, trials, MC_BLOCK_TRIALS):
         block = range(start, min(start + MC_BLOCK_TRIALS, trials))
         v, noise = _draw_block(seed, block, r, m)
+        noise_conj = np.conjugate(noise, out=noise)  # in place, no copy
         a = scale * v
         rows = slice(block.start, block.stop)
         for k, estimator in enumerate(estimators):
             if estimator is Estimator.MMSE:
                 # Per SNR: broadcasting over the grid would hold SNRs x block x r temporaries.
-                a_noise = noise @ u1_conj
+                a_noise = (noise_conj @ u1).conj()
                 for s, rho in enumerate(snrs):
                     sqrt_rho = np.sqrt(rho)
                     shrink = rho * basis.eigenvalues[:r] / (rho * basis.eigenvalues[:r] + 1.0)
@@ -328,11 +343,11 @@ def monte_carlo_nmse(
                     errors[s, k, rows] = _row_energy(d)
                 continue
             if estimator is Estimator.LS:
-                residual, noise_energy = 0.0, _row_energy(noise)
+                residual, noise_energy = 0.0, _row_energy(noise_conj)
             elif estimator in projections:
-                subspace_conj, dropped = projections[estimator]
+                subspace, dropped = projections[estimator]
                 residual = _row_energy(a @ dropped.T)
-                noise_energy = _row_energy(noise @ subspace_conj)
+                noise_energy = _row_energy(noise_conj @ subspace)
             else:
                 raise ValueError(f"unknown estimator {estimator!r}")
             errors[:, k, rows] = residual + noise_energy / snrs[:, None]

@@ -62,10 +62,13 @@ class Spectrum:
 
 @dataclass(frozen=True, eq=False)
 class EigenBasis(Spectrum):
-    """A Spectrum plus its eigenvectors.
+    """A Spectrum plus the eigenvectors of its numerical rank.
 
-    Column k of `eigenvectors` (complex128, shape (M, M)) is the unit
-    eigenvector of eigenvalue k.
+    `eigenvectors` is complex128 of shape (M, numerical_rank): column k is
+    the unit eigenvector of eigenvalue k. Columns past the numerical rank,
+    whose eigenvalues fall below RANK_TOLERANCE * lambda_max, are not kept
+    (since 0.5.0). Every estimator and the containment residual read only
+    leading columns.
     """
 
     eigenvectors: np.ndarray
@@ -87,6 +90,16 @@ def effective_rank(
         raise ValueError("effective rank is undefined for a zero spectrum")
     cumulative = np.cumsum(values)
     return int(np.searchsorted(cumulative, (1.0 - fraction_complement) * total)) + 1
+
+
+def _numerical_rank(descending: np.ndarray) -> int:
+    """Count of descending eigenvalues above RANK_TOLERANCE times the first.
+
+    Clamping negatives to zero does not change the count, so the solvers
+    know it, and with it how many eigenvector columns to write, before the
+    PSD check runs.
+    """
+    return int(np.count_nonzero(descending > RANK_TOLERANCE * descending[0]))
 
 
 def _parity_blocks(
@@ -162,17 +175,19 @@ def _solve_real_form(
 
     An eigenvector V = [V1; v; V2] of the real form maps back to
     [(V1 + i V2); sqrt(2) v; J (V1 - i V2)] / sqrt(2), written column by
-    column into the descending complex128 result.
+    column into the descending complex128 result, for the numerical rank's
+    columns only.
     """
     form = _real_form(matrix)
     if not vectors:
         return np.linalg.eigvalsh(form)[::-1], None
     values, real_vectors = np.linalg.eigh(form)
     del form
+    values = values[::-1]
     m = matrix.num_antennas
     n, h = m // 2, m - m // 2
-    descending = real_vectors[:, ::-1]
-    columns = np.empty((m, m), dtype=np.complex128)
+    descending = real_vectors[:, ::-1][:, : _numerical_rank(values)]
+    columns = np.empty(descending.shape, dtype=np.complex128)
     top, bottom = columns[:n], columns[h:]
     np.multiply(descending[:n], _HALF_SQRT2, out=top.real)
     np.multiply(descending[h:], _HALF_SQRT2, out=top.imag)
@@ -180,7 +195,7 @@ def _solve_real_form(
     np.multiply(descending[h:][::-1], -_HALF_SQRT2, out=bottom.imag)
     if h > n:
         columns[n] = descending[n]
-    return values[::-1], columns
+    return values, columns
 
 
 def _solve_parity(matrix: CorrelationMatrix, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
@@ -189,7 +204,8 @@ def _solve_parity(matrix: CorrelationMatrix, vectors: bool) -> tuple[np.ndarray,
     The real form of a real matrix is block diagonal: Re(A+BJ), bordered by
     the middle row and column for odd M, and Re(A-BJ). Their eigenvectors v
     map back to the real [v; sqrt(2) v_mid; Jv] / sqrt(2) and
-    [v; 0; -Jv] / sqrt(2).
+    [v; 0; -Jv] / sqrt(2). Only the eigenvectors that land within the
+    numerical rank of the merged descending order are written.
     """
     m = matrix.num_antennas
     n, h = m // 2, m - m // 2
@@ -200,24 +216,33 @@ def _solve_parity(matrix: CorrelationMatrix, vectors: bool) -> tuple[np.ndarray,
         return np.sort(values)[::-1], None
     plus_values, plus_vectors = np.linalg.eigh(plus)
     minus_values, minus_vectors = np.linalg.eigh(minus)
+    del plus, minus
     values = np.concatenate([plus_values, minus_values])
     order = np.argsort(values, kind="stable")[::-1]
+    values = values[order]
+    rank = _numerical_rank(values)
     position = np.argsort(order)  # the inverse sort: where each block eigenvector lands
-    columns = np.zeros((m, m), dtype=np.complex128)
+    columns = np.zeros((m, rank), dtype=np.complex128)
     blocks = ((plus_vectors, position[:h], 1.0), (minus_vectors, position[h:], -1.0))
     for block, targets, sign in blocks:
-        top = block[:n] * _HALF_SQRT2
-        columns.real[:n, targets] = top
-        columns.real[h:, targets] = sign * top[::-1]
+        kept = targets < rank
+        top = block[:n, kept]
+        top *= _HALF_SQRT2
+        columns.real[:n, targets[kept]] = top
+        columns.real[h:, targets[kept]] = sign * top[::-1]
     if h > n:
-        columns.real[n, position[:h]] = plus_vectors[n]
-    return values[order], columns
+        kept = position[:h] < rank
+        columns.real[n, position[:h][kept]] = plus_vectors[n, kept]
+    return values, columns
 
 
 def _solve(matrix: CorrelationMatrix, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """Descending eigenvalues, plus eigenvector columns when `vectors` is set.
 
-    The columns come back as a C-contiguous complex128 array. A
+    The columns come back as a C-contiguous complex128 array of shape
+    (M, numerical rank): every path counts the eigenvalues above
+    RANK_TOLERANCE * lambda_max (_numerical_rank) and writes back only their
+    eigenvectors. A
     centro-Hermitian matrix (reversing both indices conjugates the entry)
     is solved as the real symmetric Q^H R Q of the same eigenvalues, several
     times cheaper than the Hermitian solve; a real centro-symmetric one,
@@ -245,7 +270,9 @@ def _solve(matrix: CorrelationMatrix, vectors: bool) -> tuple[np.ndarray, np.nda
         if not vectors:
             return np.linalg.eigvalsh(operand)[::-1], None
         values, columns = np.linalg.eigh(operand)
-        return values[::-1], np.ascontiguousarray(columns[:, ::-1], dtype=np.complex128)
+        values = values[::-1]
+        kept = columns[:, ::-1][:, : _numerical_rank(values)]
+        return values, np.ascontiguousarray(kept, dtype=np.complex128)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"eigendecomposition failed for {matrix.provenance.label} matrix "
@@ -284,7 +311,7 @@ def _spectrum_from(
     np.clip(values, 0.0, None, out=values)
     return Spectrum(
         eigenvalues=values,
-        numerical_rank=int(np.count_nonzero(values > RANK_TOLERANCE * largest)),
+        numerical_rank=_numerical_rank(descending),
         effective_rank=effective_rank(values),
         source_trace=matrix._trace(),
     )
@@ -302,11 +329,13 @@ def spectrum(matrix: CorrelationMatrix) -> Spectrum:
 
 
 def eigendecompose(matrix: CorrelationMatrix, *, vectors: bool = True) -> EigenBasis | Spectrum:
-    """Full eigendecomposition with rank metadata, eigenvalues descending.
+    """Eigendecomposition with rank metadata, eigenvalues descending.
 
-    Eigenvalues go through the same PSD check and clamp as spectrum(). A
-    matrix whose imaginary part is exactly zero is decomposed in real
-    arithmetic; its eigenvectors are still returned as complex128.
+    Eigenvalues go through the same PSD check and clamp as spectrum(). All
+    M eigenvalues are returned, and the eigenvectors of the numerical rank:
+    an (M, numerical_rank) complex128 array. A matrix whose imaginary part
+    is exactly zero is decomposed in real arithmetic; its eigenvectors are
+    still returned as complex128.
     `vectors=False` skips the eigenvectors and returns spectrum(matrix).
     """
     if not vectors:
@@ -345,7 +374,8 @@ def subspace_containment_residual(
     `container_rank` eigenvectors of `container` (default: its numerical
     rank) and returns the squared Frobenius norm of the leakage divided by
     the number of projected vectors. Zero means full containment; values up
-    to 1 measure how much energy escapes the container span.
+    to 1 measure how much energy escapes the container span. Either rank
+    may be at most the number of columns its basis holds.
     """
     if container.num_antennas != contained.num_antennas:
         raise ValueError(
@@ -353,8 +383,8 @@ def subspace_containment_residual(
         )
     r_container = container.numerical_rank if container_rank is None else container_rank
     r_contained = contained.effective_rank if contained_rank is None else contained_rank
-    _checked_rank(r_container, container.num_antennas, "container")
-    _checked_rank(r_contained, contained.num_antennas, "contained")
+    _checked_rank(r_container, container.eigenvectors.shape[1], "container")
+    _checked_rank(r_contained, contained.eigenvectors.shape[1], "contained")
     basis = container.eigenvectors[:, :r_container]
     probes = contained.eigenvectors[:, :r_contained]
     leakage = probes - basis @ (basis.conj().T @ probes)

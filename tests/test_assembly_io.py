@@ -10,7 +10,8 @@ its rows from the table; TestTableBackedMatrix, TestStreamedExportBudget
 and TestStreamedCli check that they never form the dense matrix on that path.
 The spectral layer and the correlation matrix distance read the table too;
 TestSpectralBudget and TestStreamedCli check that solving and comparing
-builders' matrices never form it either.
+builders' matrices never form it either. TestSpectralBudget also bounds
+the eigenvectors kept and the Monte Carlo sweep that reads them.
 """
 
 import json
@@ -29,6 +30,7 @@ from holomimo import (
     ArrayGeometry,
     CorrelationMatrix,
     Cluster,
+    Estimator,
     MatrixProvenance,
     NumericalError,
     ScatteringConfig,
@@ -40,12 +42,14 @@ from holomimo import (
     export_matrix_csv,
     load_config,
     load_matrix,
+    monte_carlo_nmse,
     quadrature_self_check,
     save_matrix,
     spectrum,
 )
 from holomimo.cli import main, resolve_config_path
 from holomimo.correlation import STRUCTURE_CHECK_ROWS, _assemble, _expand, _full_offsets
+from holomimo.estimation import MC_BLOCK_TRIALS
 from holomimo.geometry import grid_indices
 from holomimo.harness import run_export_matrix
 
@@ -425,8 +429,12 @@ class TestSpectralBudget:
     """Spectral peaks against B at M = 1536: solves and distances read the offset table.
 
     The real form is one float64 M x M array (B / 2) and the isotropic
-    parity blocks two of about a quarter of it (B / 4); eigenvectors add
-    the solver's real columns and the complex M x M result (B).
+    parity blocks two of about a quarter of it (B / 4), freed once solved;
+    eigenvectors add the solver's real columns (B / 2, or B / 4 in parity
+    blocks) and the complex result, which holds only the numerical rank's
+    columns (531 of 1536 for the exact model, 733 for the isotropic one).
+    The Monte Carlo sweep holds one M x r array per projection and no
+    conjugate copy of a basis.
     """
 
     B = TestMemoryBudget.B
@@ -445,8 +453,8 @@ class TestSpectralBudget:
         [
             (spectrum, "exact", 0.60),
             (spectrum, "isotropic", 0.35),
-            (eigendecompose, "exact", 1.60),
-            (eigendecompose, "isotropic", 1.85),
+            (eigendecompose, "exact", 1.10),
+            (eigendecompose, "isotropic", 1.00),
         ],
         ids=["spectrum-exact", "spectrum-isotropic", "eigendecompose-exact", "eigendecompose-isotropic"],
     )
@@ -454,6 +462,21 @@ class TestSpectralBudget:
         result, peak = traced_peak(lambda: solve(matrices[model]))
         assert result.num_antennas == 1536
         assert peak <= budget * self.B
+
+    def test_monte_carlo_nmse(self, matrices):
+        truth, iso = eigendecompose(matrices["exact"]), eigendecompose(matrices["isotropic"])
+        container = iso.eigenvectors[:, : iso.numerical_rank]
+        sweep = lambda: monte_carlo_nmse(
+            truth,
+            tuple(Estimator),
+            snr=[0.1, 10.0],
+            trials=MC_BLOCK_TRIALS + 1,
+            seed=1,
+            container_subspace=container,
+        )
+        grid, peak = traced_peak(sweep)
+        assert len(grid) == 2 and all(len(point) == len(Estimator) for point in grid)
+        assert peak <= 1.25 * self.B
 
     def test_correlation_matrix_distance(self, matrices, no_dense_expansion):
         distance, peak = traced_peak(

@@ -1,6 +1,7 @@
 """Tests for channel sampling, the four estimators, and both NMSE paths."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -286,6 +287,16 @@ class TestMonteCarloNmse:
         results = monte_carlo_nmse(self.basis, (Estimator.LS,), snr=1.0, trials=1, seed=0)
         assert math.isnan(results[Estimator.LS].ci95)
 
+    def test_hand_built_basis_takes_ranks_up_to_its_columns(self):
+        # M columns held, numerical rank 2: rank 3 projects onto the whole
+        # space, exactly LS
+        basis = diagonal_basis([2.0, 1.0, 1e-20])
+        assert basis.numerical_rank == 2 and basis.eigenvectors.shape == (3, 3)
+        results = monte_carlo_nmse(
+            basis, (Estimator.LS, Estimator.RSLS), snr=1.0, trials=50, seed=1, rsls_rank=3
+        )
+        assert results[Estimator.RSLS].nmse == results[Estimator.LS].nmse
+
     def test_rsls_rank_override(self):
         narrow = monte_carlo_nmse(
             self.basis, (Estimator.RSLS,), snr=1.0, trials=500, seed=2, rsls_rank=2
@@ -324,6 +335,20 @@ class TestMonteCarloNmse:
             monte_carlo_nmse(self.basis, tuple(Estimator), container_subspace=skewed, **kwargs)
 
 
+def test_gram_check_forms_one_r_by_r_array():
+    # conj(P) and the Gram matrix G set the peak; G - I is formed in place,
+    # so only |G - I|, half the bytes of G, follows them
+    rng = np.random.default_rng(12)
+    q, _ = np.linalg.qr(rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256)))
+    tracemalloc.start()
+    try:
+        holomimo.estimation._check_orthonormal(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * q.nbytes
+
+
 def per_snr_loops(basis, estimators, snrs, trials, seed, container_subspace):
     """The Monte Carlo engine before its shared LS/RS-LS kernel, kept as an oracle.
 
@@ -335,10 +360,11 @@ def per_snr_loops(basis, estimators, snrs, trials, seed, container_subspace):
     r = basis.numerical_rank
     u1 = basis.eigenvectors[:, :r]
     scale = np.sqrt(basis.eigenvalues[:r])
-    projections = {
-        Estimator.RSLS: _projection(basis.eigenvectors[:, : basis.effective_rank], u1),
-        Estimator.CONSERVATIVE_RSLS: _projection(container_subspace, u1),
+    subspaces = {
+        Estimator.RSLS: basis.eigenvectors[:, : basis.effective_rank],
+        Estimator.CONSERVATIVE_RSLS: container_subspace,
     }
+    projections = {e: (p, _projection(p, u1)) for e, p in subspaces.items()}
     errors = np.empty((snrs.size, len(estimators), trials))
     for start in range(0, trials, MC_BLOCK_TRIALS):
         block = range(start, min(start + MC_BLOCK_TRIALS, trials))
@@ -358,9 +384,9 @@ def per_snr_loops(basis, estimators, snrs, trials, seed, container_subspace):
                     d = shrink / sqrt_rho * (sqrt_rho * a + a_noise) - a
                     errors[s, k, rows] = _row_energy(d)
             else:
-                subspace_conj, dropped = projections[estimator]
+                subspace, dropped = projections[estimator]
                 residual = _row_energy(a @ dropped.T)
-                noise_energy = _row_energy(noise @ subspace_conj)
+                noise_energy = _row_energy(noise @ subspace.conj())
                 for s, rho in enumerate(snrs):
                     errors[s, k, rows] = residual + noise_energy / rho
     trace = basis.source_trace
@@ -444,13 +470,23 @@ class TestMonteCarloEngine:
                 assert results[estimator].trials == trials
 
     def test_rsls_rank_override_matches_oracle(self):
-        for rank in (3, self.basis.numerical_rank + 2):
+        for rank in (3, self.basis.numerical_rank):
             results = monte_carlo_nmse(
                 self.basis, (Estimator.RSLS,), snr=5.0, trials=150, seed=4, rsls_rank=rank
             )
             nmse, ci95 = self.oracle(5.0, 150, seed=4, rsls_rank=rank)[Estimator.RSLS]
             assert results[Estimator.RSLS].nmse == pytest.approx(nmse, rel=1e-12)
             assert results[Estimator.RSLS].ci95 == pytest.approx(ci95, rel=1e-12)
+
+    def test_rsls_rank_is_bounded_by_the_columns_held(self):
+        # the basis keeps its numerical rank's columns, and a rank past them
+        # raises, naming the rank
+        held = self.basis.eigenvectors.shape[1]
+        assert held == self.basis.numerical_rank < self.basis.num_antennas
+        with pytest.raises(ValueError, match=f"rsls rank {held + 1} outside"):
+            monte_carlo_nmse(
+                self.basis, (Estimator.RSLS,), snr=5.0, trials=10, seed=4, rsls_rank=held + 1
+            )
 
     def test_grid_equals_scalar_calls_bit_for_bit(self):
         kwargs = dict(trials=301, seed=23, container_subspace=self.container)

@@ -85,8 +85,10 @@ class TestEigendecompose:
     def test_eigenvectors_orthonormal(self):
         matrix = random_psd_matrix(np.random.default_rng(8), 9, 4)
         basis = eigendecompose(matrix)
+        # only the numerical rank's columns are kept
+        assert basis.eigenvectors.shape == (9, basis.numerical_rank) == (9, 4)
         gram = basis.eigenvectors.conj().T @ basis.eigenvectors
-        assert gram == pytest.approx(np.eye(9), abs=1e-12)
+        assert gram == pytest.approx(np.eye(4), abs=1e-12)
 
     def test_numerical_rank_of_rank_deficient_matrix(self):
         matrix = random_psd_matrix(np.random.default_rng(21), 14, 6)
@@ -232,6 +234,21 @@ class TestSubspaceContainment:
         with pytest.raises(ValueError):
             subspace_containment_residual(basis, basis, **kwargs)
 
+    @pytest.mark.parametrize("which", ["container", "contained"])
+    def test_ranks_are_bounded_by_the_columns_held(self, which):
+        # eigendecompose keeps the numerical rank's columns, and a rank past
+        # them raises, naming the rank
+        g = ArrayGeometry(9, 7, 0.125, 1.0)
+        iso = eigendecompose(build_isotropic(g))
+        clustered = eigendecompose(build_exact_clustered(g, CLUSTERED))
+        basis = iso if which == "container" else clustered
+        held = basis.eigenvectors.shape[1]
+        assert held == basis.numerical_rank < g.num_antennas
+        at_the_bound = {f"{which}_rank": held}
+        assert subspace_containment_residual(iso, clustered, **at_the_bound) >= 0.0
+        with pytest.raises(ValueError, match=f"{which} rank {held + 1} outside"):
+            subspace_containment_residual(iso, clustered, **{f"{which}_rank": held + 1})
+
 
 def previous_solver(matrix):
     """(eigenvalues, eigenvectors, numerical rank, effective rank) as the earlier
@@ -265,8 +282,12 @@ def assert_agrees_with_previous_solver(matrix):
     assert np.max(np.abs(spec.eigenvalues - basis.eigenvalues)) <= 1e-10 * scale
     u = basis.eigenvectors
     assert u.dtype == np.complex128 and u.flags.c_contiguous
-    assert np.max(np.abs(u.conj().T @ u - np.eye(m))) <= 1e-12
-    assert np.max(np.abs((u * basis.eigenvalues) @ u.conj().T - matrix.entries)) <= 1e-12 * scale
+    # the top numerical-rank pairs alone: every eigenvalue dropped lies below
+    # RANK_TOLERANCE * lambda_max, so the reconstruction bound still holds
+    assert u.shape == (m, numerical)
+    assert np.max(np.abs(u.conj().T @ u - np.eye(numerical))) <= 1e-12
+    rebuilt = (u * basis.eigenvalues[:numerical]) @ u.conj().T
+    assert np.max(np.abs(rebuilt - matrix.entries)) <= 1e-12 * scale
     # Projectors onto the top-r subspaces: rounding of order eps * lambda_max
     # turns a subspace by at most ~eps / (relative gap below it) (Davis-Kahan),
     # so the distance ||P_new - P_old|| = ||(I - P_new) U_old|| times that
@@ -459,6 +480,48 @@ def test_presets_match_previous_solver(preset):
 @pytest.mark.parametrize("builder", ["isotropic", "exact"])
 def test_odd_and_non_square_arrays_match_previous_solver(builder, shape):
     assert_agrees_with_previous_solver(SMALL_BUILDERS[builder](ArrayGeometry(*shape, 0.25, 1.0)))
+
+
+def assert_keeps_the_numerical_rank_columns(matrix):
+    """eigendecompose's eigenvectors: the unit eigenvectors of the numerical rank, C-ordered."""
+    basis = eigendecompose(matrix)
+    u, values = basis.eigenvectors, basis.eigenvalues
+    m, r = matrix.num_antennas, basis.numerical_rank
+    assert u.shape == (m, r) and u.dtype == np.complex128 and u.flags.c_contiguous
+    assert r == np.count_nonzero(values > RANK_TOLERANCE * values[0])
+    assert np.max(np.abs(u.conj().T @ u - np.eye(r))) <= 1e-12
+    assert np.max(np.abs(matrix.entries @ u - u * values[:r])) <= 1e-12 * values[0]
+    return basis
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["table", "dense"])
+@pytest.mark.parametrize(
+    "shape", [(9, 7), (4, 7), (9, 9), (10, 10)], ids=["9x7", "4x7", "9x9", "10x10"]
+)
+@pytest.mark.parametrize("builder", sorted(SMALL_BUILDERS))
+def test_eigenvectors_keep_only_the_numerical_rank_columns(builder, shape, dense):
+    # the parity blocks (isotropic) and the real form (clustered), on odd,
+    # even and non-square arrays, from the table and from a dense copy
+    matrix = SMALL_BUILDERS[builder](ArrayGeometry(*shape, 0.125, 1.0))
+    if dense:
+        matrix = CorrelationMatrix(matrix.entries.copy(), matrix.gain, matrix.provenance)
+    basis = assert_keeps_the_numerical_rank_columns(matrix)
+    assert basis.numerical_rank < matrix.num_antennas
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+def test_direct_solve_keeps_only_the_numerical_rank_columns(real, lapack_operands):
+    # a rank-6 dense matrix without centro-Hermitian symmetry goes to eigh whole
+    rng = np.random.default_rng(4)
+    factors = rng.standard_normal((14, 6))
+    if not real:
+        factors = factors + 1j * rng.standard_normal((14, 6))
+    entries = (factors @ factors.conj().T).astype(np.complex128)
+    entries = (entries + entries.conj().T) / 2.0
+    matrix = CorrelationMatrix(entries, 1.0, MatrixProvenance.EXTERNAL)
+    basis = assert_keeps_the_numerical_rank_columns(matrix)
+    assert basis.numerical_rank == 6
+    assert lapack_operands == [(np.float64 if real else np.complex128, (14, 14))]
 
 
 def test_real_path_monte_carlo_agrees_with_previous_solver():
