@@ -13,7 +13,10 @@ CONFIG is a JSON file path or the name of a packaged preset (e.g.
 support, such as the closed-form approximation with specular clusters,
 outputs that cannot be written, and a run whose arrays the machine cannot
 allocate), 2 numerical failure (quadrature self-check, non-PSD input,
-invalid oracle). Every error is one "holomimo: error:" line on stderr.
+invalid oracle). Every error is one "holomimo: error:" line on stderr,
+except a usage error that argparse catches (an unknown option, a missing
+command, a non-integer --threads): that prints a usage block and then one
+"holomimo: error:" or "holomimo <command>: error:" line, and exits 1.
 
 The --threads knob is validated (at least 1) and otherwise ignored: it
 changes neither the bytes nor the speed. Parallelism comes from BLAS.

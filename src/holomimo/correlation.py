@@ -174,6 +174,9 @@ class CorrelationMatrix:
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
     @property
     def entries(self) -> np.ndarray:
         if self._entries is None:

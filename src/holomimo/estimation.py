@@ -97,8 +97,10 @@ def observe_pilot(
 
 
 def _check_orthonormal(subspace: np.ndarray) -> None:
-    if subspace.ndim != 2 or subspace.shape[0] < subspace.shape[1]:
-        raise ValueError(f"subspace must be tall, got shape {subspace.shape}")
+    if subspace.ndim != 2 or not 0 < subspace.shape[1] <= subspace.shape[0]:
+        raise ValueError(
+            f"subspace must be tall with at least one column, got shape {subspace.shape}"
+        )
     gram = subspace.conj().T @ subspace
     gram.flat[:: subspace.shape[1] + 1] -= 1.0  # Gram - I, in the one r x r array
     deviation = float(np.max(np.abs(gram)))

@@ -9,6 +9,7 @@ in radians, both restricted to the front hemisphere [-pi/2, pi/2].
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -22,7 +23,8 @@ class ArrayGeometry:
     Parameters
     ----------
     num_horizontal, num_vertical:
-        Antennas per row and per column. The array has M = num_horizontal *
+        Antennas per row and per column: integers (numpy integers too, but
+        not booleans), at least 1. The array has M = num_horizontal *
         num_vertical elements in total.
     spacing:
         Inter-antenna distance in meters, shared by both axes. Values below
@@ -37,6 +39,9 @@ class ArrayGeometry:
     wavelength: float
 
     def __post_init__(self) -> None:
+        counts = (self.num_horizontal, self.num_vertical)
+        if any(isinstance(c, bool) or not isinstance(c, Integral) for c in counts):
+            raise ValueError(f"antenna counts must be integers, got {counts!r}")
         if self.num_horizontal < 1 or self.num_vertical < 1:
             raise ValueError("array needs at least one antenna per row and per column")
         if not self.spacing > 0:

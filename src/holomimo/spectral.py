@@ -5,7 +5,7 @@ quantities here measure how small the significant eigenspace is and whether
 one model's eigenspace fits inside another's. `spectrum` gives eigenvalues
 and ranks only; `eigendecompose` adds the eigenvectors.
 
-Both share one solver dispatch. Every builder's matrix is centro-Hermitian
+Both share one solve sequence. Every builder's matrix is centro-Hermitian
 (J R J = conj(R), J the exchange matrix), so a sparse unitary Q turns it
 into the real symmetric Q^H R Q (A. Lee, "Centrohermitian and
 skew-centrohermitian matrices", Linear Algebra Appl. 29, 1980), which LAPACK
@@ -14,7 +14,9 @@ centro-symmetric matrix, such as the isotropic one, splits into two real
 parity blocks of half the size. A builder's matrix has that structure by
 type, so the dispatch reads it from the matrix's offset table in O(M). A
 dense matrix (loaded or external) is tested exactly; one that lacks the
-symmetry is solved as it is.
+symmetry is solved as it is. Whichever operands the structure gives, one
+LAPACK call solves each, one sort merges their eigenvalues, one rank cut
+counts the eigenvectors to keep, and one map (Q's) writes them back.
 
 A builder's matrix is read from its offset table throughout: the real
 form and the parity blocks are filled from its first ceil(M/2) rows, one
@@ -168,116 +170,100 @@ def _real_form(matrix: CorrelationMatrix) -> np.ndarray:
     return form
 
 
-def _solve_real_form(
-    matrix: CorrelationMatrix, vectors: bool
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Solve a complex centro-Hermitian matrix through its real form.
+def _operands(
+    matrix: CorrelationMatrix, real: bool
+) -> tuple[list[np.ndarray], list[tuple[tuple[int, bool, float], ...] | None]]:
+    """The symmetric matrices whose eigenpairs make up R's, and how each maps back.
 
-    An eigenvector V = [V1; v; V2] of the real form maps back to
-    [(V1 + i V2); sqrt(2) v; J (V1 - i V2)] / sqrt(2), written column by
-    column into the descending complex128 result, for the numerical rank's
-    columns only.
-    """
-    form = _real_form(matrix)
-    if not vectors:
-        return np.linalg.eigvalsh(form)[::-1], None
-    values, real_vectors = np.linalg.eigh(form)
-    del form
-    values = values[::-1]
-    m = matrix.num_antennas
-    n, h = m // 2, m - m // 2
-    descending = real_vectors[:, ::-1][:, : _numerical_rank(values)]
-    columns = np.empty(descending.shape, dtype=np.complex128)
-    top, bottom = columns[:n], columns[h:]
-    np.multiply(descending[:n], _HALF_SQRT2, out=top.real)
-    np.multiply(descending[h:], _HALF_SQRT2, out=top.imag)
-    np.multiply(descending[:n][::-1], _HALF_SQRT2, out=bottom.real)
-    np.multiply(descending[h:][::-1], -_HALF_SQRT2, out=bottom.imag)
-    if h > n:
-        columns[n] = descending[n]
-    return values, columns
-
-
-def _solve_parity(matrix: CorrelationMatrix, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Solve a real centro-symmetric matrix as its two parity blocks.
-
-    The real form of a real matrix is block diagonal: Re(A+BJ), bordered by
-    the middle row and column for odd M, and Re(A-BJ). Their eigenvectors v
-    map back to the real [v; sqrt(2) v_mid; Jv] / sqrt(2) and
-    [v; 0; -Jv] / sqrt(2). Only the eigenvectors that land within the
-    numerical rank of the merged descending order are written.
+    A complex centro-Hermitian R gives Lee's real form (see _real_form), a
+    real one its two parity blocks Re(A+BJ) (bordered for odd M) and
+    Re(A-BJ), which are the real form's diagonal blocks, and any other
+    matrix R itself, in real arithmetic when its imaginary part is exactly
+    zero. Each operand's map lists its halves (first row, imaginary, sign):
+    n rows V of its eigenvectors land, scaled by 1/sqrt(2), as V in the
+    first n rows of R's eigenvectors and as sign * JV in the last n, in
+    their real or imaginary part; the middle row of odd M is copied as it
+    is. So the real form maps [V1; v; V2] to
+    [(V1 + i V2); sqrt(2) v; J (V1 - i V2)] / sqrt(2), a parity block v to
+    the real [v; sqrt(2) v_mid; +-Jv] / sqrt(2) (v_mid in the plus block
+    only), and a map of None copies the eigenvectors as they are.
     """
     m = matrix.num_antennas
     n, h = m // 2, m - m // 2
+    if matrix._offsets is None and not matrix._is_centro_hermitian():
+        return [matrix.entries.real if real else matrix.entries], [None]
+    if not real:
+        return [_real_form(matrix)], [((0, False, 1.0), (h, True, -1.0))]
     plus, minus = np.empty((h, h)), np.empty((n, n))
     _parity_blocks(matrix, plus, minus)
-    if not vectors:
-        values = np.concatenate([np.linalg.eigvalsh(plus), np.linalg.eigvalsh(minus)])
-        return np.sort(values)[::-1], None
-    plus_values, plus_vectors = np.linalg.eigh(plus)
-    minus_values, minus_vectors = np.linalg.eigh(minus)
-    del plus, minus
-    values = np.concatenate([plus_values, minus_values])
-    order = np.argsort(values, kind="stable")[::-1]
-    values = values[order]
-    rank = _numerical_rank(values)
-    position = np.argsort(order)  # the inverse sort: where each block eigenvector lands
-    columns = np.zeros((m, rank), dtype=np.complex128)
-    blocks = ((plus_vectors, position[:h], 1.0), (minus_vectors, position[h:], -1.0))
-    for block, targets, sign in blocks:
-        kept = targets < rank
-        top = block[:n, kept]
-        top *= _HALF_SQRT2
-        columns.real[:n, targets[kept]] = top
-        columns.real[h:, targets[kept]] = sign * top[::-1]
-    if h > n:
-        kept = position[:h] < rank
-        columns.real[n, position[:h][kept]] = plus_vectors[n, kept]
-    return values, columns
+    return [plus, minus], [((0, False, 1.0),), ((0, False, -1.0),)]
 
 
 def _solve(matrix: CorrelationMatrix, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """Descending eigenvalues, plus eigenvector columns when `vectors` is set.
 
-    The columns come back as a C-contiguous complex128 array of shape
-    (M, numerical rank): every path counts the eigenvalues above
-    RANK_TOLERANCE * lambda_max (_numerical_rank) and writes back only their
-    eigenvectors. A
-    centro-Hermitian matrix (reversing both indices conjugates the entry)
-    is solved as the real symmetric Q^H R Q of the same eigenvalues, several
-    times cheaper than the Hermitian solve; a real centro-symmetric one,
-    such as the isotropic matrix, splits further into two parity blocks of
-    half the size. The structure comes from the type where it can: a
-    builder's matrix is centro-Hermitian by construction and real exactly
-    when its O(M) offset table is, so neither O(M^2) scan runs on it. A
-    dense matrix (loaded or external) is tested exactly, without tolerance,
-    and if it lacks the symmetry it is solved as is: in real arithmetic
-    when its imaginary part is exactly zero, else as a Hermitian matrix.
+    One sequence serves every structure: each of _operands' matrices is
+    solved by one LAPACK call, their eigenvalues merge in one stable
+    descending sort, the numerical rank (eigenvalues above RANK_TOLERANCE *
+    lambda_max) is counted once, and only its eigenvectors are written
+    back, through each operand's map, as a C-contiguous complex128 array of
+    shape (M, numerical rank). The real form and the parity blocks are
+    several times cheaper to solve than the Hermitian R. The eigenvectors an
+    operand contributes are the tail of its ascending output, so they are
+    scaled in place in a view, and the operands are freed together once
+    the last is solved.
 
-    The real form and the parity blocks are filled from the matrix's rows,
-    which a builder's matrix copies from its offset table, so solving it
-    never forms its dense `entries`. Only a dense matrix's `entries` is read
-    here, by the symmetry scan and the direct solve. Every LAPACK failure
+    The structure comes from the type where it can: a builder's matrix is
+    centro-Hermitian by construction and real exactly when its O(M) offset
+    table is, so neither O(M^2) scan runs on it, and its operands are
+    filled from the table without forming its dense `entries`. A dense
+    matrix (loaded or external) is tested exactly, without tolerance, and
+    if it lacks the symmetry it is solved as is. Every LAPACK failure
     raises NumericalError.
     """
     table = matrix._offsets
     real = not (matrix.entries if table is None else table).imag.any()
     try:
-        if table is not None or matrix._is_centro_hermitian():
-            return (_solve_parity if real else _solve_real_form)(matrix, vectors)
-        entries = matrix.entries
-        operand = entries.real if real else entries
-        if not vectors:
-            return np.linalg.eigvalsh(operand)[::-1], None
-        values, columns = np.linalg.eigh(operand)
-        values = values[::-1]
-        kept = columns[:, ::-1][:, : _numerical_rank(values)]
-        return values, np.ascontiguousarray(kept, dtype=np.complex128)
+        operands, maps = _operands(matrix, real)
+        if vectors:
+            parts, blocks = zip(*[np.linalg.eigh(operand) for operand in operands])
+        else:
+            parts = [np.linalg.eigvalsh(operand) for operand in operands]
+        del operands
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"eigendecomposition failed for {matrix.provenance.label} matrix "
             f"(M={matrix.num_antennas}): {exc}"
         ) from exc
+    values = np.concatenate(parts)
+    order = np.argsort(values, kind="stable")[::-1]
+    values = values[order]
+    if not vectors:
+        return values, None
+    m = matrix.num_antennas
+    n, h = m // 2, m - m // 2
+    rank = _numerical_rank(values)
+    position = np.argsort(order)  # the inverse sort: where each operand eigenvector lands
+    columns = np.zeros((m, rank), dtype=np.complex128)
+    start = 0
+    for block, halves in zip(blocks, maps):
+        targets = position[start : start + block.shape[1]]
+        start += block.shape[1]
+        kept = int(np.count_nonzero(targets < rank))
+        tail, where = block[:, block.shape[1] - kept :], targets[targets.size - kept :]
+        if halves is None:
+            columns[:, where] = tail
+            continue
+        if h > n and block.shape[0] > n:  # odd M: the real form's or plus block's middle row
+            columns.real[n, where] = tail[n]
+        for first, imaginary, sign in halves:
+            half = tail[first : first + n]
+            half *= _HALF_SQRT2
+            part = columns.imag if imaginary else columns.real
+            part[:n, where] = half
+            half *= sign
+            part[h:, where] = half[::-1]
+    return values, columns
 
 
 def _spectrum_from(

@@ -185,6 +185,13 @@ class TestEstimators:
         with pytest.raises(ValueError, match="tall"):
             estimate_rsls(self.obs, wide)
 
+    def test_rejects_empty_subspace(self):
+        empty = np.zeros((self.basis.num_antennas, 0), dtype=np.complex128)
+        with pytest.raises(ValueError, match="tall with at least one column"):
+            estimate_rsls(self.obs, empty)
+        with pytest.raises(ValueError, match="tall with at least one column"):
+            estimate_conservative_rsls(self.obs, empty)
+
 
 class TestAnalyticNmse:
     def test_mmse_hand_value(self):
@@ -314,6 +321,13 @@ class TestMonteCarloNmse:
         with pytest.raises(ValueError, match="container"):
             monte_carlo_nmse(
                 self.basis, (Estimator.CONSERVATIVE_RSLS,), snr=1.0, trials=10, seed=0
+            )
+
+    def test_rejects_empty_container(self):
+        empty = np.zeros((self.basis.num_antennas, 0), dtype=np.complex128)
+        with pytest.raises(ValueError, match="tall with at least one column"):
+            monte_carlo_nmse(
+                self.basis, tuple(Estimator), snr=1.0, trials=10, seed=0, container_subspace=empty
             )
 
     def test_gram_check_runs_on_the_container_only(self, monkeypatch):

@@ -34,6 +34,17 @@ class TestArrayGeometry:
         with pytest.raises(ValueError):
             ArrayGeometry(m_h, m_v, 0.5, 1.0)
 
+    @pytest.mark.parametrize(
+        "m_h,m_v", [(2.5, 2), (2, 2.0), (True, 2), (2, np.True_), ("3", 2)]
+    )
+    def test_rejects_non_integer_counts(self, m_h, m_v):
+        with pytest.raises(ValueError, match="antenna counts must be integers"):
+            ArrayGeometry(m_h, m_v, 0.25, 1.0)
+
+    def test_numpy_integer_counts_allowed(self):
+        g = ArrayGeometry(np.int64(3), np.int32(2), 0.25, 1.0)
+        assert g.num_antennas == 6
+
     @pytest.mark.parametrize("spacing,wavelength", [(0.0, 1.0), (-0.1, 1.0), (0.5, 0.0)])
     def test_rejects_nonpositive_lengths(self, spacing, wavelength):
         with pytest.raises(ValueError):

@@ -31,7 +31,7 @@ from holomimo import (
 )
 from holomimo.cli import main, preset_names, resolve_config_path
 from holomimo.correlation import STRUCTURE_CHECK_ROWS
-from holomimo.spectral import RANK_TOLERANCE, _parity_blocks, _real_form
+from holomimo.spectral import RANK_TOLERANCE, _numerical_rank, _parity_blocks, _real_form, _solve
 
 ENTRY_POINTS = pytest.mark.parametrize(
     "solve", [spectrum, eigendecompose], ids=["spectrum", "eigendecompose"]
@@ -637,6 +637,107 @@ def test_builder_trace_is_the_trace_of_its_dense_copy(shape, gain):
     trace = spectrum(matrix).source_trace
     assert matrix._entries is None
     assert trace == float(np.trace(matrix.entries).real)
+
+
+def three_path_solve(matrix, vectors):
+    """_solve before its real-form, parity-block and direct paths became one
+    sequence, kept as an oracle: each path makes its own LAPACK calls,
+    descending reorder, rank cut and eigenvector write-back."""
+    table = matrix._offsets
+    real = not (matrix.entries if table is None else table).imag.any()
+    if table is not None or matrix._is_centro_hermitian():
+        return (solve_parity if real else solve_real_form)(matrix, vectors)
+    entries = matrix.entries
+    operand = entries.real if real else entries
+    if not vectors:
+        return np.linalg.eigvalsh(operand)[::-1], None
+    values, columns = np.linalg.eigh(operand)
+    values = values[::-1]
+    kept = columns[:, ::-1][:, : _numerical_rank(values)]
+    return values, np.ascontiguousarray(kept, dtype=np.complex128)
+
+
+def solve_real_form(matrix, vectors):
+    form = _real_form(matrix)
+    if not vectors:
+        return np.linalg.eigvalsh(form)[::-1], None
+    values, real_vectors = np.linalg.eigh(form)
+    del form
+    values = values[::-1]
+    m = matrix.num_antennas
+    n, h = m // 2, m - m // 2
+    descending = real_vectors[:, ::-1][:, : _numerical_rank(values)]
+    columns = np.empty(descending.shape, dtype=np.complex128)
+    top, bottom = columns[:n], columns[h:]
+    np.multiply(descending[:n], np.sqrt(0.5), out=top.real)
+    np.multiply(descending[h:], np.sqrt(0.5), out=top.imag)
+    np.multiply(descending[:n][::-1], np.sqrt(0.5), out=bottom.real)
+    np.multiply(descending[h:][::-1], -np.sqrt(0.5), out=bottom.imag)
+    if h > n:
+        columns[n] = descending[n]
+    return values, columns
+
+
+def solve_parity(matrix, vectors):
+    m = matrix.num_antennas
+    n, h = m // 2, m - m // 2
+    plus, minus = np.empty((h, h)), np.empty((n, n))
+    _parity_blocks(matrix, plus, minus)
+    if not vectors:
+        values = np.concatenate([np.linalg.eigvalsh(plus), np.linalg.eigvalsh(minus)])
+        return np.sort(values)[::-1], None
+    plus_values, plus_vectors = np.linalg.eigh(plus)
+    minus_values, minus_vectors = np.linalg.eigh(minus)
+    del plus, minus
+    values = np.concatenate([plus_values, minus_values])
+    order = np.argsort(values, kind="stable")[::-1]
+    values = values[order]
+    rank = _numerical_rank(values)
+    position = np.argsort(order)
+    columns = np.zeros((m, rank), dtype=np.complex128)
+    blocks = ((plus_vectors, position[:h], 1.0), (minus_vectors, position[h:], -1.0))
+    for block, targets, sign in blocks:
+        kept = targets < rank
+        top = block[:n, kept]
+        top *= np.sqrt(0.5)
+        columns.real[:n, targets[kept]] = top
+        columns.real[h:, targets[kept]] = sign * top[::-1]
+    if h > n:
+        kept = position[:h] < rank
+        columns.real[n, position[:h][kept]] = plus_vectors[n, kept]
+    return values, columns
+
+
+@settings(max_examples=60, deadline=None)
+@example(builder="isotropic", shape=(1, 1), spacing=0.25)
+@example(builder="exact", shape=(1, 8), spacing=0.25)
+@example(builder="isotropic", shape=(9, 1), spacing=0.125)
+@example(builder="approx", shape=(5, 7), spacing=0.5)
+@example(builder="isotropic", shape=(9, 9), spacing=0.125)
+@given(
+    builder=st.sampled_from(sorted(SMALL_BUILDERS)),
+    shape=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+    spacing=st.sampled_from([0.125, 0.25, 0.5]),
+)
+def test_one_solve_sequence_matches_the_three_paths_bit_for_bit(builder, shape, spacing):
+    # the parity blocks (isotropic) and the real form (clustered) from the
+    # table and from a dense copy; one ulp off in one Hermitian pair sends
+    # the dense copy to the direct solve, real or complex
+    matrix = SMALL_BUILDERS[builder](ArrayGeometry(*shape, spacing, 1.0))
+    broken = matrix.entries.copy()
+    if matrix.num_antennas > 1:
+        broken[0, 1] = complex(np.nextafter(broken[0, 1].real, 2.0), broken[0, 1].imag)
+        broken[1, 0] = broken[0, 1].conj()
+    dense = [CorrelationMatrix(e, matrix.gain, matrix.provenance) for e in (matrix.entries, broken)]
+    for solved in (matrix, *dense):
+        for vectors in (False, True):
+            values, columns = _solve(solved, vectors)
+            old_values, old_columns = three_path_solve(solved, vectors)
+            assert same_bits(values, old_values)
+            if vectors:
+                assert columns.flags.c_contiguous and same_bits(columns, old_columns)
+            else:
+                assert columns is None and old_columns is None
 
 
 def forbidden_scan(matrix):
