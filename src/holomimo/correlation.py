@@ -242,24 +242,38 @@ class CorrelationMatrix:
     def _check_structure(self, trace_tol: float = 1e-9) -> None:
         """The O(M^2) part of validate(), which load_matrix also runs.
 
-        Checks finiteness, exact Hermitian symmetry, a real nonnegative
+        Checks finiteness, exact Hermitian symmetry (_checked_entries; a
+        diagonal entry equal to its own conjugate is real), a nonnegative
         diagonal and the trace; validate() adds the exact diagonal and the
         PSD checks. Works on blocks of STRUCTURE_CHECK_ROWS rows, so its
-        temporaries stay O(M) instead of an M x M conjugate transpose. Every
-        entry is checked for finiteness before any is compared with its
-        mirror.
+        temporaries stay O(M) instead of an M x M conjugate transpose.
+        Every entry is checked for finiteness before any is compared with
+        its mirror.
         """
         e, m = self.entries, self.num_antennas
         if not all(np.isfinite(e[a:b]).all() for a, b in _row_ranges(m)):
             raise ValueError("matrix has non-finite entries (NaN or Inf)")
-        if not all(np.array_equal(e[a:b], e[:, a:b].conj().T) for a, b in _row_ranges(m)):
-            raise ValueError("matrix is not exactly Hermitian")
-        diag = np.diagonal(e)
-        if np.any(diag.imag != 0.0) or np.any(diag.real < 0.0):
+        diag = np.diagonal(self._checked_entries())
+        if np.any(diag.real < 0.0):
             raise ValueError("diagonal must be real and nonnegative")
         trace = float(diag.real.sum())
         if abs(trace - m * self.gain) > trace_tol * m * self.gain:
             raise ValueError(f"trace {trace} deviates from M*gain {m * self.gain}")
+
+    def _checked_entries(self) -> np.ndarray:
+        """`entries`, once an exact scan finds each entry the conjugate of its mirror.
+
+        Raises ValueError otherwise. Row block [a, b) is compared with the
+        conjugate transpose of column block [a, b), STRUCTURE_CHECK_ROWS
+        rows at a time. The one Hermitian scan: _check_structure runs it,
+        and the spectral layer runs it on a dense matrix before LAPACK,
+        which reads one triangle only. A builder's matrix is Hermitian by
+        construction, and the spectral layer never scans it.
+        """
+        e, blocks = self.entries, _row_ranges(self.num_antennas)
+        if not all(np.array_equal(e[a:b], e[:, a:b].conj().T) for a, b in blocks):
+            raise ValueError("matrix is not exactly Hermitian")
+        return e
 
     def _is_centro_hermitian(self) -> bool:
         """Whether reversing both indices conjugates every entry, bit for bit.

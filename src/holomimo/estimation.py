@@ -228,10 +228,10 @@ def _row_energy(rows: np.ndarray) -> np.ndarray:
 def _projection(subspace: np.ndarray, u1: np.ndarray) -> np.ndarray:
     """(I - P P^H) U_1: the part of the channel basis that projecting onto P drops.
 
-    P^H is formed from one transient conj(P); no conjugate copy outlives
-    the call. P is not checked here: columns of an EigenBasis are
-    orthonormal by construction, and a caller's raw array is checked by
-    the caller.
+    Monte Carlo forms it for the container only: RS-LS projects onto a
+    prefix of U_1, whose dropped part is the rest of U_1. P^H is formed
+    from one transient conj(P); no conjugate copy outlives the call. P is
+    not checked here: a caller's raw array is checked by the caller.
     """
     return u1 - subspace @ (subspace.conj().T @ u1)
 
@@ -274,21 +274,24 @@ def monte_carlo_nmse(
 
     Trials are processed in blocks of MC_BLOCK_TRIALS. Each block is
     projected once per subspace; every SNR then costs elementwise work on the
-    projected coordinates:
+    projected coordinates a = diag(sqrt(l)) v of h on U_1:
 
     * LS, RSLS and CONSERVATIVE_RSLS share one kernel: projecting onto an
       orthonormal P costs ||(I - P P^H) h||^2 + ||P^H n||^2 / snr, the two
       parts being orthogonal. LS is the case P = I, with residual 0 and
-      noise energy ||n||^2. One broadcast writes the whole SNR grid.
-    * MMSE: ||d||^2 with d = shrink / sqrt(snr) (sqrt(snr) a + U_1^H n) - a in
-      the coordinates a = diag(sqrt(l)) v of h on U_1.
+      noise energy ||n||^2. RSLS projects onto the top k columns of U_1
+      itself, so its residual is the tail energy ||a[k:]||^2 of the
+      coordinates, with no product (exactly 0 when k >= r). One broadcast
+      writes the whole SNR grid.
+    * MMSE: ||d||^2 with d = shrink / sqrt(snr) (sqrt(snr) a + U_1^H n) - a.
 
     No conjugate copy of a basis is held: each block's noise is conjugated
     in place instead. U_1^H n is then conj(n)^T U_1 conjugated, and
     ||P^H n||^2 is ||conj(n)^T P||^2 since |conj(z)| = |z|; both give the
     bits of the products with conj(U_1) and conj(P). Besides the bases, the
-    call holds one M x r array (I - P P^H) U_1 per projection, r the
-    numerical rank of `basis`.
+    call holds one M x r array, r the numerical rank of `basis`: the
+    container's (I - P P^H) U_1, formed only when CONSERVATIVE_RSLS is
+    requested.
 
     A grid call therefore returns exactly the numbers of separate scalar
     calls, and a subset of `estimators` exactly those of the full set.
@@ -312,20 +315,14 @@ def monte_carlo_nmse(
     r = basis.numerical_rank
     u1 = basis.eigenvectors[:, :r]
     scale = np.sqrt(basis.eigenvalues[:r])
-    projections: dict[Estimator, tuple[np.ndarray, np.ndarray]] = {}  # P, (I - P P^H) U_1
     if Estimator.RSLS in estimators:
         held = basis.eigenvectors.shape[1]
         rank = _checked_rank(basis.effective_rank if rsls_rank is None else rsls_rank, held, "rsls")
-        subspace = basis.eigenvectors[:, :rank]
-        projections[Estimator.RSLS] = subspace, _projection(subspace, u1)
     if Estimator.CONSERVATIVE_RSLS in estimators:
         if container_subspace is None:
             raise ValueError("CONSERVATIVE_RSLS requires a container_subspace")
         _check_orthonormal(container_subspace)
-        projections[Estimator.CONSERVATIVE_RSLS] = (
-            container_subspace,
-            _projection(container_subspace, u1),
-        )
+        dropped = _projection(container_subspace, u1)
 
     errors = np.empty((snrs.size, len(estimators), trials))
     for start in range(0, trials, MC_BLOCK_TRIALS):
@@ -346,10 +343,12 @@ def monte_carlo_nmse(
                 continue
             if estimator is Estimator.LS:
                 residual, noise_energy = 0.0, _row_energy(noise_conj)
-            elif estimator in projections:
-                subspace, dropped = projections[estimator]
+            elif estimator is Estimator.RSLS:  # h = U_1 a, so (I - P P^H) h = U_1[:, k:] a[k:]
+                residual = _row_energy(a[:, rank:])
+                noise_energy = _row_energy(noise_conj @ basis.eigenvectors[:, :rank])
+            elif estimator is Estimator.CONSERVATIVE_RSLS:
                 residual = _row_energy(a @ dropped.T)
-                noise_energy = _row_energy(noise_conj @ subspace)
+                noise_energy = _row_energy(noise_conj @ container_subspace)
             else:
                 raise ValueError(f"unknown estimator {estimator!r}")
             errors[:, k, rows] = residual + noise_energy / snrs[:, None]

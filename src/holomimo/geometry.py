@@ -27,10 +27,11 @@ class ArrayGeometry:
         not booleans), at least 1. The array has M = num_horizontal *
         num_vertical elements in total.
     spacing:
-        Inter-antenna distance in meters, shared by both axes. Values below
-        half a wavelength model dense (holographic) deployments.
+        Inter-antenna distance in meters, shared by both axes: finite and
+        positive, not a boolean. Values below half a wavelength model dense
+        (holographic) deployments.
     wavelength:
-        Carrier wavelength in meters.
+        Carrier wavelength in meters, finite and positive, not a boolean.
     """
 
     num_horizontal: int
@@ -44,10 +45,9 @@ class ArrayGeometry:
             raise ValueError(f"antenna counts must be integers, got {counts!r}")
         if self.num_horizontal < 1 or self.num_vertical < 1:
             raise ValueError("array needs at least one antenna per row and per column")
-        if not self.spacing > 0:
-            raise ValueError(f"spacing must be positive, got {self.spacing}")
-        if not self.wavelength > 0:
-            raise ValueError(f"wavelength must be positive, got {self.wavelength}")
+        for name, length in (("spacing", self.spacing), ("wavelength", self.wavelength)):
+            if isinstance(length, (bool, np.bool_)) or not 0 < length < np.inf:
+                raise ValueError(f"{name} must be finite and positive, got {length!r}")
 
     @property
     def num_antennas(self) -> int:

@@ -13,7 +13,8 @@ solves several times faster than the Hermitian matrix. A real
 centro-symmetric matrix, such as the isotropic one, splits into two real
 parity blocks of half the size. A builder's matrix has that structure by
 type, so the dispatch reads it from the matrix's offset table in O(M). A
-dense matrix (loaded or external) is tested exactly; one that lacks the
+dense matrix (loaded or external) is tested exactly: one that is not
+Hermitian raises ValueError, and one that lacks the centro-Hermitian
 symmetry is solved as it is. Whichever operands the structure gives, one
 LAPACK call solves each, one sort merges their eigenvalues, one rank cut
 counts the eigenvectors to keep, and one map (Q's) writes them back.
@@ -217,12 +218,14 @@ def _solve(matrix: CorrelationMatrix, vectors: bool) -> tuple[np.ndarray, np.nda
     centro-Hermitian by construction and real exactly when its O(M) offset
     table is, so neither O(M^2) scan runs on it, and its operands are
     filled from the table without forming its dense `entries`. A dense
-    matrix (loaded or external) is tested exactly, without tolerance, and
-    if it lacks the symmetry it is solved as is. Every LAPACK failure
-    raises NumericalError.
+    matrix (loaded or external) is tested exactly, without tolerance:
+    first for Hermitian symmetry, which LAPACK assumes when it reads one
+    triangle, so a matrix without it raises ValueError before any solve;
+    then for centro-Hermitian symmetry, and if it lacks that it is solved
+    as is. Every LAPACK failure raises NumericalError.
     """
     table = matrix._offsets
-    real = not (matrix.entries if table is None else table).imag.any()
+    real = not (matrix._checked_entries() if table is None else table).imag.any()
     try:
         operands, maps = _operands(matrix, real)
         if vectors:
@@ -308,7 +311,8 @@ def spectrum(matrix: CorrelationMatrix) -> Spectrum:
 
     Negative eigenvalues within -PSD_TOLERANCE * lambda_max of zero are
     clamped to zero; anything more negative raises NumericalError. Real
-    matrices are solved in real arithmetic, as in eigendecompose.
+    matrices are solved in real arithmetic, as in eigendecompose. A dense
+    matrix that is not exactly Hermitian raises ValueError, in both.
     """
     descending, _ = _solve(matrix, vectors=False)
     return _spectrum_from(matrix, descending)

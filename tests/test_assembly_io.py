@@ -444,7 +444,8 @@ class TestSpectralBudget:
     eigenvectors add the solver's real columns (B / 2, or B / 4 in parity
     blocks) and the complex result, which holds only the numerical rank's
     columns (531 of 1536 for the exact model, 733 for the isotropic one).
-    The Monte Carlo sweep holds one M x r array per projection and no
+    The Monte Carlo sweep holds one M x r array, the container's
+    projection (RS-LS reads its residual off the coordinates), and no
     conjugate copy of a basis.
     """
 
@@ -487,7 +488,7 @@ class TestSpectralBudget:
         )
         grid, peak = traced_peak(sweep)
         assert len(grid) == 2 and all(len(point) == len(Estimator) for point in grid)
-        assert peak <= 1.25 * self.B
+        assert peak <= 0.85 * self.B
 
     def test_correlation_matrix_distance(self, matrices, no_dense_expansion):
         distance, peak = traced_peak(

@@ -136,6 +136,13 @@ class TestCorrelationMatrixType:
         with pytest.raises(ValueError, match="non-finite"):
             matrix.validate()
 
+    def test_validate_rejects_negative_diagonal(self):
+        # Hermitian, finite and of trace M * gain, but one diagonal entry is negative
+        entries = np.diag([-1.0, 3.0]).astype(np.complex128)
+        matrix = CorrelationMatrix(entries, 1.0, MatrixProvenance.EXTERNAL)
+        with pytest.raises(ValueError, match="nonnegative"):
+            matrix.validate()
+
     def test_validate_rejects_non_finite_diagonal(self):
         entries = np.diag([1.0, np.inf]).astype(np.complex128)
         matrix = CorrelationMatrix(entries, 1.0, MatrixProvenance.EXTERNAL)
@@ -711,6 +718,17 @@ class TestContainerRoundtrip:
         struct.pack_into("<d", data, offset, value)
         path.write_bytes(bytes(data))
         with pytest.raises(ValueError, match=message):
+            load_matrix(path)
+
+    def test_load_rejects_negative_diagonal(self, tmp_path):
+        # entry (0, 0) starts at byte 21; its real part flips sign, which
+        # the diagonal check reports before the trace check sees it
+        matrix = build_exact_clustered(ORACLE_GEOMETRY, ORACLE_SCATTERING)
+        path = save_matrix(tmp_path / "matrix.hmrc", matrix)
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<d", data, 21, -matrix.gain)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="nonnegative"):
             load_matrix(path)
 
     def test_rejects_infinite_gain_header(self, tmp_path):

@@ -543,8 +543,57 @@ class TestMonteCarloEngine:
             for estimator, (nmse, ci95) in oracle.items():
                 record = results[estimator]
                 assert type(record.nmse) is float and type(record.ci95) is float
-                assert record.nmse == nmse
+                # the engine reads the RS-LS residual off the coordinates'
+                # tail, the oracle off (I - P P^H) U_1: equal in exact arithmetic
+                rsls = estimator is Estimator.RSLS
+                if rsls:
+                    assert record.nmse == pytest.approx(nmse, rel=1e-12, abs=0.0)
+                else:
+                    assert record.nmse == nmse
                 if trials == 1:
                     assert math.isnan(record.ci95) and math.isnan(ci95)
+                elif rsls:
+                    assert record.ci95 == pytest.approx(ci95, rel=1e-12, abs=0.0)
                 else:
                     assert record.ci95 == ci95
+
+    @pytest.mark.parametrize("which", ["one", "effective", "numerical"])
+    def test_rsls_residual_is_the_tail_of_the_coordinates(self, which):
+        # h = U_1 a, so projecting onto the top k columns of U_1 drops
+        # U_1[:, k:] a[k:]: per trial, ||a[k:]||^2 is the residual the
+        # product with (I - P P^H) U_1 gives, up to rounding
+        r = self.basis.numerical_rank
+        rank = {"one": 1, "effective": self.basis.effective_rank, "numerical": r}[which]
+        u1 = self.basis.eigenvectors[:, :r]
+        dropped = _projection(self.basis.eigenvectors[:, :rank], u1)
+        v, _ = _draw_block(5, range(2 * MC_BLOCK_TRIALS + 1), r, self.basis.num_antennas)
+        a = np.sqrt(self.basis.eigenvalues[:r]) * v
+        tail, product = _row_energy(a[:, rank:]), _row_energy(a @ dropped.T)
+        assert np.all(np.abs(tail - product) <= 1e-12 * _row_energy(a))
+        assert np.all(tail > 0) if rank < r else np.all(tail == 0.0)
+
+    def test_rsls_past_the_numerical_rank_drops_nothing(self):
+        # a hand-built basis may hold more columns than its numerical rank;
+        # projecting onto more than r of them keeps all of h = U_1 a, so the
+        # residual is exactly 0 and each trial's error is its noise term alone
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+        values = np.array([3.0, 2.0, 1.0, 1e-20, 1e-20, 1e-20])
+        basis = EigenBasis(
+            eigenvalues=values,
+            eigenvectors=q,
+            numerical_rank=3,
+            effective_rank=3,
+            source_trace=float(values.sum()),
+        )
+        v, _ = _draw_block(0, range(MC_BLOCK_TRIALS), 3, 6)
+        a = np.sqrt(values[:3]) * v
+        product = _row_energy(a @ _projection(q[:, :4], q[:, :3]).T)
+        assert np.all(product <= 1e-12 * _row_energy(a))
+        for seed in range(4):
+            result = monte_carlo_nmse(
+                basis, (Estimator.RSLS,), snr=2.0, trials=1, seed=seed, rsls_rank=4
+            )
+            _, noise = _draw_block(seed, range(1), 3, 6)
+            noise_only = _row_energy(noise.conj() @ q[:, :4])[0] / 2.0
+            assert result[Estimator.RSLS].nmse == noise_only / basis.source_trace

@@ -45,7 +45,20 @@ class TestArrayGeometry:
         g = ArrayGeometry(np.int64(3), np.int32(2), 0.25, 1.0)
         assert g.num_antennas == 6
 
-    @pytest.mark.parametrize("spacing,wavelength", [(0.0, 1.0), (-0.1, 1.0), (0.5, 0.0)])
+    @pytest.mark.parametrize(
+        "spacing,wavelength",
+        [
+            (0.0, 1.0),
+            (-0.1, 1.0),
+            (0.5, 0.0),
+            (float("inf"), 1.0),
+            (0.5, float("inf")),
+            (float("nan"), 1.0),
+            (True, 1.0),
+            (0.5, True),
+            pytest.param(np.True_, 1.0, id="numpy_true-1.0"),
+        ],
+    )
     def test_rejects_nonpositive_lengths(self, spacing, wavelength):
         with pytest.raises(ValueError):
             ArrayGeometry(2, 2, spacing, wavelength)

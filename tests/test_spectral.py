@@ -135,6 +135,19 @@ class TestEigendecompose:
         with pytest.raises(NumericalError, match="non-finite"):
             solve(matrix)
 
+    @ENTRY_POINTS
+    @pytest.mark.parametrize(
+        "entries",
+        [[[1, 2], [0, 1]], [[1, 1j], [1j, 1]]],
+        ids=["real-upper-only", "imaginary-symmetric"],
+    )
+    def test_rejects_a_matrix_that_is_not_hermitian(self, solve, entries):
+        # LAPACK reads one triangle: unchecked, these solved to [1, 1] and [2, 0]
+        entries = np.array(entries, dtype=np.complex128)
+        matrix = CorrelationMatrix(entries, 1.0, MatrixProvenance.EXTERNAL)
+        with pytest.raises(ValueError, match="Hermitian"):
+            solve(matrix)
+
     def test_rejects_zero_matrix(self):
         matrix = CorrelationMatrix(
             np.zeros((3, 3), dtype=np.complex128), 1.0, MatrixProvenance.EXTERNAL
@@ -602,6 +615,19 @@ class TestStructureByType:
             assert typed.effective_rank == dense_result.effective_rank
             assert typed.source_trace == dense_result.source_trace
         assert same_bits(typed_basis.eigenvectors, scanned_basis.eigenvectors)
+
+    @pytest.mark.parametrize("builder", sorted(SMALL_BUILDERS))
+    def test_only_a_dense_matrix_is_scanned_for_hermitian_symmetry(self, builder):
+        matrix = SMALL_BUILDERS[builder](ArrayGeometry(4, 5, 0.25, 1.0))
+        dense = CorrelationMatrix(matrix.entries.copy(), matrix.gain, matrix.provenance)
+        scan = CorrelationMatrix._checked_entries
+        with mock.patch.object(
+            CorrelationMatrix, "_checked_entries", autospec=True, side_effect=scan
+        ) as spy:
+            for solve in (spectrum, eigendecompose):
+                solve(matrix)
+                solve(dense)
+        assert [call.args[0] for call in spy.call_args_list] == [dense, dense]
 
 
 @pytest.mark.parametrize("shape", [(23, 23), (24, 22)], ids=["23x23", "24x22"])
