@@ -250,15 +250,19 @@ class CorrelationMatrix:
         Every entry is checked for finiteness before any is compared with
         its mirror.
         """
-        e, m = self.entries, self.num_antennas
-        if not all(np.isfinite(e[a:b]).all() for a, b in _row_ranges(m)):
-            raise ValueError("matrix has non-finite entries (NaN or Inf)")
+        m = self.num_antennas
+        self._check_finite()
         diag = np.diagonal(self._checked_entries())
         if np.any(diag.real < 0.0):
             raise ValueError("diagonal must be real and nonnegative")
         trace = float(diag.real.sum())
         if abs(trace - m * self.gain) > trace_tol * m * self.gain:
             raise ValueError(f"trace {trace} deviates from M*gain {m * self.gain}")
+
+    def _check_finite(self) -> None:
+        """Raise ValueError if an entry is NaN or Inf, STRUCTURE_CHECK_ROWS rows at a time."""
+        if not all(np.isfinite(self.entries[a:b]).all() for a, b in _row_ranges(self.num_antennas)):
+            raise ValueError("matrix has non-finite entries (NaN or Inf)")
 
     def _checked_entries(self) -> np.ndarray:
         """`entries`, once an exact scan finds each entry the conjugate of its mirror.
@@ -269,9 +273,17 @@ class CorrelationMatrix:
         and the spectral layer runs it on a dense matrix before LAPACK,
         which reads one triangle only. A builder's matrix is Hermitian by
         construction, and the spectral layer never scans it.
+
+        A NaN never equals its mirror, so a failed scan first checks for
+        non-finite entries and reports those instead. That check runs on
+        the failure path only: LAPACK returns finite eigenvalues for some
+        matrices holding a NaN, so the scan must stay ahead of the solve.
+        An Inf that equals its mirror passes, and the spectral layer's
+        check of the eigenvalues reports it.
         """
         e, blocks = self.entries, _row_ranges(self.num_antennas)
         if not all(np.array_equal(e[a:b], e[:, a:b].conj().T) for a, b in blocks):
+            self._check_finite()
             raise ValueError("matrix is not exactly Hermitian")
         return e
 

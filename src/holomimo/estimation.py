@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OracleInvalidError
-from .spectral import EigenBasis, _checked_rank
+from .spectral import EigenBasis, _checked_rank, _projection
 
 GRAM_TOLERANCE = 1e-8
 CONTAINMENT_TOLERANCE = 1e-5
@@ -225,17 +225,6 @@ def _row_energy(rows: np.ndarray) -> np.ndarray:
     return (rows.real**2 + rows.imag**2).sum(axis=1)
 
 
-def _projection(subspace: np.ndarray, u1: np.ndarray) -> np.ndarray:
-    """(I - P P^H) U_1: the part of the channel basis that projecting onto P drops.
-
-    Monte Carlo forms it for the container only: RS-LS projects onto a
-    prefix of U_1, whose dropped part is the rest of U_1. P^H is formed
-    from one transient conj(P); no conjugate copy outlives the call. P is
-    not checked here: a caller's raw array is checked by the caller.
-    """
-    return u1 - subspace @ (subspace.conj().T @ u1)
-
-
 def _draw_block(
     seed: int, trials: range, rank: int, num_antennas: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -260,7 +249,7 @@ def monte_carlo_nmse(
     trials: int,
     seed: int,
     rsls_rank: int | None = None,
-    container_subspace: np.ndarray | None = None,
+    container_subspace: EigenBasis | np.ndarray | None = None,
 ) -> dict[Estimator, MonteCarloNmse] | list[dict[Estimator, MonteCarloNmse]]:
     """Empirical NMSE of several estimators over shared channel realizations.
 
@@ -290,19 +279,21 @@ def monte_carlo_nmse(
     ||P^H n||^2 is ||conj(n)^T P||^2 since |conj(z)| = |z|; both give the
     bits of the products with conj(U_1) and conj(P). Besides the bases, the
     call holds one M x r array, r the numerical rank of `basis`: the
-    container's (I - P P^H) U_1, formed only when CONSERVATIVE_RSLS is
-    requested.
+    container's (I - P P^H) U_1 (spectral._projection), formed only when
+    CONSERVATIVE_RSLS is requested.
 
     A grid call therefore returns exactly the numbers of separate scalar
     calls, and a subset of `estimators` exactly those of the full set.
 
     `rsls_rank` sets the RSLS projection rank (default: effective rank of
     `basis`), at most the columns `basis` holds: its numerical rank, for a
-    basis from eigendecompose. `container_subspace` is the orthonormal
-    M x r basis used by CONSERVATIVE_RSLS and is required when that
-    estimator is requested.
-    The container's Gram matrix is checked once per call; the RSLS columns
-    come from `basis`, which the sampler and MMSE already trust, and are not.
+    basis from eigendecompose. `container_subspace` is the container P
+    that CONSERVATIVE_RSLS projects onto, required when that estimator is
+    requested, in one of two forms. An EigenBasis gives its numerical-rank
+    columns, eigenvectors[:, :numerical_rank], orthonormal by construction
+    and trusted like `basis` itself: no Gram check runs. A raw M x r array
+    must have orthonormal columns, and its Gram matrix is checked once per
+    call. The RSLS columns come from `basis` and are never checked.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -321,8 +312,12 @@ def monte_carlo_nmse(
     if Estimator.CONSERVATIVE_RSLS in estimators:
         if container_subspace is None:
             raise ValueError("CONSERVATIVE_RSLS requires a container_subspace")
-        _check_orthonormal(container_subspace)
-        dropped = _projection(container_subspace, u1)
+        container = container_subspace
+        if isinstance(container, EigenBasis):  # orthonormal by construction: no Gram check
+            container = container.eigenvectors[:, : container.numerical_rank]
+        else:
+            _check_orthonormal(container)
+        dropped = _projection(container, u1)
 
     errors = np.empty((snrs.size, len(estimators), trials))
     for start in range(0, trials, MC_BLOCK_TRIALS):
@@ -348,7 +343,7 @@ def monte_carlo_nmse(
                 noise_energy = _row_energy(noise_conj @ basis.eigenvectors[:, :rank])
             elif estimator is Estimator.CONSERVATIVE_RSLS:
                 residual = _row_energy(a @ dropped.T)
-                noise_energy = _row_energy(noise_conj @ container_subspace)
+                noise_energy = _row_energy(noise_conj @ container)
             else:
                 raise ValueError(f"unknown estimator {estimator!r}")
             errors[:, k, rows] = residual + noise_energy / snrs[:, None]

@@ -198,7 +198,9 @@ def run_nmse_sweep(
     eigenspace is contained in that projection within tolerance, otherwise
     the analytic column is left empty and a warning lands in the JSON. With
     isotropic truth, the truth eigenbasis is that container, so no matrix is
-    decomposed twice. One Monte Carlo call covers the whole SNR grid.
+    decomposed twice. One Monte Carlo call covers the whole SNR grid; it
+    gets the container as that EigenBasis, orthonormal by construction, so
+    no Gram check runs on it.
 
     Writes <stem>_nmse.csv and <stem>_nmse.json; returns (records, paths).
     """
@@ -208,13 +210,9 @@ def run_nmse_sweep(
         basis = eigendecompose(truth)
 
         warnings: list[str] = []
-        container = None
-        container_rank = None
-        containment = None
+        iso_basis = containment = None
         if Estimator.CONSERVATIVE_RSLS in config.estimators:
             iso_basis = _isotropic_basis(config, truth_model, basis)
-            container_rank = iso_basis.numerical_rank
-            container = iso_basis.eigenvectors[:, :container_rank]
             containment = subspace_containment_residual(iso_basis, basis)
 
         snrs = [10.0 ** (snr_db / 10.0) for snr_db in config.snr_grid_db]
@@ -224,7 +222,7 @@ def run_nmse_sweep(
             snr=snrs,
             trials=config.trials,
             seed=config.seed,
-            container_subspace=container,
+            container_subspace=iso_basis,
         )
         records: list[NmseRecord] = []
         rows: list[tuple] = []  # one per record, the estimator by its value
@@ -236,7 +234,7 @@ def run_nmse_sweep(
                         estimator,
                         basis,
                         snr,
-                        subspace_rank=container_rank if conservative else None,
+                        subspace_rank=iso_basis.numerical_rank if conservative else None,
                         containment_residual=containment,
                     )
                 except OracleInvalidError as exc:
@@ -255,7 +253,7 @@ def run_nmse_sweep(
             {
                 "truth_model": truth_model,
                 "containment_residual": containment,
-                "container_rank": container_rank,
+                "container_rank": None if iso_basis is None else iso_basis.numerical_rank,
                 "records": [dict(zip(_NMSE_KEYS, row)) for row in rows],
                 "warnings": warnings,
             },

@@ -71,8 +71,8 @@ class Cluster:
             raise ValueError(f"cluster azimuth {self.azimuth!r} outside (-pi/2, pi/2)")
         if not -_HALF_PI < self.elevation < _HALF_PI:
             raise ValueError(f"cluster elevation {self.elevation!r} outside (-pi/2, pi/2)")
-        if not self.power >= 0:
-            raise ValueError(f"cluster power must be nonnegative, got {self.power}")
+        if not 0 <= self.power < math.inf:
+            raise ValueError(f"cluster power must be finite and nonnegative, got {self.power}")
 
 
 @dataclass(frozen=True)
@@ -109,8 +109,8 @@ class ScatteringConfig:
             raise ValueError(f"sigma_azimuth must be positive, got {self.sigma_azimuth}")
         if not self.sigma_elevation > 0:
             raise ValueError(f"sigma_elevation must be positive, got {self.sigma_elevation}")
-        if self.directivity_a < 0 or self.directivity_b < 0:
-            raise ValueError("directivity exponents must be nonnegative")
+        if not (0 <= self.directivity_a < math.inf and 0 <= self.directivity_b < math.inf):
+            raise ValueError("directivity exponents must be finite and nonnegative")
         if not 0 < self.gain < math.inf:
             raise ValueError(f"gain must be finite and positive, got {self.gain}")
 
@@ -371,8 +371,8 @@ def directivity_gain(direction: Direction, a: float = 0.0, b: float = 0.0) -> fl
     solid-angle measure cos(elevation) over the front hemisphere, so a = b = 0
     gives the constant 2 (all power radiated forward).
     """
-    if a < 0 or b < 0:
-        raise ValueError("directivity exponents must be nonnegative")
+    if not (0 <= a < math.inf and 0 <= b < math.inf):
+        raise ValueError("directivity exponents must be finite and nonnegative")
     # Hemisphere integrals of cos^p are Wallis integrals sqrt(pi)*G((p+1)/2)/G(p/2+1).
     az_integral = math.sqrt(np.pi) * math.gamma((a + 1) / 2) / math.gamma(a / 2 + 1)
     el_integral = math.sqrt(np.pi) * math.gamma((b + 2) / 2) / math.gamma((b + 1) / 2 + 1)

@@ -312,7 +312,8 @@ def spectrum(matrix: CorrelationMatrix) -> Spectrum:
     Negative eigenvalues within -PSD_TOLERANCE * lambda_max of zero are
     clamped to zero; anything more negative raises NumericalError. Real
     matrices are solved in real arithmetic, as in eigendecompose. A dense
-    matrix that is not exactly Hermitian raises ValueError, in both.
+    matrix that is not exactly Hermitian raises ValueError, in both; one
+    that fails the scan on a NaN is reported as having non-finite entries.
     """
     descending, _ = _solve(matrix, vectors=False)
     return _spectrum_from(matrix, descending)
@@ -351,6 +352,19 @@ def _checked_rank(rank: int, size: int, name: str) -> int:
     return rank
 
 
+def _projection(subspace: np.ndarray, u1: np.ndarray) -> np.ndarray:
+    """(I - P P^H) U_1: the part of U_1's columns that projecting onto P drops.
+
+    The one (I - P P^H) X of the package, with two callers:
+    subspace_containment_residual, whose U_1 is the contained eigenvectors,
+    and estimation.monte_carlo_nmse, whose U_1 is the truth basis and P the
+    container. P^H is formed from one transient conj(P); no conjugate copy
+    outlives the call. P is not checked here: its caller either trusts an
+    EigenBasis or Gram-checks a raw array.
+    """
+    return u1 - subspace @ (subspace.conj().T @ u1)
+
+
 def subspace_containment_residual(
     container: EigenBasis,
     contained: EigenBasis,
@@ -375,7 +389,6 @@ def subspace_containment_residual(
     r_contained = contained.effective_rank if contained_rank is None else contained_rank
     _checked_rank(r_container, container.eigenvectors.shape[1], "container")
     _checked_rank(r_contained, contained.eigenvectors.shape[1], "contained")
-    basis = container.eigenvectors[:, :r_container]
     probes = contained.eigenvectors[:, :r_contained]
-    leakage = probes - basis @ (basis.conj().T @ probes)
+    leakage = _projection(container.eigenvectors[:, :r_container], probes)
     return float(np.linalg.norm(leakage) ** 2 / r_contained)

@@ -349,6 +349,75 @@ class TestMonteCarloNmse:
             monte_carlo_nmse(self.basis, tuple(Estimator), container_subspace=skewed, **kwargs)
 
 
+class TestEigenBasisContainer:
+    """A container handed over as an EigenBasis: its numerical-rank columns, unchecked."""
+
+    def setup_method(self):
+        geometry = ArrayGeometry(8, 8, 0.125, 1.0)
+        cfg = ScatteringConfig(
+            clusters=(Cluster(0.4, -0.15, 0.7), Cluster(-0.3, 0.25, 0.3)),
+            sigma_azimuth=0.06,
+            sigma_elevation=0.06,
+            gain=1.0,
+        )
+        self.clustered = eigendecompose(build_exact_clustered(geometry, cfg))
+        self.iso = eigendecompose(build_isotropic(geometry))
+        assert self.iso.numerical_rank < self.iso.num_antennas  # a proper subspace
+        self.snrs = 10.0 ** (np.arange(-30.0, 31.0, 10.0) / 10.0)
+
+    def spied(self, monkeypatch, basis, container):
+        """The four-estimator grid for `container`, and the shapes Gram-checked."""
+        checked = []
+        check = holomimo.estimation._check_orthonormal
+
+        def counted(subspace):
+            checked.append(subspace.shape)
+            check(subspace)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(holomimo.estimation, "_check_orthonormal", counted)
+            kwargs = dict(snr=self.snrs, trials=MC_BLOCK_TRIALS + 45, seed=31)
+            grid = monte_carlo_nmse(basis, tuple(Estimator), container_subspace=container, **kwargs)
+        return grid, checked
+
+    @pytest.mark.parametrize("truth", ["clustered", "isotropic"])
+    def test_matches_its_numerical_rank_slice_bit_for_bit(self, truth, monkeypatch):
+        # with isotropic truth the container is the truth basis itself
+        basis = self.clustered if truth == "clustered" else self.iso
+        typed, typed_checks = self.spied(monkeypatch, basis, self.iso)
+        raw = self.iso.eigenvectors[:, : self.iso.numerical_rank]
+        sliced, sliced_checks = self.spied(monkeypatch, basis, raw)
+        assert typed_checks == [] and sliced_checks == [raw.shape]
+        assert len(typed) == len(sliced) == self.snrs.size
+        for from_type, from_array in zip(typed, sliced):
+            for estimator in Estimator:
+                assert from_type[estimator].nmse == from_array[estimator].nmse
+                assert from_type[estimator].ci95 == from_array[estimator].ci95
+
+    def test_hand_built_basis_uses_its_numerical_rank_columns(self, monkeypatch):
+        # M columns held, numerical rank k < M: the container is the first k
+        # columns, not all M (which would project onto the whole space)
+        m, k = self.clustered.num_antennas, self.iso.numerical_rank
+        rng = np.random.default_rng(4)
+        q, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+        values = np.concatenate([np.linspace(2.0, 1.0, k), np.full(m - k, 1e-20)])
+        container = EigenBasis(
+            eigenvalues=values,
+            eigenvectors=q,
+            numerical_rank=k,
+            effective_rank=k,
+            source_trace=float(values.sum()),
+        )
+        typed, checks = self.spied(monkeypatch, self.clustered, container)
+        assert checks == []
+        sliced, _ = self.spied(monkeypatch, self.clustered, q[:, :k])
+        whole, _ = self.spied(monkeypatch, self.clustered, q)
+        conservative = Estimator.CONSERVATIVE_RSLS
+        for from_type, from_slice, from_whole in zip(typed, sliced, whole):
+            assert from_type[conservative] == from_slice[conservative]
+            assert from_type[conservative].nmse != from_whole[conservative].nmse
+
+
 def test_gram_check_forms_one_r_by_r_array():
     # conj(P) and the Gram matrix G set the peak; G - I is formed in place,
     # so only |G - I|, half the bytes of G, follows them

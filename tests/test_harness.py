@@ -8,11 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import holomimo.estimation
 import holomimo.harness
 import holomimo.scattering
 from holomimo import (
     AccuracyError,
     ConfigurationError,
+    EigenBasis,
     Estimator,
     build_isotropic,
     load_config,
@@ -286,6 +288,37 @@ class TestNmseSweep:
         assert json.loads(reused[-1].read_text())["container_rank"] == 51
         for first, second in zip(reused, separate):
             assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("payload", [clustered_payload, isotropic_payload])
+    def test_container_reaches_monte_carlo_as_its_eigenbasis(self, tmp_path, monkeypatch, payload):
+        # eigendecompose's basis is orthonormal by construction: the sweep
+        # hands it over whole, and no Gram check runs on it
+        checked, containers = [], []
+        monkeypatch.setattr(
+            holomimo.estimation, "_check_orthonormal", lambda subspace: checked.append(subspace)
+        )
+        engine = holomimo.harness.monte_carlo_nmse
+
+        def spy(basis, *args, container_subspace=None, **kwargs):
+            containers.append((basis, container_subspace))
+            return engine(basis, *args, container_subspace=container_subspace, **kwargs)
+
+        monkeypatch.setattr(holomimo.harness, "monte_carlo_nmse", spy)
+        config = load_config(write_config(tmp_path, payload()))
+        assert config.estimators == tuple(Estimator)
+        _, paths = run_nmse_sweep(config, tmp_path / "out")
+        assert checked == []
+        [(truth, container)] = containers
+        assert isinstance(container, EigenBasis)
+        assert (container is truth) == (payload is isotropic_payload)
+        rank = json.loads(paths[-1].read_text())["container_rank"]
+        assert rank == container.numerical_rank
+
+    def test_sweep_without_the_conservative_estimator_has_no_container(self, tmp_path):
+        payload = clustered_payload(estimators=["mmse", "ls", "rsls"])
+        _, paths = run_nmse_sweep(load_config(write_config(tmp_path, payload)), tmp_path / "out")
+        summary = json.loads(paths[-1].read_text())
+        assert summary["container_rank"] is None and summary["containment_residual"] is None
 
     def test_invalid_oracle_blanks_analytic_column(self, tmp_path, monkeypatch):
         # force a containment failure: the conservative oracle must be

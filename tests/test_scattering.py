@@ -66,6 +66,13 @@ class TestCluster:
         with pytest.raises(ValueError):
             Cluster(0.0, 0.0, -0.1)
 
+    @pytest.mark.parametrize("power", [math.inf, math.nan])
+    def test_non_finite_power_rejected(self, power):
+        # +inf passed a bare `power >= 0`, and both builders then failed late
+        # with RuntimeWarnings and "offset table has non-finite values"
+        with pytest.raises(ValueError, match="finite"):
+            Cluster(0.1, 0.1, power)
+
 
 class TestScatteringConfig:
     def test_requires_clusters(self):
@@ -101,6 +108,20 @@ class TestScatteringConfig:
                 sigma_azimuth=0.1,
                 sigma_elevation=0.1,
                 gain=0.0,
+            )
+
+    @pytest.mark.parametrize("axis", ["directivity_a", "directivity_b"])
+    @pytest.mark.parametrize("exponent", [math.inf, math.nan])
+    def test_rejects_non_finite_directivity(self, axis, exponent):
+        # NaN passed a bare `exponent < 0` test; the exact builder then failed
+        # late on a non-finite integrand, and an infinite exponent as a zero
+        # reference mass that advised widening the spread
+        with pytest.raises(ValueError, match="finite"):
+            ScatteringConfig(
+                clusters=(Cluster(0.0, 0.0, 1.0),),
+                sigma_azimuth=0.1,
+                sigma_elevation=0.1,
+                **{axis: exponent},
             )
 
     @pytest.mark.parametrize("gain", [math.inf, math.nan])
@@ -510,6 +531,11 @@ class TestDirectivityGain:
     def test_rejects_negative_exponents(self):
         with pytest.raises(ValueError):
             directivity_gain(Direction(0.0, 0.0), -1.0, 0.0)
+
+    @pytest.mark.parametrize("exponents", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 1.0)])
+    def test_rejects_non_finite_exponents(self, exponents):
+        with pytest.raises(ValueError, match="finite"):
+            directivity_gain(Direction(0.0, 0.0), *exponents)
 
     @staticmethod
     def scipy_gamma_gain(direction, a, b):

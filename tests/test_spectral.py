@@ -148,6 +148,34 @@ class TestEigendecompose:
         with pytest.raises(ValueError, match="Hermitian"):
             solve(matrix)
 
+    @ENTRY_POINTS
+    @pytest.mark.parametrize("nan_at", [[(1, 1)], [(0, 2), (2, 0)]], ids=["diagonal", "mirrored"])
+    def test_nan_is_reported_as_non_finite_before_lapack(self, solve, nan_at, monkeypatch):
+        # a NaN never equals its mirror, so the Hermitian scan fails on it;
+        # it must be named as the non-finite entry that validate() and
+        # load_matrix report, and LAPACK, which can return finite eigenvalues
+        # for a matrix holding a NaN, must never see it
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            solver = getattr(np.linalg, name)
+
+            def counted(*args, _solver=solver, _name=name, **kwargs):
+                calls.append(_name)
+                return _solver(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        entries = np.eye(3, dtype=np.complex128)
+        for index in nan_at:
+            entries[index] = np.nan
+        matrix = CorrelationMatrix(entries, 1.0, MatrixProvenance.EXTERNAL)
+        with pytest.raises(ValueError, match="non-finite"):
+            solve(matrix)
+        assert calls == []
+        for index in nan_at:
+            entries[index] = 0.0 if index[0] != index[1] else 1.0
+        solve(matrix)  # the spies see the finite matrix's solve: one call per parity block
+        assert calls == ["eigh" if solve is eigendecompose else "eigvalsh"] * 2
+
     def test_rejects_zero_matrix(self):
         matrix = CorrelationMatrix(
             np.zeros((3, 3), dtype=np.complex128), 1.0, MatrixProvenance.EXTERNAL
