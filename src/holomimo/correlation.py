@@ -233,7 +233,7 @@ class CorrelationMatrix:
         self._check_structure(trace_tol)
         if not np.all(np.diagonal(self.entries) == self.gain):
             raise ValueError(f"diagonal differs from the gain {self.gain}")
-        eigenvalues, _ = _solve(self, vectors=False)
+        eigenvalues, _, _ = _solve(self, vectors=False)
         try:
             _spectrum_from(self, eigenvalues, psd_tol)
         except NumericalError as exc:

@@ -20,7 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OracleInvalidError
-from .spectral import EigenBasis, _checked_rank, _projection
+from .spectral import (
+    EigenBasis,
+    _checked_rank,
+    _dropped,
+    _frame_noise,
+    _identity_piece,
+    _leading_pieces,
+    _shared_frame,
+)
 
 GRAM_TOLERANCE = 1e-8
 CONTAINMENT_TOLERANCE = 1e-5
@@ -221,8 +229,18 @@ class MonteCarloNmse:
 
 
 def _row_energy(rows: np.ndarray) -> np.ndarray:
-    """Squared Euclidean norm of every row of a complex block."""
-    return (rows.real**2 + rows.imag**2).sum(axis=1)
+    """Squared Euclidean norm of every row of a complex block.
+
+    A real block is read as a frame's stacked complex one, real parts over
+    imaginary parts (see spectral._frame_noise): one norm per trial.
+    """
+    if np.iscomplexobj(rows):
+        real, imag = rows.real, rows.imag
+    else:
+        real, imag = rows[: rows.shape[0] // 2], rows[rows.shape[0] // 2 :]
+    energy = real**2
+    energy += imag**2
+    return energy.sum(axis=1)
 
 
 def _draw_block(
@@ -232,13 +250,21 @@ def _draw_block(
 
     Every trial draws from its own (seed, trial) generator, v before n, so a
     row depends on its trial index alone, never on the block it lands in.
+    One standard_normal call per trial fills a reused float buffer with
+    what complex_normal would draw for v and then for n (real parts, then
+    imaginary parts), and the trial's rows are filled from it; both blocks
+    are then divided by sqrt(2) once, giving complex_normal's bits.
     """
     v = np.empty((len(trials), rank), dtype=np.complex128)
     n = np.empty((len(trials), num_antennas), dtype=np.complex128)
+    draws = np.empty(2 * (rank + num_antennas))
+    first, second, third = rank, 2 * rank, 2 * rank + num_antennas
     for row, trial in enumerate(trials):
-        rng = np.random.default_rng([seed, trial])
-        v[row] = complex_normal(rng, rank)
-        n[row] = complex_normal(rng, num_antennas)
+        np.random.default_rng([seed, trial]).standard_normal(out=draws)
+        v.real[row], v.imag[row] = draws[:first], draws[first:second]
+        n.real[row], n.imag[row] = draws[second:third], draws[third:]
+    v /= np.sqrt(2.0)
+    n /= np.sqrt(2.0)
     return v, n
 
 
@@ -274,16 +300,31 @@ def monte_carlo_nmse(
       writes the whole SNR grid.
     * MMSE: ||d||^2 with d = shrink / sqrt(snr) (sqrt(snr) a + U_1^H n) - a.
 
-    No conjugate copy of a basis is held: each block's noise is conjugated
-    in place instead. U_1^H n is then conj(n)^T U_1 conjugated, and
-    ||P^H n||^2 is ||conj(n)^T P||^2 since |conj(z)| = |z|; both give the
-    bits of the products with conj(U_1) and conj(P). Besides the bases, the
-    call holds one M x r array, r the numerical rank of `basis`: the
-    container's (I - P P^H) U_1 (spectral._projection), formed only when
-    CONSERVATIVE_RSLS is requested.
+    The products run in the truth's own frame (see EigenBasis). A basis
+    from eigendecompose of a builder's matrix is U_1 = Q W with W real: V
+    from Lee's real form for a clustered model, the parity blocks' columns
+    for the isotropic one. Each block's noise is mapped once, n' = Q^H n
+    (spectral._frame_noise, O(M) per trial), so U_1^H n = W^T n' is one
+    real GEMM on n' stacked as [Re n'; Im n'], and RSLS reads its noise
+    energy ||U_1[:, :k]^H n||^2 off the first k columns of that product. A
+    container with real pieces in that frame (the isotropic EigenBasis;
+    see spectral._shared_frame) is projected in it too: ||P^H n||^2 is
+    ||P_+^T n'_top||^2 + ||P_-^T n'_bottom||^2, over the first ceil(M/2)
+    and last floor(M/2) coordinates, and (I - P P^H) U_1 is two real
+    half-height products on W (spectral._dropped). A basis built by hand
+    or solved from a dense matrix as it is, and a raw container array, run
+    the same kernel with complex coordinates in the identity frame, on the
+    block's noise conjugated in place: U_1^H n is conj(conj(n)^T U_1) and
+    ||P^H n||^2 is ||conj(n)^T P||^2. No conjugate copy of a basis is
+    held. Besides the bases, the call holds one M x r array, r the
+    numerical rank of `basis`: the container's (I - P P^H) U_1, formed
+    only when CONSERVATIVE_RSLS is requested, real in a real frame.
 
-    A grid call therefore returns exactly the numbers of separate scalar
-    calls, and a subset of `estimators` exactly those of the full set.
+    Which frame a product runs in depends on the bases alone, never on the
+    estimators or the SNRs, and every trial's error comes from the same
+    products. A grid call therefore returns exactly the numbers of separate
+    scalar calls, and a subset of `estimators` exactly those of the full
+    set.
 
     `rsls_rank` sets the RSLS projection rank (default: effective rank of
     `basis`), at most the columns `basis` holds: its numerical rank, for a
@@ -304,46 +345,77 @@ def monte_carlo_nmse(
 
     m = basis.num_antennas
     r = basis.numerical_rank
-    u1 = basis.eigenvectors[:, :r]
     scale = np.sqrt(basis.eigenvalues[:r])
+    held = basis.eigenvectors.shape[1]
     if Estimator.RSLS in estimators:
-        held = basis.eigenvectors.shape[1]
         rank = _checked_rank(basis.effective_rank if rsls_rank is None else rsls_rank, held, "rsls")
+    # U_1^H n covers the numerical rank, and a hand-built basis's RSLS columns past it
+    width = r if rsls_rank is None else max(r, min(rsls_rank, held))
+    truth = _leading_pieces(basis, width)
+    real_truth = truth is not None
+    if not real_truth:
+        truth = _identity_piece(basis.eigenvectors[:, :width])
     if Estimator.CONSERVATIVE_RSLS in estimators:
         if container_subspace is None:
             raise ValueError("CONSERVATIVE_RSLS requires a container_subspace")
         container = container_subspace
         if isinstance(container, EigenBasis):  # orthonormal by construction: no Gram check
-            container = container.eigenvectors[:, : container.numerical_rank]
+            container_rank, length = container.numerical_rank, container.num_antennas
         else:
             _check_orthonormal(container)
-        dropped = _projection(container, u1)
+            container_rank, length = container.shape[1], container.shape[0]
+        if length != m:  # the frames' pieces would otherwise cut it to fit
+            raise ValueError(f"container_subspace has {length} rows for {m} antennas")
+        container, shared, real_container = _shared_frame(container, container_rank, basis, r)
+        dropped = _dropped(container, shared)
 
     errors = np.empty((snrs.size, len(estimators), trials))
     for start in range(0, trials, MC_BLOCK_TRIALS):
         block = range(start, min(start + MC_BLOCK_TRIALS, trials))
-        v, noise = _draw_block(seed, block, r, m)
-        noise_conj = np.conjugate(noise, out=noise)  # in place, no copy
-        a = scale * v
+        a, noise = _draw_block(seed, block, r, m)
+        a *= scale  # the channel's coordinates on U_1, in place
+        # the truth frame's noise and coordinates, a real frame's stacked
+        # real parts over imaginary parts; the identity frame's noise is the
+        # block's, conjugated in place (no copy)
+        frame_noise, frame_a = noise, a
+        if real_truth:
+            frame_noise = _frame_noise(noise, len(truth) == 2)
+            frame_a = np.concatenate((a.real, a.imag))
+        np.conjugate(noise, out=noise)
+        if Estimator.MMSE in estimators or Estimator.RSLS in estimators:
+            a_noise = np.empty((frame_noise.shape[0], width), dtype=frame_noise.dtype)
+            for rows, where, columns in truth:
+                a_noise[:, where] = frame_noise[:, rows] @ columns
+            if not real_truth:  # conj(conj(n)^T U_1) = U_1^H n
+                np.conjugate(a_noise, out=a_noise)
+        if Estimator.CONSERVATIVE_RSLS in estimators:
+            x, coordinates = (frame_noise, frame_a) if real_container else (noise, a)
+            container_noise = sum(_row_energy(x[:, part] @ p) for part, _, p in container)
+            del x, frame_noise  # before the M-wide residual product
+            residual = sum(_row_energy(coordinates[:, where] @ d.T) for where, d in dropped)
+            container_terms = residual, container_noise
         rows = slice(block.start, block.stop)
         for k, estimator in enumerate(estimators):
             if estimator is Estimator.MMSE:
-                # Per SNR: broadcasting over the grid would hold SNRs x block x r temporaries.
-                a_noise = (noise_conj @ u1).conj()
+                # Per SNR, in one buffer: broadcasting over the grid would
+                # hold SNRs x block x r temporaries. d = shrink / sqrt_rho
+                # (sqrt_rho a + U_1^H n) - a, one in-place step at a time.
+                d = np.empty_like(frame_a)
                 for s, rho in enumerate(snrs):
                     sqrt_rho = np.sqrt(rho)
                     shrink = rho * basis.eigenvalues[:r] / (rho * basis.eigenvalues[:r] + 1.0)
-                    d = shrink / sqrt_rho * (sqrt_rho * a + a_noise) - a
+                    np.multiply(frame_a, sqrt_rho, out=d)
+                    d += a_noise[:, :r]
+                    d *= shrink / sqrt_rho
+                    d -= frame_a
                     errors[s, k, rows] = _row_energy(d)
                 continue
             if estimator is Estimator.LS:
-                residual, noise_energy = 0.0, _row_energy(noise_conj)
+                residual, noise_energy = 0.0, _row_energy(noise)
             elif estimator is Estimator.RSLS:  # h = U_1 a, so (I - P P^H) h = U_1[:, k:] a[k:]
-                residual = _row_energy(a[:, rank:])
-                noise_energy = _row_energy(noise_conj @ basis.eigenvectors[:, :rank])
+                residual, noise_energy = _row_energy(a[:, rank:]), _row_energy(a_noise[:, :rank])
             elif estimator is Estimator.CONSERVATIVE_RSLS:
-                residual = _row_energy(a @ dropped.T)
-                noise_energy = _row_energy(noise_conj @ container)
+                residual, noise_energy = container_terms
             else:
                 raise ValueError(f"unknown estimator {estimator!r}")
             errors[:, k, rows] = residual + noise_energy / snrs[:, None]

@@ -27,7 +27,7 @@ pinned diagonal, so neither entry point forms its dense complex `entries`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,6 +63,11 @@ class Spectrum:
         return self.eigenvalues.shape[0]
 
 
+# One piece of a basis in a frame: (frame rows, ascending basis positions of
+# its columns, the columns themselves, real and C-contiguous in a real frame).
+_Piece = tuple[slice, np.ndarray, np.ndarray]
+
+
 @dataclass(frozen=True, eq=False)
 class EigenBasis(Spectrum):
     """A Spectrum plus the eigenvectors of its numerical rank.
@@ -72,9 +77,23 @@ class EigenBasis(Spectrum):
     whose eigenvalues fall below RANK_TOLERANCE * lambda_max, are not kept
     (since 0.5.0). Every estimator and the containment residual read only
     leading columns.
+
+    A basis from eigendecompose of a centro-Hermitian matrix also keeps,
+    privately, the real eigenvectors the solver computed, as pieces of the
+    same columns in a real frame (see _solve): `eigenvectors` is Q W, with
+    Q the sparse unitary of Lee's real form and W real. Lee's real form
+    gives one piece, W = V, M x r. The parity blocks give two, the kept
+    columns of the plus block on the frame's first ceil(M/2) rows and those
+    of the minus block on its last floor(M/2) rows; there the frame is
+    Q diag(I, -iI), whose unit phase no projector or energy sees. The
+    Monte Carlo engine and the containment residual compute in that frame
+    with real products. A basis built by hand, or from a dense matrix
+    solved as it is, keeps no pieces, and both compute with the complex
+    `eigenvectors` in the identity frame.
     """
 
     eigenvectors: np.ndarray
+    _real_columns: tuple[_Piece, ...] | None = field(default=None, init=False, repr=False)
 
 
 def effective_rank(
@@ -200,19 +219,28 @@ def _operands(
     return [plus, minus], [((0, False, 1.0),), ((0, False, -1.0),)]
 
 
-def _solve(matrix: CorrelationMatrix, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Descending eigenvalues, plus eigenvector columns when `vectors` is set.
+def _solve(
+    matrix: CorrelationMatrix, vectors: bool
+) -> tuple[np.ndarray, np.ndarray | None, tuple[_Piece, ...] | None]:
+    """Descending eigenvalues; with `vectors`, also eigenvector columns and their real frame.
 
     One sequence serves every structure: each of _operands' matrices is
     solved by one LAPACK call, their eigenvalues merge in one stable
     descending sort, the numerical rank (eigenvalues above RANK_TOLERANCE *
-    lambda_max) is counted once, and only its eigenvectors are written
-    back, through each operand's map, as a C-contiguous complex128 array of
-    shape (M, numerical rank). The real form and the parity blocks are
-    several times cheaper to solve than the Hermitian R. The eigenvectors an
-    operand contributes are the tail of its ascending output, so they are
-    scaled in place in a view, and the operands are freed together once
-    the last is solved.
+    lambda_max) is counted once, and only its eigenvectors are kept. The
+    real form and the parity blocks are several times cheaper to solve than
+    the Hermitian R.
+
+    The eigenvectors an operand contributes are the tail of its ascending
+    output; reversed, they run in basis order. They are copied out as the
+    real frame's pieces, the solver's output is freed, and each piece is
+    then written through its operand's map into one C-contiguous
+    complex128 array of shape (M, numerical rank). So R's eigenvectors are
+    Q W, Q the sparse unitary of _real_form and W the pieces (see
+    EigenBasis): Lee's real form gives one piece on all M rows, the parity
+    blocks two, on the frame's first ceil(M/2) and last floor(M/2) rows,
+    where Q carries the phase diag(I, -iI). A matrix solved as it is, whose
+    operand is R itself, has no frame (None).
 
     The structure comes from the type where it can: a builder's matrix is
     centro-Hermitian by construction and real exactly when its O(M) offset
@@ -242,31 +270,35 @@ def _solve(matrix: CorrelationMatrix, vectors: bool) -> tuple[np.ndarray, np.nda
     order = np.argsort(values, kind="stable")[::-1]
     values = values[order]
     if not vectors:
-        return values, None
+        return values, None, None
     m = matrix.num_antennas
     n, h = m // 2, m - m // 2
     rank = _numerical_rank(values)
     position = np.argsort(order)  # the inverse sort: where each operand eigenvector lands
-    columns = np.zeros((m, rank), dtype=np.complex128)
+    frame_rows = [slice(0, m)] if len(blocks) == 1 else [slice(0, h), slice(h, m)]
+    pieces = []
     start = 0
-    for block, halves in zip(blocks, maps):
+    for block, rows in zip(blocks, frame_rows):
         targets = position[start : start + block.shape[1]]
         start += block.shape[1]
         kept = int(np.count_nonzero(targets < rank))
-        tail, where = block[:, block.shape[1] - kept :], targets[targets.size - kept :]
+        cut = block.shape[1] - kept
+        pieces.append((rows, targets[cut:][::-1], np.ascontiguousarray(block[:, cut:][:, ::-1])))
+    del blocks, block
+    columns = np.zeros((m, rank), dtype=np.complex128)
+    for (_, where, kept), halves in zip(pieces, maps):
         if halves is None:
-            columns[:, where] = tail
+            columns[:, where] = kept
             continue
-        if h > n and block.shape[0] > n:  # odd M: the real form's or plus block's middle row
-            columns.real[n, where] = tail[n]
+        if h > n and kept.shape[0] > n:  # odd M: the real form's or plus block's middle row
+            columns.real[n, where] = kept[n]
         for first, imaginary, sign in halves:
-            half = tail[first : first + n]
-            half *= _HALF_SQRT2
+            half = kept[first : first + n] * _HALF_SQRT2
             part = columns.imag if imaginary else columns.real
             part[:n, where] = half
             half *= sign
             part[h:, where] = half[::-1]
-    return values, columns
+    return values, columns, None if maps[0] is None else tuple(pieces)
 
 
 def _spectrum_from(
@@ -315,7 +347,7 @@ def spectrum(matrix: CorrelationMatrix) -> Spectrum:
     matrix that is not exactly Hermitian raises ValueError, in both; one
     that fails the scan on a NaN is reported as having non-finite entries.
     """
-    descending, _ = _solve(matrix, vectors=False)
+    descending, _, _ = _solve(matrix, vectors=False)
     return _spectrum_from(matrix, descending)
 
 
@@ -331,9 +363,11 @@ def eigendecompose(matrix: CorrelationMatrix, *, vectors: bool = True) -> EigenB
     """
     if not vectors:
         return spectrum(matrix)
-    descending, eigenvectors = _solve(matrix, vectors=True)
+    descending, eigenvectors, pieces = _solve(matrix, vectors=True)
     spec = _spectrum_from(matrix, descending)
-    return EigenBasis(eigenvectors=eigenvectors, **vars(spec))
+    basis = EigenBasis(eigenvectors=eigenvectors, **vars(spec))
+    object.__setattr__(basis, "_real_columns", pieces)  # private, so not an init argument
+    return basis
 
 
 def rank_fraction_prediction(geometry: ArrayGeometry) -> float:
@@ -355,14 +389,105 @@ def _checked_rank(rank: int, size: int, name: str) -> int:
 def _projection(subspace: np.ndarray, u1: np.ndarray) -> np.ndarray:
     """(I - P P^H) U_1: the part of U_1's columns that projecting onto P drops.
 
-    The one (I - P P^H) X of the package, with two callers:
-    subspace_containment_residual, whose U_1 is the contained eigenvectors,
-    and estimation.monte_carlo_nmse, whose U_1 is the truth basis and P the
-    container. P^H is formed from one transient conj(P); no conjugate copy
-    outlives the call. P is not checked here: its caller either trusts an
-    EigenBasis or Gram-checks a raw array.
+    The one (I - P P^H) X of the package, applied piece by piece by
+    _dropped, whose callers are subspace_containment_residual and
+    estimation.monte_carlo_nmse. P^H is formed from one transient conj(P),
+    a view when P is real; no conjugate copy outlives the call. P is not
+    checked here: its caller either trusts an EigenBasis or Gram-checks a
+    raw array.
     """
     return u1 - subspace @ (subspace.conj().T @ u1)
+
+
+def _leading_pieces(basis: EigenBasis | np.ndarray, rank: int) -> tuple[_Piece, ...] | None:
+    """The real-frame pieces of basis's leading `rank` columns, or None if it keeps none.
+
+    A piece's positions ascend, so its columns among the leading `rank`
+    are its first ones.
+    """
+    pieces = getattr(basis, "_real_columns", None)  # a raw array keeps none either
+    if pieces is None:
+        return None
+    cut = [int(np.count_nonzero(where < rank)) for _, where, _ in pieces]
+    return tuple((rows, where[:k], cols[:, :k]) for (rows, where, cols), k in zip(pieces, cut))
+
+
+def _identity_piece(columns: np.ndarray) -> tuple[_Piece, ...]:
+    """Columns, typically complex, as the one piece of the identity frame."""
+    return ((slice(0, columns.shape[0]), np.arange(columns.shape[1]), columns),)
+
+
+def _shared_frame(
+    container: EigenBasis | np.ndarray, container_rank: int, truth: EigenBasis, rank: int
+) -> tuple[tuple[_Piece, ...], tuple[_Piece, ...], bool]:
+    """The leading columns of a container and of a truth basis as pieces of one frame.
+
+    Returns both piece tuples and whether the frame is the truth's real
+    one. It is when the container's real pieces live in it too. Parity
+    pieces do in both real frames: each lies on one half of the frame's
+    rows, and the unit phase between the frames multiplies whole pieces,
+    so P P^H and every energy are the same in either. Lee's pieces live
+    only in Lee's frame. Otherwise both are the columns of the identity
+    frame: a raw array (taken whole), a basis built by hand, or a truth
+    without real pieces.
+    """
+    truth_pieces = _leading_pieces(truth, rank)
+    container_pieces = _leading_pieces(container, container_rank)
+    if truth_pieces is not None and container_pieces is not None:
+        if len(container_pieces) == 2 or len(truth_pieces) == 1:
+            return container_pieces, truth_pieces, True
+    if isinstance(container, EigenBasis):
+        container = container.eigenvectors[:, :container_rank]
+    return _identity_piece(container), _identity_piece(truth.eigenvectors[:, :rank]), False
+
+
+def _dropped(
+    container: tuple[_Piece, ...], truth: tuple[_Piece, ...]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(I - P P^H) W in a shared frame, as (positions, rows) per piece of W.
+
+    P P^H is block diagonal on the container's pieces, so each truth piece
+    is projected by the container pieces whose rows it spans, each on its
+    own rows: two real half-height products when Lee's M-row piece meets
+    the parity blocks, one when a parity piece meets its own half, one
+    complex product in the identity frame.
+    """
+    dropped = []
+    for rows, where, columns in truth:
+        parts = [
+            _projection(subspace, columns[part.start - rows.start : part.stop - rows.start])
+            for part, _, subspace in container
+            if rows.start <= part.start and part.stop <= rows.stop
+        ]
+        dropped.append((where, parts[0] if len(parts) == 1 else np.concatenate(parts)))
+    return dropped
+
+
+def _frame_noise(noise: np.ndarray, parity: bool) -> np.ndarray:
+    """Q^H n for each row n of a complex trials x M block, stacked real: real parts over imaginary.
+
+    With n_top = n[:M//2], n_bot = n[M - M//2:] reversed, s and d the sum
+    and difference of the two over sqrt(2), Lee's frame gives
+    [s; n_mid; -i d] (n_mid only for odd M) and the parity frame,
+    Q diag(I, -iI), gives [s; n_mid; d]. O(M) per trial; Q is unitary, so
+    the result is CN(0, I) again.
+    """
+    trials, m = noise.shape
+    n, h = m // 2, m - m // 2
+    out = np.empty((2, trials, m))
+    for k, part in enumerate((noise.real, noise.imag)):
+        top, bottom = part[:, :n], part[:, h:][:, ::-1]
+        np.add(top, bottom, out=out[k, :, :n])
+        out[k, :, n:h] = part[:, n:h]
+        if parity:
+            np.subtract(top, bottom, out=out[k, :, h:])
+        elif k == 0:  # -i d: the real part of d goes, negated, to the imaginary rows
+            np.subtract(bottom, top, out=out[1, :, h:])
+        else:
+            np.subtract(top, bottom, out=out[0, :, h:])
+    out[:, :, :n] *= _HALF_SQRT2
+    out[:, :, h:] *= _HALF_SQRT2
+    return out.reshape(2 * trials, m)
 
 
 def subspace_containment_residual(
@@ -380,6 +505,12 @@ def subspace_containment_residual(
     the number of projected vectors. Zero means full containment; values up
     to 1 measure how much energy escapes the container span. Either rank
     may be at most the number of columns its basis holds.
+
+    The leakage is computed in the bases' shared frame (_shared_frame):
+    for the isotropic container of a solved clustered or isotropic basis,
+    two real half-height products. Q is unitary and a frame's phase
+    multiplies whole pieces, so the leakage's norm is the same in every
+    frame.
     """
     if container.num_antennas != contained.num_antennas:
         raise ValueError(
@@ -389,6 +520,6 @@ def subspace_containment_residual(
     r_contained = contained.effective_rank if contained_rank is None else contained_rank
     _checked_rank(r_container, container.eigenvectors.shape[1], "container")
     _checked_rank(r_contained, contained.eigenvectors.shape[1], "contained")
-    probes = contained.eigenvectors[:, :r_contained]
-    leakage = _projection(container.eigenvectors[:, :r_container], probes)
-    return float(np.linalg.norm(leakage) ** 2 / r_contained)
+    outer, inner, _ = _shared_frame(container, r_container, contained, r_contained)
+    leakage = sum(np.linalg.norm(rows) ** 2 for _, rows in _dropped(outer, inner))
+    return float(leakage / r_contained)

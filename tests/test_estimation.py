@@ -30,7 +30,8 @@ from holomimo import (
     observe_pilot,
     sample_channel,
 )
-from holomimo.estimation import MC_BLOCK_TRIALS, _draw_block, _projection, _row_energy
+from holomimo.estimation import MC_BLOCK_TRIALS, _draw_block, _row_energy
+from holomimo.spectral import _projection
 
 
 def clustered_basis():
@@ -391,6 +392,14 @@ class TestEigenBasisContainer:
         assert len(typed) == len(sliced) == self.snrs.size
         for from_type, from_array in zip(typed, sliced):
             for estimator in Estimator:
+                if estimator is Estimator.CONSERVATIVE_RSLS:
+                    # the typed container is projected with real products in
+                    # the truth's frame, the raw array with complex ones
+                    close = pytest.approx(from_array[estimator].nmse, rel=1e-12, abs=0.0)
+                    assert from_type[estimator].nmse == close
+                    close = pytest.approx(from_array[estimator].ci95, rel=1e-12, abs=0.0)
+                    assert from_type[estimator].ci95 == close
+                    continue
                 assert from_type[estimator].nmse == from_array[estimator].nmse
                 assert from_type[estimator].ci95 == from_array[estimator].ci95
 
@@ -613,15 +622,17 @@ class TestMonteCarloEngine:
                 record = results[estimator]
                 assert type(record.nmse) is float and type(record.ci95) is float
                 # the engine reads the RS-LS residual off the coordinates'
-                # tail, the oracle off (I - P P^H) U_1: equal in exact arithmetic
-                rsls = estimator is Estimator.RSLS
-                if rsls:
+                # tail, the oracle off (I - P P^H) U_1, and it takes U_1^H n
+                # as a real product in the truth's real frame, the oracle as
+                # a complex one: equal in exact arithmetic
+                close = estimator in (Estimator.RSLS, Estimator.MMSE)
+                if close:
                     assert record.nmse == pytest.approx(nmse, rel=1e-12, abs=0.0)
                 else:
                     assert record.nmse == nmse
                 if trials == 1:
                     assert math.isnan(record.ci95) and math.isnan(ci95)
-                elif rsls:
+                elif close:
                     assert record.ci95 == pytest.approx(ci95, rel=1e-12, abs=0.0)
                 else:
                     assert record.ci95 == ci95
@@ -666,3 +677,136 @@ class TestMonteCarloEngine:
             _, noise = _draw_block(seed, range(1), 3, 6)
             noise_only = _row_energy(noise.conj() @ q[:, :4])[0] / 2.0
             assert result[Estimator.RSLS].nmse == noise_only / basis.source_trace
+
+
+@pytest.mark.parametrize(
+    "seed, trials, rank, num_antennas",
+    [(0, range(3), 1, 1), (7, range(5, 9), 3, 7), (2**32 - 1, range(1000, 1002), 6, 36),
+     (19, range(126, 131), 10, 35), (4, range(2), 0, 5)],
+)
+def test_draw_block_gives_complex_normal_bits(seed, trials, rank, num_antennas):
+    # one standard_normal call per trial into a reused buffer draws what
+    # complex_normal draws for v and then for n, bit for bit
+    v, n = _draw_block(seed, trials, rank, num_antennas)
+    for row, trial in enumerate(trials):
+        rng = np.random.default_rng([seed, trial])
+        expected_v, expected_n = complex_normal(rng, rank), complex_normal(rng, num_antennas)
+        assert v[row].view(np.float64).tobytes() == expected_v.view(np.float64).tobytes()
+        assert n[row].view(np.float64).tobytes() == expected_n.view(np.float64).tobytes()
+
+
+REAL_FRAME_SHAPES = [(1, 6), (7, 1), (5, 7), (4, 6), (6, 6), (3, 4)]
+REAL_FRAME_SCATTERING = ScatteringConfig(
+    clusters=(Cluster(0.4, -0.15, 0.7), Cluster(-0.3, 0.25, 0.3)),
+    sigma_azimuth=0.06,
+    sigma_elevation=0.06,
+    gain=1.0,
+)
+
+
+def real_frame_bases(shape):
+    """(isotropic, clustered) eigenbases of one quarter-wavelength geometry."""
+    geometry = ArrayGeometry(*shape, 0.25, 1.0)
+    return (
+        eigendecompose(build_isotropic(geometry)),
+        eigendecompose(build_exact_clustered(geometry, REAL_FRAME_SCATTERING)),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.sampled_from(REAL_FRAME_SHAPES),
+    truth=st.sampled_from(["clustered", "isotropic"]),
+    container_form=st.sampled_from(["basis", "array"]),
+    container_cut=st.sampled_from(["numerical", "effective"]),
+    snr=st.sampled_from([0.1, 1.0, 10.0, 100.0]),
+    trials=st.sampled_from([MC_BLOCK_TRIALS - 1, MC_BLOCK_TRIALS + 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_real_frame_engine_matches_the_public_estimators(
+    shape, truth, container_form, container_cut, snr, trials, seed
+):
+    # Lee's frame (clustered truth) and the parity frame (isotropic truth)
+    # against per-trial public estimators on the complex eigenvectors; the
+    # container is the isotropic basis, handed over typed or as its columns.
+    # Enough trials that ci95 is no near-cancelling difference of a few
+    # errors: with 2 trials it is |e_1 - e_2|, whose relative rounding error
+    # both engines, typed or raw, carry above 1e-12 in some draws.
+    iso, clustered = real_frame_bases(shape)
+    basis = clustered if truth == "clustered" else iso
+    assert basis._real_columns is not None
+    assert len(basis._real_columns) == (2 if basis is iso else 1)
+    if container_cut == "numerical":
+        container = iso
+        columns = iso.eigenvectors[:, : iso.numerical_rank]
+    else:  # a container that the channel leaks out of
+        columns = iso.eigenvectors[:, : iso.effective_rank]
+        container = columns
+    if container_form == "array":
+        container = columns
+    results = monte_carlo_nmse(
+        basis, tuple(Estimator), snr=snr, trials=trials, seed=seed, container_subspace=container
+    )
+    errors = {estimator: [] for estimator in Estimator}
+    subspace = basis.eigenvectors[:, : basis.effective_rank]
+    for trial in range(trials):
+        rng = np.random.default_rng([seed, trial])
+        h = sample_channel(basis, rng)
+        obs = observe_pilot(h, snr, rng)
+        for estimate in (
+            estimate_mmse(obs, basis),
+            estimate_ls(obs),
+            estimate_rsls(obs, subspace),
+            estimate_conservative_rsls(obs, columns),
+        ):
+            delta = estimate.h_hat - h
+            errors[estimate.estimator].append(np.real(np.vdot(delta, delta)))
+    trace = basis.source_trace
+    for estimator, values in errors.items():
+        nmse = np.mean(values) / trace
+        ci95 = 1.96 * np.std(values, ddof=1) / np.sqrt(trials) / trace
+        assert results[estimator].nmse == pytest.approx(nmse, rel=1e-12, abs=0.0)
+        assert results[estimator].ci95 == pytest.approx(ci95, rel=1e-12, abs=0.0)
+
+
+def test_real_valued_columns_without_a_frame_stay_in_the_identity_frame():
+    # a hand-built basis and a raw container of float64 columns carry no
+    # real frame: they must give their complex copies' numbers, not be read
+    # as Lee or parity coordinates
+    iso, _ = real_frame_bases((5, 7))
+    k = iso.effective_rank
+
+    def hand_built(vectors):
+        return EigenBasis(
+            eigenvalues=iso.eigenvalues,
+            eigenvectors=vectors,
+            numerical_rank=iso.numerical_rank,
+            effective_rank=k,
+            source_trace=iso.source_trace,
+        )
+
+    kwargs = dict(snr=[0.1, 10.0], trials=MC_BLOCK_TRIALS + 3, seed=5)
+    grids = [
+        monte_carlo_nmse(
+            hand_built(vectors), tuple(Estimator), container_subspace=vectors[:, :k], **kwargs
+        )
+        for vectors in (iso.eigenvectors.real.copy(), iso.eigenvectors.copy())
+    ]
+    for real, complex_ in zip(*grids):
+        for estimator in Estimator:
+            close = pytest.approx(complex_[estimator].nmse, rel=1e-12, abs=0.0)
+            assert real[estimator].nmse == close
+            close = pytest.approx(complex_[estimator].ci95, rel=1e-12, abs=0.0)
+            assert real[estimator].ci95 == close
+
+
+@pytest.mark.parametrize("form", ["basis", "array"])
+def test_container_of_another_array_size_is_rejected(form):
+    # a solved basis's frame pieces would be cut to fit a larger truth
+    small, _ = real_frame_bases((4, 6))
+    _, clustered = real_frame_bases((5, 7))
+    container = small if form == "basis" else small.eigenvectors[:, : small.numerical_rank]
+    with pytest.raises(ValueError, match="container_subspace has 24 rows for 35 antennas"):
+        monte_carlo_nmse(
+            clustered, tuple(Estimator), snr=1.0, trials=3, seed=0, container_subspace=container
+        )

@@ -31,7 +31,14 @@ from holomimo import (
 )
 from holomimo.cli import main, preset_names, resolve_config_path
 from holomimo.correlation import STRUCTURE_CHECK_ROWS
-from holomimo.spectral import RANK_TOLERANCE, _numerical_rank, _parity_blocks, _real_form, _solve
+from holomimo.spectral import (
+    RANK_TOLERANCE,
+    _numerical_rank,
+    _parity_blocks,
+    _projection,
+    _real_form,
+    _solve,
+)
 
 ENTRY_POINTS = pytest.mark.parametrize(
     "solve", [spectrum, eigendecompose], ids=["spectrum", "eigendecompose"]
@@ -785,7 +792,7 @@ def test_one_solve_sequence_matches_the_three_paths_bit_for_bit(builder, shape, 
     dense = [CorrelationMatrix(e, matrix.gain, matrix.provenance) for e in (matrix.entries, broken)]
     for solved in (matrix, *dense):
         for vectors in (False, True):
-            values, columns = _solve(solved, vectors)
+            values, columns, _ = _solve(solved, vectors)
             old_values, old_columns = three_path_solve(solved, vectors)
             assert same_bits(values, old_values)
             if vectors:
@@ -814,3 +821,77 @@ def test_cli_solves_builder_matrices_without_the_scan(tmp_path, monkeypatch, cap
     for name in names:
         scanless, plain = tmp_path / "patched" / name, tmp_path / "plain" / name
         assert scanless.read_bytes() == plain.read_bytes(), name
+
+
+def lee_unitary(m):
+    """Q of Lee's real form, dense: [[I, 0, iI], [0, sqrt(2), 0], [J, 0, -iJ]] / sqrt(2)."""
+    n, h = m // 2, m - m // 2
+    q = np.zeros((m, m), dtype=np.complex128)
+    flip = np.eye(n)[::-1]
+    q[:n, :n], q[:n, h:] = np.eye(n), 1j * np.eye(n)
+    q[h:, :n], q[h:, h:] = flip, -1j * flip
+    if h > n:
+        q[n, n] = np.sqrt(2.0)
+    return q / np.sqrt(2.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    builder=st.sampled_from(sorted(SMALL_BUILDERS)),
+    shape=st.sampled_from([(1, 6), (7, 1), (5, 7), (4, 6), (6, 6), (1, 1)]),
+)
+def test_real_columns_are_the_eigenvectors_in_their_frame(builder, shape):
+    # eigenvectors = Q W: W is Lee's V for a clustered matrix, and for the
+    # isotropic one the parity blocks' columns on the top and bottom rows,
+    # the bottom ones times -i (the frame Q diag(I, -iI))
+    matrix = SMALL_BUILDERS[builder](ArrayGeometry(*shape, 0.25, 1.0))
+    basis = eigendecompose(matrix)
+    m, r = basis.num_antennas, basis.numerical_rank
+    pieces = basis._real_columns
+    assert len(pieces) == (1 if matrix._offsets.imag.any() else 2)  # 1 x 1 is real
+    w = np.zeros((m, r), dtype=np.complex128)
+    for k, (rows, where, columns) in enumerate(pieces):
+        assert columns.dtype == np.float64 and columns.flags.c_contiguous
+        assert np.all(np.diff(where) > 0) and columns.shape == (rows.stop - rows.start, where.size)
+        w[rows, where] = columns * (-1j if k == 1 else 1.0)
+    assert sorted(np.concatenate([where for _, where, _ in pieces])) == list(range(r))
+    np.testing.assert_allclose(lee_unitary(m) @ w, basis.eigenvectors, rtol=0, atol=1e-15)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    contained=st.sampled_from(sorted(SMALL_BUILDERS)),
+    container=st.sampled_from(["isotropic", "exact"]),
+    shape=st.sampled_from([(1, 6), (7, 1), (5, 7), (4, 6), (6, 6), (9, 9)]),
+    fewer=st.sampled_from([1, 2, 3]),
+)
+def test_containment_residual_in_the_real_frame_matches_the_complex_projection(
+    contained, container, shape, fewer
+):
+    # typed bases project with real products in their shared frame (two
+    # half-height ones on the isotropic parity blocks), or, for isotropic
+    # truth in a clustered container, with the complex columns. The
+    # container has fewer columns than the k probes, so at least 1/k of
+    # their energy leaks: far above the rounding floor of a full container
+    geometry = ArrayGeometry(*shape, 0.25, 1.0)
+    outer = eigendecompose(SMALL_BUILDERS[container](geometry))
+    inner = eigendecompose(SMALL_BUILDERS[contained](geometry))
+    k = inner.effective_rank
+    rank = max(1, k - fewer)
+    assert rank < k
+    expected = np.linalg.norm(_projection(outer.eigenvectors[:, :rank], inner.eigenvectors[:, :k]))
+    residual = subspace_containment_residual(outer, inner, container_rank=rank)
+    assert residual == pytest.approx(expected**2 / k, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("contained", sorted(SMALL_BUILDERS))
+def test_containment_residual_of_a_full_container_stays_at_the_rounding_floor(contained):
+    # inside the isotropic numerical-rank container the leakage is rounding
+    # alone, O(1e-30) here, in either frame
+    geometry = ArrayGeometry(9, 9, 0.25, 1.0)
+    iso = eigendecompose(build_isotropic(geometry))
+    inner = eigendecompose(SMALL_BUILDERS[contained](geometry))
+    k = inner.effective_rank
+    container = iso.eigenvectors[:, : iso.numerical_rank]
+    expected = np.linalg.norm(_projection(container, inner.eigenvectors[:, :k])) ** 2 / k
+    assert abs(subspace_containment_residual(iso, inner) - expected) <= 1e-20
