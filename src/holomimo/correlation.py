@@ -133,13 +133,11 @@ class CorrelationMatrix:
     spectral layer fills its real forms from rows copied from the table,
     and correlation_matrix_distance of two such matrices of one geometry
     sums over their tables, so none of them forms the M x M array. It is
-    formed only where `entries` is read. Such a matrix is
-    centro-Hermitian by construction (reversing both indices conjugates an
-    entry, bit for bit), and real exactly when its table is.
+    formed only where `entries` is read.
     CorrelationMatrix(entries, gain, provenance, self_check_error) is a
     dense matrix (loaded or external data), with `geometry` None; its
-    `entries` is the array given, and its symmetry is tested exactly where
-    it is needed. `num_antennas` is M. Attributes are read-only.
+    `entries` is the array given. _structure says what each kind's
+    symmetry rests on. `num_antennas` is M. Attributes are read-only.
     """
 
     def __init__(
@@ -270,9 +268,7 @@ class CorrelationMatrix:
         Raises ValueError otherwise. Row block [a, b) is compared with the
         conjugate transpose of column block [a, b), STRUCTURE_CHECK_ROWS
         rows at a time. The one Hermitian scan: _check_structure runs it,
-        and the spectral layer runs it on a dense matrix before LAPACK,
-        which reads one triangle only. A builder's matrix is Hermitian by
-        construction, and the spectral layer never scans it.
+        and so does _structure, the solver's query, on a dense matrix.
 
         A NaN never equals its mirror, so a failed scan first checks for
         non-finite entries and reports those instead. That check runs on
@@ -290,18 +286,34 @@ class CorrelationMatrix:
     def _is_centro_hermitian(self) -> bool:
         """Whether reversing both indices conjugates every entry, bit for bit.
 
-        A builder's matrix is, by construction (_full_offsets mirrors its
-        table), so this answers True for it without reading `entries`. A
-        dense matrix is tested exactly: row block [a, b) is compared with
-        the conjugate of the mirrored block [M - b, M - a) read backwards in
-        both axes. The mirror of the first half of the rows is the second
-        half, so only the first half is read, in blocks of
-        STRUCTURE_CHECK_ROWS rows.
+        The exact scan _structure runs on a dense matrix; a builder's matrix
+        has the symmetry by construction (_full_offsets mirrors its table).
+        Row block [a, b) is compared with the conjugate of the mirrored
+        block [M - b, M - a) read backwards in both axes. The mirror of the
+        first half of the rows is the second half, so only the first half is
+        read, in blocks of STRUCTURE_CHECK_ROWS rows.
         """
-        e, m = self._entries, self.num_antennas
+        e, m = self.entries, self.num_antennas
         blocks = _row_ranges((m + 1) // 2)
-        mirrored = (np.array_equal(e[a:b], e[m - b : m - a][::-1, ::-1].conj()) for a, b in blocks)
-        return self._offsets is not None or all(mirrored)
+        return all(np.array_equal(e[a:b], e[m - b : m - a][::-1, ::-1].conj()) for a, b in blocks)
+
+    def _structure(self) -> tuple[bool, bool]:
+        """(real, centro_hermitian): what the spectral solver needs to know of the matrix.
+
+        The one place the structure rule lives. A builder's matrix takes it
+        from its type: it is Hermitian and centro-Hermitian by construction,
+        and real exactly when its O(M) offset table is, so no O(M^2) scan
+        runs and `entries` is not formed. A dense matrix (loaded or
+        external) is tested exactly, without tolerance: first for Hermitian
+        symmetry (_checked_entries), which LAPACK assumes when it reads one
+        triangle, so one without it raises ValueError, or the non-finite
+        entries error for a NaN, before any solve; then for exact reality
+        and centro-Hermitian symmetry (_is_centro_hermitian). One that
+        lacks the latter is solved as it is.
+        """
+        if self._offsets is not None:
+            return not self._offsets.imag.any(), True
+        return not self._checked_entries().imag.any(), self._is_centro_hermitian()
 
 
 def _row_ranges(stop: int) -> list[tuple[int, int]]:

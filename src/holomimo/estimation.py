@@ -250,21 +250,15 @@ def _draw_block(
 
     Every trial draws from its own (seed, trial) generator, v before n, so a
     row depends on its trial index alone, never on the block it lands in.
-    One standard_normal call per trial fills a reused float buffer with
-    what complex_normal would draw for v and then for n (real parts, then
-    imaginary parts), and the trial's rows are filled from it; both blocks
-    are then divided by sqrt(2) once, giving complex_normal's bits.
+    The trial's rows are complex_normal(rng, rank) and then
+    complex_normal(rng, num_antennas) from that generator, the one
+    definition of the draw.
     """
     v = np.empty((len(trials), rank), dtype=np.complex128)
     n = np.empty((len(trials), num_antennas), dtype=np.complex128)
-    draws = np.empty(2 * (rank + num_antennas))
-    first, second, third = rank, 2 * rank, 2 * rank + num_antennas
     for row, trial in enumerate(trials):
-        np.random.default_rng([seed, trial]).standard_normal(out=draws)
-        v.real[row], v.imag[row] = draws[:first], draws[first:second]
-        n.real[row], n.imag[row] = draws[second:third], draws[third:]
-    v /= np.sqrt(2.0)
-    n /= np.sqrt(2.0)
+        rng = np.random.default_rng([seed, trial])
+        v[row], n[row] = complex_normal(rng, rank), complex_normal(rng, num_antennas)
     return v, n
 
 

@@ -5,19 +5,17 @@ quantities here measure how small the significant eigenspace is and whether
 one model's eigenspace fits inside another's. `spectrum` gives eigenvalues
 and ranks only; `eigendecompose` adds the eigenvectors.
 
-Both share one solve sequence. Every builder's matrix is centro-Hermitian
-(J R J = conj(R), J the exchange matrix), so a sparse unitary Q turns it
-into the real symmetric Q^H R Q (A. Lee, "Centrohermitian and
-skew-centrohermitian matrices", Linear Algebra Appl. 29, 1980), which LAPACK
-solves several times faster than the Hermitian matrix. A real
-centro-symmetric matrix, such as the isotropic one, splits into two real
-parity blocks of half the size. A builder's matrix has that structure by
-type, so the dispatch reads it from the matrix's offset table in O(M). A
-dense matrix (loaded or external) is tested exactly: one that is not
-Hermitian raises ValueError, and one that lacks the centro-Hermitian
-symmetry is solved as it is. Whichever operands the structure gives, one
-LAPACK call solves each, one sort merges their eigenvalues, one rank cut
-counts the eigenvectors to keep, and one map (Q's) writes them back.
+Both share one solve sequence. A centro-Hermitian matrix
+(J R J = conj(R), J the exchange matrix), which every builder's is, is
+turned by a sparse unitary Q into the real symmetric Q^H R Q (A. Lee,
+"Centrohermitian and skew-centrohermitian matrices", Linear Algebra Appl.
+29, 1980), which LAPACK solves several times faster than the Hermitian
+matrix. A real centro-symmetric matrix, such as the isotropic one, splits
+into two real parity blocks of half the size. The matrix itself answers
+which structure it has (CorrelationMatrix._structure). Whichever operands
+the structure gives, one LAPACK call solves each, one sort merges their
+eigenvalues, one rank cut counts the eigenvectors to keep, and one map
+(Q's) writes them back.
 
 A builder's matrix is read from its offset table throughout: the real
 form and the parity blocks are filled from its first ceil(M/2) rows, one
@@ -191,7 +189,7 @@ def _real_form(matrix: CorrelationMatrix) -> np.ndarray:
 
 
 def _operands(
-    matrix: CorrelationMatrix, real: bool
+    matrix: CorrelationMatrix, real: bool, centro_hermitian: bool
 ) -> tuple[list[np.ndarray], list[tuple[tuple[int, bool, float], ...] | None]]:
     """The symmetric matrices whose eigenpairs make up R's, and how each maps back.
 
@@ -210,7 +208,7 @@ def _operands(
     """
     m = matrix.num_antennas
     n, h = m // 2, m - m // 2
-    if matrix._offsets is None and not matrix._is_centro_hermitian():
+    if not centro_hermitian:
         return [matrix.entries.real if real else matrix.entries], [None]
     if not real:
         return [_real_form(matrix)], [((0, False, 1.0), (h, True, -1.0))]
@@ -242,20 +240,14 @@ def _solve(
     where Q carries the phase diag(I, -iI). A matrix solved as it is, whose
     operand is R itself, has no frame (None).
 
-    The structure comes from the type where it can: a builder's matrix is
-    centro-Hermitian by construction and real exactly when its O(M) offset
-    table is, so neither O(M^2) scan runs on it, and its operands are
-    filled from the table without forming its dense `entries`. A dense
-    matrix (loaded or external) is tested exactly, without tolerance:
-    first for Hermitian symmetry, which LAPACK assumes when it reads one
-    triangle, so a matrix without it raises ValueError before any solve;
-    then for centro-Hermitian symmetry, and if it lacks that it is solved
-    as is. Every LAPACK failure raises NumericalError.
+    The structure is matrix._structure()'s answer, and its ValueError
+    reaches the caller before any solve; a builder's operands are filled
+    from its table without forming its dense `entries`. Every LAPACK
+    failure raises NumericalError.
     """
-    table = matrix._offsets
-    real = not (matrix._checked_entries() if table is None else table).imag.any()
+    real, centro_hermitian = matrix._structure()
     try:
-        operands, maps = _operands(matrix, real)
+        operands, maps = _operands(matrix, real, centro_hermitian)
         if vectors:
             parts, blocks = zip(*[np.linalg.eigh(operand) for operand in operands])
         else:

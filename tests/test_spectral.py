@@ -9,6 +9,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import holomimo.correlation
 from holomimo import (
     ArrayGeometry,
     Cluster,
@@ -663,6 +664,55 @@ class TestStructureByType:
                 solve(matrix)
                 solve(dense)
         assert [call.args[0] for call in spy.call_args_list] == [dense, dense]
+
+
+def forbidden_expansion(geometry, offsets):
+    raise AssertionError("the dense M x M matrix was formed")
+
+
+def dense_copy(matrix, entries=None):
+    entries = matrix.entries.copy() if entries is None else entries
+    return CorrelationMatrix(entries, matrix.gain, matrix.provenance)
+
+
+class TestStructureQuery:
+    """CorrelationMatrix._structure: a builder answers from its table, a dense matrix is scanned."""
+
+    @pytest.fixture(
+        params=[(b, s) for b in sorted(SMALL_BUILDERS) for s in [(1, 6), (7, 1), (5, 7), (6, 6)]],
+        ids=lambda p: f"{p[0]}-{p[1][0]}x{p[1][1]}",
+    )
+    def matrix(self, request):
+        builder, shape = request.param
+        return SMALL_BUILDERS[builder](ArrayGeometry(*shape, 0.25, 1.0))
+
+    def test_builder_answers_from_its_table_and_a_dense_copy_agrees(self, monkeypatch, matrix):
+        expected = (not matrix._offsets.imag.any(), True)
+        with monkeypatch.context() as patched:
+            patched.setattr(holomimo.correlation, "_expand", forbidden_expansion)
+            assert matrix._structure() == expected
+        assert dense_copy(matrix)._structure() == expected
+
+    def test_dense_matrix_that_is_not_exactly_hermitian_raises(self, matrix):
+        entries = matrix.entries.copy()
+        entries[0, 1] = complex(np.nextafter(entries[0, 1].real, 2.0), entries[0, 1].imag)
+        with pytest.raises(ValueError, match="^matrix is not exactly Hermitian$"):
+            dense_copy(matrix, entries)._structure()
+
+    def test_dense_matrix_holding_a_nan_reports_non_finite_entries(self, matrix):
+        entries = matrix.entries.copy()
+        entries[0, 1] = entries[1, 0] = complex(np.nan, 0.0)
+        with pytest.raises(ValueError, match="non-finite entries"):
+            dense_copy(matrix, entries)._structure()
+
+    def test_one_mirror_pair_one_ulp_off_is_not_centro_hermitian(self, matrix):
+        # the Hermitian pair (0, 1), (1, 0) moves; its centro mirror
+        # (M - 1, M - 2), (M - 2, M - 1) does not, since M >= 6
+        entries = matrix.entries.copy()
+        entries[0, 1] = complex(np.nextafter(entries[0, 1].real, 2.0), entries[0, 1].imag)
+        entries[1, 0] = entries[0, 1].conj()
+        real = not matrix._offsets.imag.any()
+        assert dense_copy(matrix, entries)._structure() == (real, False)
 
 
 @pytest.mark.parametrize("shape", [(23, 23), (24, 22)], ids=["23x23", "24x22"])
