@@ -685,8 +685,9 @@ class TestMonteCarloEngine:
      (19, range(126, 131), 10, 35), (4, range(2), 0, 5)],
 )
 def test_draw_block_gives_complex_normal_bits(seed, trials, rank, num_antennas):
-    # one standard_normal call per trial into a reused buffer draws what
-    # complex_normal draws for v and then for n, bit for bit
+    # each row holds what the trial's own (seed, trial) generator gives
+    # complex_normal for v and then for n, bit for bit, whatever block the
+    # trial lands in
     v, n = _draw_block(seed, trials, rank, num_antennas)
     for row, trial in enumerate(trials):
         rng = np.random.default_rng([seed, trial])

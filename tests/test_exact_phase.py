@@ -3,13 +3,16 @@
 The oracle below is the previous horizontal table, kept here verbatim in
 behaviour: one complex exponential per offset and node pair, an
 M_H x N_az x N_el tensor contracted over the azimuth nodes with `einsum`.
-The shipped builder splits the offset index h = B j + k into two short
-exponential tables joined by one GEMM per elevation node. Its matrices must
-agree with the oracle's to rounding, keep the gain on the diagonal bit for
-bit, and leave every statistic of the preset runs where the oracle puts it.
-A second oracle, the previous split that formed both tables for every
-elevation node at once, pins the tables formed block by block bit for bit
-and bounds their memory.
+The shipped builder splits the offset index h = B j + k and takes two short
+tables of powers of one exponential per node pair, z = exp(i x), joined by
+one GEMM per elevation node. Its matrices must agree with the oracle's to
+rounding, keep the gain on the diagonal bit for bit, and leave every
+statistic of the preset runs where the oracle puts it. Its powers must
+agree with an extended-precision per-offset table to the rounding that
+repeated multiplication allows. The tables are formed a block of elevation
+nodes at a time: every block size must give the same bits, and a second
+oracle, the earlier split that formed both tables for every elevation node
+at once, bounds their memory.
 """
 
 import json
@@ -121,7 +124,7 @@ class CountingNumpy:
 
 @pytest.mark.parametrize("m_h, m_v", [(1, 2), (16, 3), (17, 1), (64, 2), (130, 1)])
 def test_exponential_count(monkeypatch, m_h, m_v):
-    # per diffuse cluster: (B + J) N_az N_el horizontal exponentials, then
+    # per diffuse cluster: one horizontal exponential per node pair, then
     # (2 M_V - 1) N_el vertical ones; specular and zero-power clusters add
     # one exponential per offset, or none
     scattering = ScatteringConfig(
@@ -140,11 +143,33 @@ def test_exponential_count(monkeypatch, m_h, m_v):
     counting = CountingNumpy()
     monkeypatch.setattr(holomimo.correlation, "np", counting)
     build_exact_clustered(ArrayGeometry(m_h, m_v, 0.25, 1.0), scattering, quadrature)
-    b = math.isqrt(m_h - 1) + 1
-    j = -(-m_h // b)
     offsets = m_h * (2 * m_v - 1)
-    per_diffuse = (b + j) * 64 * 48 + (2 * m_v - 1) * 48
+    per_diffuse = 64 * 48 + (2 * m_v - 1) * 48
     assert counting.exponentials == 2 * per_diffuse + offsets
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+    reason="long double is no wider than float64 on this platform",
+)
+@pytest.mark.parametrize("m_h", [*M_H_VALUES, 256])
+@settings(max_examples=10)
+@given(
+    spacing=st.floats(0.125, 0.5),
+    weight=st.floats(0.1, 10.0),
+    sin_az=st.floats(-1.0, 1.0),
+    cos_el=arrays(np.float64, st.integers(1, 96), elements=st.floats(-1.0, 1.0)),
+)
+def test_powers_match_the_extended_precision_table(m_h, spacing, weight, sin_az, cos_el):
+    # one azimuth node, so entry [h, e] is weight * z[e]^h with no sum over
+    # nodes; against exp(i h x) in long double at the builder's float64 x,
+    # each power of z may add one rounding
+    geometry = ArrayGeometry(m_h, 1, spacing, 1.0)
+    sums = _horizontal_sums(geometry, np.array([weight]), np.array([sin_az]), cos_el)
+    x = (2 * np.pi * spacing) * (cos_el * sin_az)
+    h = np.arange(m_h, dtype=np.longdouble)[:, None]
+    expected = weight * np.exp(1j * (h * x.astype(np.longdouble)))
+    assert (np.abs(sums - expected) <= (h + 1) * 2.0**-52 * weight).all()
 
 
 def all_nodes_horizontal_sums(geometry, g_az, sin_az, cos_el):
@@ -172,11 +197,17 @@ class TestBlockedTables:
     @settings(max_examples=10)
     @given(spacing=st.floats(0.125, 0.5), nodes=node_sets())
     def test_bits_match_the_all_nodes_tables(self, m_h, spacing, nodes):
+        # block 96 holds every elevation node node_sets draws in one block
         geometry = ArrayGeometry(m_h, 1, spacing, 1.0)
-        sums = _horizontal_sums(geometry, *nodes)
-        expected = all_nodes_horizontal_sums(geometry, *nodes)
-        assert sums.shape == expected.shape == (m_h, nodes[2].size)
-        assert np.array_equal(bits(np.ascontiguousarray(sums)), bits(expected.copy()))
+        results = {}
+        for block in (1, 7, 16, 96):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(holomimo.correlation, "_ELEVATION_BLOCK", block)
+                results[block] = np.ascontiguousarray(_horizontal_sums(geometry, *nodes))
+        expected = results.pop(96)
+        assert expected.shape == (m_h, nodes[2].size)
+        for block, sums in results.items():
+            assert np.array_equal(bits(sums), bits(expected)), block
 
     def test_peak_falls_by_a_third(self):
         # one call at M_H = 64 with 96 x 96 nodes, against the all-nodes tables
