@@ -23,9 +23,7 @@ from .errors import OracleInvalidError
 from .spectral import (
     EigenBasis,
     _checked_rank,
-    _dropped,
     _frame_noise,
-    _identity_piece,
     _leading_pieces,
     _shared_frame,
 )
@@ -294,7 +292,8 @@ def monte_carlo_nmse(
       writes the whole SNR grid.
     * MMSE: ||d||^2 with d = shrink / sqrt(snr) (sqrt(snr) a + U_1^H n) - a.
 
-    The products run in the truth's own frame (see EigenBasis). A basis
+    The products run in the truth's own frame, read once from its pieces
+    (see EigenBasis), and never form its complex `eigenvectors`. A basis
     from eigendecompose of a builder's matrix is U_1 = Q W with W real: V
     from Lee's real form for a clustered model, the parity blocks' columns
     for the isotropic one. Each block's noise is mapped once, n' = Q^H n
@@ -305,14 +304,17 @@ def monte_carlo_nmse(
     see spectral._shared_frame) is projected in it too: ||P^H n||^2 is
     ||P_+^T n'_top||^2 + ||P_-^T n'_bottom||^2, over the first ceil(M/2)
     and last floor(M/2) coordinates, and (I - P P^H) U_1 is two real
-    half-height products on W (spectral._dropped). A basis built by hand
-    or solved from a dense matrix as it is, and a raw container array, run
-    the same kernel with complex coordinates in the identity frame, on the
-    block's noise conjugated in place: U_1^H n is conj(conj(n)^T U_1) and
-    ||P^H n||^2 is ||conj(n)^T P||^2. No conjugate copy of a basis is
-    held. Besides the bases, the call holds one M x r array, r the
-    numerical rank of `basis`: the container's (I - P P^H) U_1, formed
-    only when CONSERVATIVE_RSLS is requested, real in a real frame.
+    half-height products on W. A basis in the identity frame (built by
+    hand, or solved from a dense matrix as it is) runs the same kernel
+    with complex coordinates, on the block's noise conjugated in place
+    and conj(a): conj(n)^T U_1 is conj(U_1^H n), and every error is
+    conjugated, with the same energy. So does a container without a frame
+    shared with the truth, such as a raw array: ||P^H n||^2 is
+    ||conj(n)^T P||^2, and (I - P P^H) U_1 projects the truth's complex
+    columns, formed afresh for it. No conjugate copy of a basis is held.
+    Besides the bases, the call holds one M x r array, r the numerical
+    rank of `basis`: the container's (I - P P^H) U_1, formed only when
+    CONSERVATIVE_RSLS is requested, real in a real frame.
 
     Which frame a product runs in depends on the bases alone, never on the
     estimators or the SNRs, and every trial's error comes from the same
@@ -340,15 +342,12 @@ def monte_carlo_nmse(
     m = basis.num_antennas
     r = basis.numerical_rank
     scale = np.sqrt(basis.eigenvalues[:r])
-    held = basis.eigenvectors.shape[1]
+    held = basis.num_columns
     if Estimator.RSLS in estimators:
         rank = _checked_rank(basis.effective_rank if rsls_rank is None else rsls_rank, held, "rsls")
     # U_1^H n covers the numerical rank, and a hand-built basis's RSLS columns past it
     width = r if rsls_rank is None else max(r, min(rsls_rank, held))
-    truth = _leading_pieces(basis, width)
-    real_truth = truth is not None
-    if not real_truth:
-        truth = _identity_piece(basis.eigenvectors[:, :width])
+    frame, truth = _leading_pieces(basis, width)
     if Estimator.CONSERVATIVE_RSLS in estimators:
         if container_subspace is None:
             raise ValueError("CONSERVATIVE_RSLS requires a container_subspace")
@@ -360,30 +359,29 @@ def monte_carlo_nmse(
             container_rank, length = container.shape[1], container.shape[0]
         if length != m:  # the frames' pieces would otherwise cut it to fit
             raise ValueError(f"container_subspace has {length} rows for {m} antennas")
-        container, shared, real_container = _shared_frame(container, container_rank, basis, r)
-        dropped = _dropped(container, shared)
+        shared_frame, container, dropped = _shared_frame(container, container_rank, basis, r)
 
     errors = np.empty((snrs.size, len(estimators), trials))
     for start in range(0, trials, MC_BLOCK_TRIALS):
         block = range(start, min(start + MC_BLOCK_TRIALS, trials))
         a, noise = _draw_block(seed, block, r, m)
         a *= scale  # the channel's coordinates on U_1, in place
-        # the truth frame's noise and coordinates, a real frame's stacked
-        # real parts over imaginary parts; the identity frame's noise is the
-        # block's, conjugated in place (no copy)
-        frame_noise, frame_a = noise, a
-        if real_truth:
-            frame_noise = _frame_noise(noise, len(truth) == 2)
+        # the truth frame's noise and coordinates: in a real frame Q^H n and
+        # a, stacked real parts over imaginary parts; in the identity frame
+        # the block's noise, conjugated in place (no copy), and conj(a), so
+        # that U_1^H n and every error are conjugated, with the same energies
+        if frame == "identity":
+            frame_noise, frame_a = noise, a.conj()
+        else:
+            frame_noise = _frame_noise(noise, frame == "parity")
             frame_a = np.concatenate((a.real, a.imag))
         np.conjugate(noise, out=noise)
         if Estimator.MMSE in estimators or Estimator.RSLS in estimators:
             a_noise = np.empty((frame_noise.shape[0], width), dtype=frame_noise.dtype)
             for rows, where, columns in truth:
                 a_noise[:, where] = frame_noise[:, rows] @ columns
-            if not real_truth:  # conj(conj(n)^T U_1) = U_1^H n
-                np.conjugate(a_noise, out=a_noise)
         if Estimator.CONSERVATIVE_RSLS in estimators:
-            x, coordinates = (frame_noise, frame_a) if real_container else (noise, a)
+            x, coordinates = (noise, a) if shared_frame == "identity" else (frame_noise, frame_a)
             container_noise = sum(_row_energy(x[:, part] @ p) for part, _, p in container)
             del x, frame_noise  # before the M-wide residual product
             residual = sum(_row_energy(coordinates[:, where] @ d.T) for where, d in dropped)

@@ -14,8 +14,9 @@ matrix. A real centro-symmetric matrix, such as the isotropic one, splits
 into two real parity blocks of half the size. The matrix itself answers
 which structure it has (CorrelationMatrix._structure). Whichever operands
 the structure gives, one LAPACK call solves each, one sort merges their
-eigenvalues, one rank cut counts the eigenvectors to keep, and one map
-(Q's) writes them back.
+eigenvalues and one rank cut counts the eigenvectors to keep. They are
+kept as the solver computed them, real, and Q's map to R's complex
+eigenvectors runs only where `EigenBasis.eigenvectors` is read.
 
 A builder's matrix is read from its offset table throughout: the real
 form and the parity blocks are filled from its first ceil(M/2) rows, one
@@ -38,6 +39,9 @@ EFFECTIVE_RANK_COMPLEMENT = 1e-5
 PSD_TOLERANCE = 1e-10
 _SQRT2 = np.sqrt(2.0)
 _HALF_SQRT2 = np.sqrt(0.5)
+# Columns per block where _shared_frame projects complex columns in place:
+# three M x 128 complex temporaries next to its M x r result.
+_COLUMN_BLOCK = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,24 +78,74 @@ class EigenBasis(Spectrum):
     the unit eigenvector of eigenvalue k. Columns past the numerical rank,
     whose eigenvalues fall below RANK_TOLERANCE * lambda_max, are not kept
     (since 0.5.0). Every estimator and the containment residual read only
-    leading columns.
+    leading columns; `num_columns` counts the columns held.
 
-    A basis from eigendecompose of a centro-Hermitian matrix also keeps,
-    privately, the real eigenvectors the solver computed, as pieces of the
-    same columns in a real frame (see _solve): `eigenvectors` is Q W, with
-    Q the sparse unitary of Lee's real form and W real. Lee's real form
-    gives one piece, W = V, M x r. The parity blocks give two, the kept
-    columns of the plus block on the frame's first ceil(M/2) rows and those
-    of the minus block on its last floor(M/2) rows; there the frame is
-    Q diag(I, -iI), whose unit phase no projector or energy sees. The
-    Monte Carlo engine and the containment residual compute in that frame
-    with real products. A basis built by hand, or from a dense matrix
-    solved as it is, keeps no pieces, and both compute with the complex
-    `eigenvectors` in the identity frame.
+    A basis holds its columns once, as pieces in a frame (see _solve):
+    `eigenvectors` is Q W, with Q the frame's unitary and W the pieces. A
+    basis from eigendecompose of a centro-Hermitian matrix keeps the real
+    columns its solver computed, and forms `eigenvectors` from them on
+    first read, then keeps it. Lee's frame ("lee") has the sparse unitary
+    of Lee's real form and one piece, W = V, M x r. The parity frame
+    ("parity") has two, the kept columns of the plus block on its first
+    ceil(M/2) rows and those of the minus block on its last floor(M/2)
+    rows; its Q is Lee's times diag(I, -iI), a unit phase that no
+    projector or energy sees. The Monte Carlo engine and the containment
+    residual compute in these frames with real products and never form
+    `eigenvectors`. A basis built by hand, or from a dense matrix solved as
+    it is, is the one piece of the identity frame ("identity"), and its
+    `eigenvectors` is the very array it holds.
     """
 
-    eigenvectors: np.ndarray
-    _real_columns: tuple[_Piece, ...] | None = field(default=None, init=False, repr=False)
+    eigenvectors: np.ndarray = field(repr=False)
+    _real_columns: tuple[_Piece, ...] = field(init=False, repr=False)
+    _frame: str = field(default="identity", init=False, repr=False)
+
+    def __post_init__(self) -> None:  # built by hand: the array given is the identity frame
+        object.__setattr__(self, "_real_columns", _identity_piece(self.eigenvectors))
+
+    @property
+    def num_columns(self) -> int:
+        """The eigenvector columns held: the numerical rank, for a basis from eigendecompose."""
+        return sum(columns.shape[1] for _, _, columns in self._real_columns)
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        """A real frame's `eigenvectors`, formed on first read and kept.
+
+        Python calls this only for an attribute the instance lacks, which a
+        basis from eigendecompose in a real frame is for `eigenvectors`
+        until it is read.
+        """
+        if name != "eigenvectors":
+            raise AttributeError(f"'EigenBasis' object has no attribute {name!r}")
+        return self.__dict__.setdefault(name, self._columns())
+
+    def _columns(self) -> np.ndarray:
+        """`eigenvectors`, Q W, formed afresh from the pieces.
+
+        The frame's rows [0, M//2) land, scaled by 1/sqrt(2), in the real
+        part of R's first and, reversed, last M//2 rows. Its last M//2 rows
+        land the same way, negated in R's last rows, in the imaginary part
+        in Lee's frame and in the real part in the parity frame. The middle
+        row of odd M is copied as it is. So Lee's V = [V1; v; V2] becomes
+        [(V1 + i V2); sqrt(2) v; J (V1 - i V2)] / sqrt(2), and a parity
+        piece v the real [v; sqrt(2) v_mid; +-Jv] / sqrt(2). The identity
+        frame's are a complex copy of its piece.
+        """
+        if self._frame == "identity":
+            return self._real_columns[0][2].astype(np.complex128)
+        m = self.num_antennas
+        n, h = m // 2, m - m // 2
+        columns = np.zeros((m, self.num_columns), dtype=np.complex128)
+        bottom = columns.imag if self._frame == "lee" else columns.real
+        for rows, where, kept in self._real_columns:
+            if h > n and kept.shape[0] > n:  # odd M: Lee's piece's or the plus block's middle row
+                columns.real[n, where] = kept[n]
+            for first, part, sign in ((0, columns.real, 1.0), (h, bottom, -1.0)):
+                if rows.start <= first < rows.stop:
+                    half = kept[first - rows.start :][:n] * _HALF_SQRT2
+                    part[:n, where] = half
+                    part[h:, where] = sign * half[::-1]
+        return columns
 
 
 def effective_rank(
@@ -188,39 +242,31 @@ def _real_form(matrix: CorrelationMatrix) -> np.ndarray:
     return form
 
 
-def _operands(
-    matrix: CorrelationMatrix, real: bool, centro_hermitian: bool
-) -> tuple[list[np.ndarray], list[tuple[tuple[int, bool, float], ...] | None]]:
-    """The symmetric matrices whose eigenpairs make up R's, and how each maps back.
+def _operands(matrix: CorrelationMatrix) -> tuple[str, list[np.ndarray]]:
+    """R's frame and the symmetric matrices whose eigenpairs make up R's.
 
-    A complex centro-Hermitian R gives Lee's real form (see _real_form), a
-    real one its two parity blocks Re(A+BJ) (bordered for odd M) and
-    Re(A-BJ), which are the real form's diagonal blocks, and any other
-    matrix R itself, in real arithmetic when its imaginary part is exactly
-    zero. Each operand's map lists its halves (first row, imaginary, sign):
-    n rows V of its eigenvectors land, scaled by 1/sqrt(2), as V in the
-    first n rows of R's eigenvectors and as sign * JV in the last n, in
-    their real or imaginary part; the middle row of odd M is copied as it
-    is. So the real form maps [V1; v; V2] to
-    [(V1 + i V2); sqrt(2) v; J (V1 - i V2)] / sqrt(2), a parity block v to
-    the real [v; sqrt(2) v_mid; +-Jv] / sqrt(2) (v_mid in the plus block
-    only), and a map of None copies the eigenvectors as they are.
+    The structure is matrix._structure()'s answer. A complex
+    centro-Hermitian R gives Lee's real form (see _real_form) in Lee's
+    frame, a real one its two parity blocks Re(A+BJ) (bordered for odd M)
+    and Re(A-BJ), which are the real form's diagonal blocks, in the parity
+    frame, and any other matrix R itself, in real arithmetic when its
+    imaginary part is exactly zero, in the identity frame (see EigenBasis).
     """
-    m = matrix.num_antennas
-    n, h = m // 2, m - m // 2
+    real, centro_hermitian = matrix._structure()
     if not centro_hermitian:
-        return [matrix.entries.real if real else matrix.entries], [None]
+        return "identity", [matrix.entries.real if real else matrix.entries]
     if not real:
-        return [_real_form(matrix)], [((0, False, 1.0), (h, True, -1.0))]
+        return "lee", [_real_form(matrix)]
+    n, h = matrix.num_antennas // 2, matrix.num_antennas - matrix.num_antennas // 2
     plus, minus = np.empty((h, h)), np.empty((n, n))
     _parity_blocks(matrix, plus, minus)
-    return [plus, minus], [((0, False, 1.0),), ((0, False, -1.0),)]
+    return "parity", [plus, minus]
 
 
 def _solve(
     matrix: CorrelationMatrix, vectors: bool
-) -> tuple[np.ndarray, np.ndarray | None, tuple[_Piece, ...] | None]:
-    """Descending eigenvalues; with `vectors`, also eigenvector columns and their real frame.
+) -> tuple[np.ndarray, str | None, tuple[_Piece, ...] | None]:
+    """Descending eigenvalues; with `vectors`, also the frame and pieces of the eigenvectors.
 
     One sequence serves every structure: each of _operands' matrices is
     solved by one LAPACK call, their eigenvalues merge in one stable
@@ -230,24 +276,21 @@ def _solve(
     the Hermitian R.
 
     The eigenvectors an operand contributes are the tail of its ascending
-    output; reversed, they run in basis order. They are copied out as the
-    real frame's pieces, the solver's output is freed, and each piece is
-    then written through its operand's map into one C-contiguous
-    complex128 array of shape (M, numerical rank). So R's eigenvectors are
-    Q W, Q the sparse unitary of _real_form and W the pieces (see
-    EigenBasis): Lee's real form gives one piece on all M rows, the parity
-    blocks two, on the frame's first ceil(M/2) and last floor(M/2) rows,
-    where Q carries the phase diag(I, -iI). A matrix solved as it is, whose
-    operand is R itself, has no frame (None).
+    output; reversed, they run in basis order. They are copied out,
+    C-contiguous, as the frame's pieces (see EigenBasis), and the solver's
+    output is freed on return: Lee's real form gives one real piece on all
+    M rows, the parity blocks two, on the frame's first ceil(M/2) and last
+    floor(M/2) rows, and a matrix solved as it is one piece, its
+    eigenvectors themselves, real when its operand is. No complex M x r
+    array is formed for a real frame; EigenBasis.eigenvectors forms it
+    where it is read.
 
-    The structure is matrix._structure()'s answer, and its ValueError
-    reaches the caller before any solve; a builder's operands are filled
-    from its table without forming its dense `entries`. Every LAPACK
-    failure raises NumericalError.
+    matrix._structure()'s ValueError reaches the caller before any solve;
+    a builder's operands are filled from its table without forming its
+    dense `entries`. Every LAPACK failure raises NumericalError.
     """
-    real, centro_hermitian = matrix._structure()
     try:
-        operands, maps = _operands(matrix, real, centro_hermitian)
+        frame, operands = _operands(matrix)
         if vectors:
             parts, blocks = zip(*[np.linalg.eigh(operand) for operand in operands])
         else:
@@ -263,34 +306,16 @@ def _solve(
     values = values[order]
     if not vectors:
         return values, None, None
-    m = matrix.num_antennas
-    n, h = m // 2, m - m // 2
     rank = _numerical_rank(values)
     position = np.argsort(order)  # the inverse sort: where each operand eigenvector lands
-    frame_rows = [slice(0, m)] if len(blocks) == 1 else [slice(0, h), slice(h, m)]
-    pieces = []
-    start = 0
-    for block, rows in zip(blocks, frame_rows):
-        targets = position[start : start + block.shape[1]]
-        start += block.shape[1]
-        kept = int(np.count_nonzero(targets < rank))
-        cut = block.shape[1] - kept
-        pieces.append((rows, targets[cut:][::-1], np.ascontiguousarray(block[:, cut:][:, ::-1])))
-    del blocks, block
-    columns = np.zeros((m, rank), dtype=np.complex128)
-    for (_, where, kept), halves in zip(pieces, maps):
-        if halves is None:
-            columns[:, where] = kept
-            continue
-        if h > n and kept.shape[0] > n:  # odd M: the real form's or plus block's middle row
-            columns.real[n, where] = kept[n]
-        for first, imaginary, sign in halves:
-            half = kept[first : first + n] * _HALF_SQRT2
-            part = columns.imag if imaginary else columns.real
-            part[:n, where] = half
-            half *= sign
-            part[h:, where] = half[::-1]
-    return values, columns, None if maps[0] is None else tuple(pieces)
+    pieces, start = [], 0
+    for block in blocks:  # square: its frame rows are its eigenvalues' span before the sort
+        rows = slice(start, start + block.shape[1])
+        start = rows.stop
+        cut = block.shape[1] - int(np.count_nonzero(position[rows] < rank))
+        kept = np.ascontiguousarray(block[:, cut:][:, ::-1])
+        pieces.append((rows, position[rows][cut:][::-1], kept))
+    return values, frame, tuple(pieces)
 
 
 def _spectrum_from(
@@ -348,17 +373,22 @@ def eigendecompose(matrix: CorrelationMatrix, *, vectors: bool = True) -> EigenB
 
     Eigenvalues go through the same PSD check and clamp as spectrum(). All
     M eigenvalues are returned, and the eigenvectors of the numerical rank:
-    an (M, numerical_rank) complex128 array. A matrix whose imaginary part
-    is exactly zero is decomposed in real arithmetic; its eigenvectors are
-    still returned as complex128.
+    `eigenvectors` is an (M, numerical_rank) complex128 array. A matrix
+    whose imaginary part is exactly zero is decomposed in real arithmetic;
+    its eigenvectors are still complex128. The basis holds the solver's
+    pieces (see _solve); for a builder's matrix, whose frame is real,
+    `eigenvectors` is formed from them on first read. A dense matrix
+    solved as it is gives a basis as if built by hand from its columns.
     `vectors=False` skips the eigenvectors and returns spectrum(matrix).
     """
     if not vectors:
         return spectrum(matrix)
-    descending, eigenvectors, pieces = _solve(matrix, vectors=True)
+    descending, frame, pieces = _solve(matrix, vectors=True)
     spec = _spectrum_from(matrix, descending)
-    basis = EigenBasis(eigenvectors=eigenvectors, **vars(spec))
-    object.__setattr__(basis, "_real_columns", pieces)  # private, so not an init argument
+    if frame == "identity":  # its one piece, complex128, as if built by hand
+        return EigenBasis(eigenvectors=pieces[0][2].astype(np.complex128, copy=False), **vars(spec))
+    basis = EigenBasis.__new__(EigenBasis)  # no columns to hand over: they are its pieces
+    basis.__dict__.update(vars(spec), _real_columns=pieces, _frame=frame)
     return basis
 
 
@@ -382,26 +412,26 @@ def _projection(subspace: np.ndarray, u1: np.ndarray) -> np.ndarray:
     """(I - P P^H) U_1: the part of U_1's columns that projecting onto P drops.
 
     The one (I - P P^H) X of the package, applied piece by piece by
-    _dropped, whose callers are subspace_containment_residual and
-    estimation.monte_carlo_nmse. P^H is formed from one transient conj(P),
-    a view when P is real; no conjugate copy outlives the call. P is not
-    checked here: its caller either trusts an EigenBasis or Gram-checks a
-    raw array.
+    _shared_frame, whose callers are subspace_containment_residual and
+    estimation.monte_carlo_nmse. P^H U_1 is conj(P^T conj(U_1)): one
+    transient conj(U_1), the smaller operand, and none when U_1 is real;
+    no conjugate copy outlives the call. P is not checked here: its caller
+    either trusts an EigenBasis or Gram-checks a raw array.
     """
-    return u1 - subspace @ (subspace.conj().T @ u1)
+    return u1 - subspace @ (subspace.T @ u1.conj()).conj()
 
 
-def _leading_pieces(basis: EigenBasis | np.ndarray, rank: int) -> tuple[_Piece, ...] | None:
-    """The real-frame pieces of basis's leading `rank` columns, or None if it keeps none.
+def _leading_pieces(basis: EigenBasis | np.ndarray, rank: int) -> tuple[str, tuple[_Piece, ...]]:
+    """The frame of basis and the pieces of its leading `rank` columns there.
 
-    A piece's positions ascend, so its columns among the leading `rank`
-    are its first ones.
+    A raw array is the one piece of the identity frame. A piece's positions
+    ascend, so its columns among the leading `rank` are its first ones.
     """
-    pieces = getattr(basis, "_real_columns", None)  # a raw array keeps none either
-    if pieces is None:
-        return None
-    cut = [int(np.count_nonzero(where < rank)) for _, where, _ in pieces]
-    return tuple((rows, where[:k], cols[:, :k]) for (rows, where, cols), k in zip(pieces, cut))
+    if not isinstance(basis, EigenBasis):
+        return "identity", _identity_piece(basis[:, :rank])
+    cut = [int(np.count_nonzero(where < rank)) for _, where, _ in basis._real_columns]
+    pieces = zip(basis._real_columns, cut)
+    return basis._frame, tuple((rows, where[:k], cols[:, :k]) for (rows, where, cols), k in pieces)
 
 
 def _identity_piece(columns: np.ndarray) -> tuple[_Piece, ...]:
@@ -411,48 +441,48 @@ def _identity_piece(columns: np.ndarray) -> tuple[_Piece, ...]:
 
 def _shared_frame(
     container: EigenBasis | np.ndarray, container_rank: int, truth: EigenBasis, rank: int
-) -> tuple[tuple[_Piece, ...], tuple[_Piece, ...], bool]:
-    """The leading columns of a container and of a truth basis as pieces of one frame.
+) -> tuple[str, tuple[_Piece, ...], list[tuple[np.ndarray, np.ndarray]]]:
+    """A frame a container and a truth basis share, and (I - P P^H) W in it.
 
-    Returns both piece tuples and whether the frame is the truth's real
-    one. It is when the container's real pieces live in it too. Parity
-    pieces do in both real frames: each lies on one half of the frame's
-    rows, and the unit phase between the frames multiplies whole pieces,
-    so P P^H and every energy are the same in either. Lee's pieces live
-    only in Lee's frame. Otherwise both are the columns of the identity
-    frame: a raw array (taken whole), a basis built by hand, or a truth
-    without real pieces.
+    Returns the frame, the pieces of the container's leading columns P
+    there, and (I - P P^H) W for the truth's leading `rank` columns W, as
+    (positions, rows) per piece of W. The frame is the truth's when the
+    container's pieces live in it too: those of the same frame, and parity
+    pieces in either real frame, since each lies on one half of the frame's
+    rows and the unit phase between the frames multiplies whole pieces, so
+    P P^H and every energy are the same in both. Lee's pieces live only in
+    Lee's frame. P P^H is block diagonal on the container's pieces, so each
+    truth piece is projected by the container pieces whose rows it spans,
+    each on its own rows: two real half-height products when Lee's M-row
+    piece meets the parity blocks, one when a parity piece meets its own
+    half, one complex product in the identity frame.
+
+    Otherwise the frame is the identity, with complex columns: a raw
+    container with a truth in a real frame, either basis in the identity
+    frame with the other in a real one, or a parity truth with a Lee
+    container. A container basis then gives its `eigenvectors`, and the
+    truth's complex columns are formed afresh and projected in place,
+    _COLUMN_BLOCK at a time, so no second M x rank array is held.
     """
-    truth_pieces = _leading_pieces(truth, rank)
-    container_pieces = _leading_pieces(container, container_rank)
-    if truth_pieces is not None and container_pieces is not None:
-        if len(container_pieces) == 2 or len(truth_pieces) == 1:
-            return container_pieces, truth_pieces, True
-    if isinstance(container, EigenBasis):
-        container = container.eigenvectors[:, :container_rank]
-    return _identity_piece(container), _identity_piece(truth.eigenvectors[:, :rank]), False
-
-
-def _dropped(
-    container: tuple[_Piece, ...], truth: tuple[_Piece, ...]
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(I - P P^H) W in a shared frame, as (positions, rows) per piece of W.
-
-    P P^H is block diagonal on the container's pieces, so each truth piece
-    is projected by the container pieces whose rows it spans, each on its
-    own rows: two real half-height products when Lee's M-row piece meets
-    the parity blocks, one when a parity piece meets its own half, one
-    complex product in the identity frame.
-    """
+    container_frame, outer = _leading_pieces(container, container_rank)
+    frame, inner = _leading_pieces(truth, rank)
+    if container_frame != frame and (container_frame, frame) != ("parity", "lee"):
+        if isinstance(container, EigenBasis):
+            outer = _identity_piece(container.eigenvectors[:, :container_rank])
+        dropped = truth._columns()[:, :rank]
+        for start in range(0, rank, _COLUMN_BLOCK):
+            block = slice(start, start + _COLUMN_BLOCK)
+            dropped[:, block] = _projection(outer[0][2], dropped[:, block])  # P: outer's one piece
+        return "identity", outer, [(np.arange(rank), dropped)]
     dropped = []
-    for rows, where, columns in truth:
+    for rows, where, columns in inner:
         parts = [
             _projection(subspace, columns[part.start - rows.start : part.stop - rows.start])
-            for part, _, subspace in container
+            for part, _, subspace in outer
             if rows.start <= part.start and part.stop <= rows.stop
         ]
         dropped.append((where, parts[0] if len(parts) == 1 else np.concatenate(parts)))
-    return dropped
+    return frame, outer, dropped
 
 
 def _frame_noise(noise: np.ndarray, parity: bool) -> np.ndarray:
@@ -510,8 +540,7 @@ def subspace_containment_residual(
         )
     r_container = container.numerical_rank if container_rank is None else container_rank
     r_contained = contained.effective_rank if contained_rank is None else contained_rank
-    _checked_rank(r_container, container.eigenvectors.shape[1], "container")
-    _checked_rank(r_contained, contained.eigenvectors.shape[1], "contained")
-    outer, inner, _ = _shared_frame(container, r_container, contained, r_contained)
-    leakage = sum(np.linalg.norm(rows) ** 2 for _, rows in _dropped(outer, inner))
-    return float(leakage / r_contained)
+    _checked_rank(r_container, container.num_columns, "container")
+    _checked_rank(r_contained, contained.num_columns, "contained")
+    _, _, dropped = _shared_frame(container, r_container, contained, r_contained)
+    return float(sum(np.linalg.norm(rows) ** 2 for _, rows in dropped) / r_contained)

@@ -442,8 +442,9 @@ class TestSpectralBudget:
     The real form is one float64 M x M array (B / 2) and the isotropic
     parity blocks two of about a quarter of it (B / 4), freed once solved;
     eigenvectors add the solver's real columns (B / 2, or B / 4 in parity
-    blocks) and the complex result, which holds only the numerical rank's
-    columns (531 of 1536 for the exact model, 733 for the isotropic one).
+    blocks), of which the basis keeps only the numerical rank's (531 of
+    1536 for the exact model, 733 for the isotropic one). No complex
+    columns are formed: the basis forms them where `eigenvectors` is read.
     The Monte Carlo sweep holds one M x r array, the container's
     projection (RS-LS reads its residual off the coordinates): complex for
     a raw container, real in the truth's frame for a typed one. It holds
@@ -467,7 +468,7 @@ class TestSpectralBudget:
             (spectrum, "exact", 0.60),
             (spectrum, "isotropic", 0.35),
             (eigendecompose, "exact", 1.10),
-            (eigendecompose, "isotropic", 0.80),
+            (eigendecompose, "isotropic", 0.55),
         ],
         ids=["spectrum-exact", "spectrum-isotropic", "eigendecompose-exact", "eigendecompose-isotropic"],
     )

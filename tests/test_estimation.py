@@ -811,3 +811,23 @@ def test_container_of_another_array_size_is_rejected(form):
         monte_carlo_nmse(
             clustered, tuple(Estimator), snr=1.0, trials=3, seed=0, container_subspace=container
         )
+
+
+def test_public_estimators_form_the_eigenvectors_once(monkeypatch):
+    # sample_channel and estimate_mmse read the complex columns; the first
+    # read forms them from the real frame's pieces, later ones reuse them
+    _, basis = real_frame_bases((5, 7))
+    accessor, formed = EigenBasis.__getattr__, []
+
+    def forming(basis, name):
+        formed.append(name)
+        return accessor(basis, name)
+
+    monkeypatch.setattr(EigenBasis, "__getattr__", forming)
+    assert "eigenvectors" not in vars(basis)
+    rng = np.random.default_rng(3)
+    for _ in range(2):
+        observation = observe_pilot(sample_channel(basis, rng), 10.0, rng)
+        estimate_mmse(observation, basis)
+    assert formed == ["eigenvectors"]
+    assert vars(basis)["eigenvectors"] is basis.eigenvectors

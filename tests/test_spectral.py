@@ -1,5 +1,6 @@
 """Tests for eigenstructure analysis: ranks, containment, and the rank law."""
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import holomimo.correlation
+import holomimo.harness
 from holomimo import (
     ArrayGeometry,
     Cluster,
@@ -842,13 +844,14 @@ def test_one_solve_sequence_matches_the_three_paths_bit_for_bit(builder, shape, 
     dense = [CorrelationMatrix(e, matrix.gain, matrix.provenance) for e in (matrix.entries, broken)]
     for solved in (matrix, *dense):
         for vectors in (False, True):
-            values, columns, _ = _solve(solved, vectors)
+            values, _, pieces = _solve(solved, vectors)
             old_values, old_columns = three_path_solve(solved, vectors)
             assert same_bits(values, old_values)
             if vectors:
+                columns = eigendecompose(solved).eigenvectors
                 assert columns.flags.c_contiguous and same_bits(columns, old_columns)
             else:
-                assert columns is None and old_columns is None
+                assert pieces is None and old_columns is None
 
 
 def forbidden_scan(matrix):
@@ -945,3 +948,104 @@ def test_containment_residual_of_a_full_container_stays_at_the_rounding_floor(co
     container = iso.eigenvectors[:, : iso.numerical_rank]
     expected = np.linalg.norm(_projection(container, inner.eigenvectors[:, :k])) ** 2 / k
     assert abs(subspace_containment_residual(iso, inner) - expected) <= 1e-20
+
+
+def eager_write_back(basis):
+    """eigendecompose's eigenvectors as it wrote them out before they were
+    formed on first read, kept as an oracle: each piece goes through its
+    operand's map, (first row, imaginary, sign) per half, into one complex128
+    array, and the identity frame's piece is copied as it is."""
+    m = basis.num_antennas
+    n, h = m // 2, m - m // 2
+    maps = {
+        "lee": [((0, False, 1.0), (h, True, -1.0))],
+        "parity": [((0, False, 1.0),), ((0, False, -1.0),)],
+        "identity": [None],
+    }[basis._frame]
+    columns = np.zeros((m, basis.numerical_rank), dtype=np.complex128)
+    for (_, where, kept), halves in zip(basis._real_columns, maps):
+        if halves is None:
+            columns[:, where] = kept
+            continue
+        if h > n and kept.shape[0] > n:
+            columns.real[n, where] = kept[n]
+        for first, imaginary, sign in halves:
+            half = kept[first : first + n] * np.sqrt(0.5)
+            part = columns.imag if imaginary else columns.real
+            part[:n, where] = half
+            half *= sign
+            part[h:, where] = half[::-1]
+    return columns
+
+
+@pytest.mark.parametrize("source", ["table", "dense", "broken"])
+@pytest.mark.parametrize("shape", [(1, 6), (7, 1), (5, 7), (4, 6), (6, 6), (1, 1)], ids=str)
+@pytest.mark.parametrize("builder", sorted(SMALL_BUILDERS))
+def test_eigenvectors_formed_on_first_read_match_the_eager_write_back(builder, shape, source):
+    # Lee's frame (clustered), the parity frame (isotropic) and, for a dense
+    # copy with one mirror pair an ulp off, a matrix solved as it is
+    matrix = SMALL_BUILDERS[builder](ArrayGeometry(*shape, 0.25, 1.0))
+    entries = matrix.entries.copy()
+    if source == "broken" and matrix.num_antennas > 1:
+        entries[0, 1] = complex(np.nextafter(entries[0, 1].real, 2.0), entries[0, 1].imag)
+        entries[1, 0] = entries[0, 1].conj()
+    if source != "table":
+        matrix = CorrelationMatrix(entries, matrix.gain, matrix.provenance)
+    basis = eigendecompose(matrix)
+    real_frame = basis._frame != "identity"
+    assert real_frame == (source != "broken" or matrix.num_antennas == 1)
+    assert ("eigenvectors" in vars(basis)) != real_frame
+    assert basis.num_columns == basis.numerical_rank
+    expected = eager_write_back(basis)
+    formed = basis.eigenvectors
+    assert formed.dtype == np.complex128 and formed.flags.c_contiguous
+    assert same_bits(formed, expected)
+    assert basis.eigenvectors is formed
+    if not real_frame:
+        assert formed is basis._real_columns[0][2]
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+def test_hand_built_basis_returns_the_array_it_was_given(dtype):
+    columns = np.eye(5, 3, dtype=dtype)
+    hand_built = EigenBasis(
+        eigenvalues=np.array([1.0, 1.0, 1.0, 0.0, 0.0]),
+        eigenvectors=columns,
+        numerical_rank=3,
+        effective_rank=3,
+        source_trace=3.0,
+    )
+    assert hand_built.eigenvectors is columns
+    assert hand_built._real_columns[0][2] is columns and hand_built.num_columns == 3
+    replaced = dataclasses.replace(hand_built, numerical_rank=2)
+    assert replaced.eigenvectors is columns and replaced.numerical_rank == 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        hand_built.eigenvectors = columns
+    with pytest.raises(AttributeError, match="no attribute 'eigenvector'"):
+        hand_built.eigenvector
+
+
+@pytest.mark.parametrize("preset", preset_names())
+def test_cli_solver_commands_never_form_the_complex_eigenvectors(tmp_path, monkeypatch, preset):
+    # the bases of nmse-sweep are used in their real frames only; eigen-report
+    # and approx-validate decompose without eigenvectors
+    formed, solved = [], []
+    accessor = EigenBasis.__getattr__
+
+    def forming(basis, name):
+        formed.append(name)
+        return accessor(basis, name)
+
+    def recording(matrix, **kwargs):
+        solved.append(eigendecompose(matrix, **kwargs))
+        return solved[-1]
+
+    monkeypatch.setattr(EigenBasis, "__getattr__", forming)
+    monkeypatch.setattr(holomimo.harness, "eigendecompose", recording)
+    for command in ("nmse-sweep", "eigen-report", "approx-validate"):
+        assert main([command, preset, "--out", str(tmp_path)]) == 0
+    bases = [basis for basis in solved if isinstance(basis, EigenBasis)]
+    assert "eigenvectors" not in formed and len(bases) >= 2
+    for basis in bases:
+        assert "eigenvectors" not in vars(basis)
+        assert all(columns.dtype == np.float64 for _, _, columns in basis._real_columns)
