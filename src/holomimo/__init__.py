@@ -73,7 +73,7 @@ from .spectral import (
     subspace_containment_residual,
 )
 
-__version__ = "0.5.1"
+__version__ = "0.5.2"
 
 __all__ = [
     "AccuracyError",

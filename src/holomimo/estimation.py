@@ -304,17 +304,20 @@ def monte_carlo_nmse(
     see spectral._shared_frame) is projected in it too: ||P^H n||^2 is
     ||P_+^T n'_top||^2 + ||P_-^T n'_bottom||^2, over the first ceil(M/2)
     and last floor(M/2) coordinates, and (I - P P^H) U_1 is two real
-    half-height products on W. A basis in the identity frame (built by
-    hand, or solved from a dense matrix as it is) runs the same kernel
-    with complex coordinates, on the block's noise conjugated in place
-    and conj(a): conj(n)^T U_1 is conj(U_1^H n), and every error is
+    half-height products on W, kept as two arrays: each one's residual
+    energy is summed over its own rows. A basis in the identity frame
+    (built by hand, or solved from a dense matrix as it is) runs the same
+    kernel with complex coordinates, on the block's noise conjugated in
+    place and conj(a): conj(n)^T U_1 is conj(U_1^H n), and every error is
     conjugated, with the same energy. So does a container without a frame
     shared with the truth, such as a raw array: ||P^H n||^2 is
     ||conj(n)^T P||^2, and (I - P P^H) U_1 projects the truth's complex
-    columns, formed afresh for it. No conjugate copy of a basis is held.
-    Besides the bases, the call holds one M x r array, r the numerical
-    rank of `basis`: the container's (I - P P^H) U_1, formed only when
-    CONSERVATIVE_RSLS is requested, real in a real frame.
+    columns, formed afresh for it; a container basis in a real frame gives
+    its complex columns for the call only and keeps none. No conjugate copy
+    of a basis is held. Besides the bases, the call holds the container's
+    (I - P P^H) U_1, M x r in all, r the numerical rank of `basis`, formed
+    only when CONSERVATIVE_RSLS is requested: real and split over the
+    container's pieces' rows in a real frame, one complex array otherwise.
 
     Which frame a product runs in depends on the bases alone, never on the
     estimators or the SNRs, and every trial's error comes from the same

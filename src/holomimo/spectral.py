@@ -90,10 +90,13 @@ class EigenBasis(Spectrum):
     ceil(M/2) rows and those of the minus block on its last floor(M/2)
     rows; its Q is Lee's times diag(I, -iI), a unit phase that no
     projector or energy sees. The Monte Carlo engine and the containment
-    residual compute in these frames with real products and never form
-    `eigenvectors`. A basis built by hand, or from a dense matrix solved as
-    it is, is the one piece of the identity frame ("identity"), and its
-    `eigenvectors` is the very array it holds.
+    residual compute in these frames with real products and never read
+    `eigenvectors`; where two bases share no frame they form the complex
+    columns for the call only (see _shared_frame). A basis built by hand,
+    or from a dense matrix solved as it is, is the one piece of the
+    identity frame ("identity"), and its `eigenvectors` is the very array
+    it holds: 2-D, one row per eigenvalue and at least `numerical_rank`
+    columns, or ValueError.
     """
 
     eigenvectors: np.ndarray = field(repr=False)
@@ -101,6 +104,9 @@ class EigenBasis(Spectrum):
     _frame: str = field(default="identity", init=False, repr=False)
 
     def __post_init__(self) -> None:  # built by hand: the array given is the identity frame
+        m, rank, shape = len(self.eigenvalues), self.numerical_rank, np.shape(self.eigenvectors)
+        if len(shape) != 2 or shape[0] != m or shape[1] < rank:
+            raise ValueError(f"eigenvectors must have shape ({m}, k >= {rank}), got {shape}")
         object.__setattr__(self, "_real_columns", _identity_piece(self.eigenvectors))
 
     @property
@@ -445,43 +451,46 @@ def _shared_frame(
     """A frame a container and a truth basis share, and (I - P P^H) W in it.
 
     Returns the frame, the pieces of the container's leading columns P
-    there, and (I - P P^H) W for the truth's leading `rank` columns W, as
-    (positions, rows) per piece of W. The frame is the truth's when the
-    container's pieces live in it too: those of the same frame, and parity
-    pieces in either real frame, since each lies on one half of the frame's
-    rows and the unit phase between the frames multiplies whole pieces, so
-    P P^H and every energy are the same in both. Lee's pieces live only in
-    Lee's frame. P P^H is block diagonal on the container's pieces, so each
-    truth piece is projected by the container pieces whose rows it spans,
-    each on its own rows: two real half-height products when Lee's M-row
-    piece meets the parity blocks, one when a parity piece meets its own
-    half, one complex product in the identity frame.
+    there, and (I - P P^H) W for the truth's leading `rank` columns W as
+    entries (positions, rows): one per pair of a piece of W and a container
+    piece whose rows it spans, holding that W piece's basis positions and
+    its projection on the container piece's rows alone. Row energies and
+    squared norms add over row blocks, so the entries' sum is the energy
+    of the stacked projection, which is never formed. The frame is the truth's
+    when the container's pieces live in it too: those of the same frame,
+    and parity pieces in either real frame, since each lies on one half of
+    the frame's rows and the unit phase between the frames multiplies whole
+    pieces, so P P^H and every energy are the same in both. Lee's pieces
+    live only in Lee's frame. P P^H is block diagonal on the container's
+    pieces: Lee's M-row piece meeting the parity blocks gives two real
+    half-height entries, a parity piece meeting its own half one, and the
+    identity frame one complex entry.
 
     Otherwise the frame is the identity, with complex columns: a raw
     container with a truth in a real frame, either basis in the identity
     frame with the other in a real one, or a parity truth with a Lee
-    container. A container basis then gives its `eigenvectors`, and the
-    truth's complex columns are formed afresh and projected in place,
-    _COLUMN_BLOCK at a time, so no second M x rank array is held.
+    container. A container in a real frame then gives its complex columns,
+    formed for this call only (EigenBasis._columns), so none are left on
+    it, and the truth's complex columns are formed afresh and projected in
+    place, _COLUMN_BLOCK at a time, into one entry: no second M x rank
+    array is held.
     """
     container_frame, outer = _leading_pieces(container, container_rank)
     frame, inner = _leading_pieces(truth, rank)
     if container_frame != frame and (container_frame, frame) != ("parity", "lee"):
-        if isinstance(container, EigenBasis):
-            outer = _identity_piece(container.eigenvectors[:, :container_rank])
+        if container_frame != "identity":
+            outer = _identity_piece(container._columns()[:, :container_rank])
         dropped = truth._columns()[:, :rank]
         for start in range(0, rank, _COLUMN_BLOCK):
             block = slice(start, start + _COLUMN_BLOCK)
             dropped[:, block] = _projection(outer[0][2], dropped[:, block])  # P: outer's one piece
         return "identity", outer, [(np.arange(rank), dropped)]
-    dropped = []
-    for rows, where, columns in inner:
-        parts = [
-            _projection(subspace, columns[part.start - rows.start : part.stop - rows.start])
-            for part, _, subspace in outer
-            if rows.start <= part.start and part.stop <= rows.stop
-        ]
-        dropped.append((where, parts[0] if len(parts) == 1 else np.concatenate(parts)))
+    dropped = [
+        (where, _projection(subspace, columns[part.start - rows.start : part.stop - rows.start]))
+        for rows, where, columns in inner
+        for part, _, subspace in outer
+        if rows.start <= part.start and part.stop <= rows.stop
+    ]
     return frame, outer, dropped
 
 
@@ -528,11 +537,13 @@ def subspace_containment_residual(
     to 1 measure how much energy escapes the container span. Either rank
     may be at most the number of columns its basis holds.
 
-    The leakage is computed in the bases' shared frame (_shared_frame):
-    for the isotropic container of a solved clustered or isotropic basis,
-    two real half-height products. Q is unitary and a frame's phase
-    multiplies whole pieces, so the leakage's norm is the same in every
-    frame.
+    The leakage is computed in the bases' shared frame (_shared_frame),
+    as entries on the container pieces' rows, and its squared norm is the
+    sum of theirs: for the isotropic container of a solved clustered or
+    isotropic basis, two real half-height arrays, never stacked. Q is
+    unitary and a frame's phase multiplies whole pieces, so the leakage's
+    norm is the same in every frame. Where the bases share no real frame
+    the container's complex columns are formed for the call only.
     """
     if container.num_antennas != contained.num_antennas:
         raise ValueError(

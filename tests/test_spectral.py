@@ -36,10 +36,12 @@ from holomimo.cli import main, preset_names, resolve_config_path
 from holomimo.correlation import STRUCTURE_CHECK_ROWS
 from holomimo.spectral import (
     RANK_TOLERANCE,
+    _leading_pieces,
     _numerical_rank,
     _parity_blocks,
     _projection,
     _real_form,
+    _shared_frame,
     _solve,
 )
 
@@ -1023,6 +1025,124 @@ def test_hand_built_basis_returns_the_array_it_was_given(dtype):
         hand_built.eigenvectors = columns
     with pytest.raises(AttributeError, match="no attribute 'eigenvector'"):
         hand_built.eigenvector
+
+
+@pytest.mark.parametrize(
+    "columns, rank",
+    [
+        (np.eye(8, 3), 5),  # fewer columns than the numerical rank
+        (np.eye(6, 3), 3),  # fewer rows than eigenvalues
+        (np.eye(9, 3), 3),  # more rows than eigenvalues
+        (np.ones(8), 1),  # not 2-D
+    ],
+    ids=["too-few-columns", "too-few-rows", "too-many-rows", "1-D"],
+)
+def test_hand_built_basis_rejects_columns_that_do_not_fit(columns, rank):
+    with pytest.raises(ValueError, match="eigenvectors must have shape"):
+        EigenBasis(
+            eigenvalues=np.ones(8),
+            eigenvectors=columns,
+            numerical_rank=rank,
+            effective_rank=rank,
+            source_trace=8.0,
+        )
+
+
+def test_replaced_basis_rejects_a_rank_past_its_columns():
+    hand_built = basis_from_columns(np.eye(5, 3))
+    assert dataclasses.replace(hand_built, numerical_rank=5).num_columns == 5
+    narrow = dataclasses.replace(hand_built, eigenvectors=hand_built.eigenvectors[:, :3])
+    with pytest.raises(ValueError, match=r"\(5, k >= 4\), got \(5, 3\)"):
+        dataclasses.replace(narrow, numerical_rank=4)
+
+
+def test_bases_without_a_shared_frame_leave_no_complex_columns_on_the_container():
+    # a parity truth in a Lee container, and a hand-built truth with the
+    # isotropic container: each call forms the container's complex columns
+    # for itself alone, and gives the numbers of those columns handed over
+    geometry = ArrayGeometry(5, 7, 0.25, 1.0)
+    clustered = eigendecompose(SMALL_BUILDERS["exact"](geometry))
+    iso = eigendecompose(build_isotropic(geometry))
+    residual = subspace_containment_residual(clustered, iso)
+    assert "eigenvectors" not in vars(clustered)
+    leak = _projection(clustered._columns(), iso._columns()[:, : iso.effective_rank])
+    assert residual == pytest.approx(np.linalg.norm(leak) ** 2 / iso.effective_rank, rel=1e-12)
+
+    hand_built = EigenBasis(
+        eigenvalues=clustered.eigenvalues,
+        eigenvectors=clustered._columns(),
+        numerical_rank=clustered.numerical_rank,
+        effective_rank=clustered.effective_rank,
+        source_trace=clustered.source_trace,
+    )
+    sweep = lambda container: monte_carlo_nmse(
+        hand_built, (Estimator.CONSERVATIVE_RSLS,), 1.0, 5, 3, container_subspace=container
+    )
+    typed = sweep(iso)
+    assert "eigenvectors" not in vars(iso)
+    assert typed == sweep(iso._columns()[:, : iso.numerical_rank])
+
+
+def concatenated_entries(outer, inner):
+    """_shared_frame's projections as it formed them before each was kept
+    on its container piece's rows, kept as an oracle: the parts of a truth
+    piece on the container pieces it spans, stacked into one array."""
+    dropped = []
+    for rows, where, columns in inner:
+        parts = [
+            _projection(subspace, columns[part.start - rows.start : part.stop - rows.start])
+            for part, _, subspace in outer
+            if rows.start <= part.start and part.stop <= rows.stop
+        ]
+        dropped.append((where, parts[0] if len(parts) == 1 else np.concatenate(parts)))
+    return dropped
+
+
+def dense_solved(matrix):
+    """A dense copy with one mirror pair an ulp off, solved as it is: the identity frame."""
+    entries = matrix.entries.copy()
+    entries[0, 1] = complex(np.nextafter(entries[0, 1].real, 2.0), entries[0, 1].imag)
+    entries[1, 0] = entries[0, 1].conj()
+    return eigendecompose(CorrelationMatrix(entries, matrix.gain, matrix.provenance))
+
+
+@pytest.mark.parametrize("shape", [(1, 6), (7, 1), (5, 7), (4, 6)], ids=str)
+@pytest.mark.parametrize(
+    "truth, container, frame",
+    [
+        ("exact", "isotropic", "lee"),
+        ("isotropic", "isotropic", "parity"),
+        ("exact", "exact", "lee"),
+        ("dense", "dense", "identity"),
+    ],
+    ids=["lee-parity", "parity-parity", "lee-lee", "identity-identity"],
+)
+def test_shared_frame_entries_are_the_stacked_projections_on_their_pieces(
+    truth, container, frame, shape
+):
+    geometry = ArrayGeometry(*shape, 0.25, 1.0)
+    solved = {
+        "exact": lambda: eigendecompose(SMALL_BUILDERS["exact"](geometry)),
+        "isotropic": lambda: eigendecompose(build_isotropic(geometry)),
+        "dense": lambda: dense_solved(SMALL_BUILDERS["exact"](geometry)),
+    }
+    truth, container = solved[truth](), solved[container]()
+    for rank in sorted({1, truth.effective_rank, truth.numerical_rank}):
+        container_rank = max(1, container.numerical_rank - 1)
+        shared, outer, entries = _shared_frame(container, container_rank, truth, rank)
+        truth_frame, inner = _leading_pieces(truth, rank)
+        assert shared == truth_frame == frame
+        entries = iter(entries)
+        for (rows, _, _), (where, stacked) in zip(inner, concatenated_entries(outer, inner)):
+            spanned = [
+                part for part, _, _ in outer if rows.start <= part.start and part.stop <= rows.stop
+            ]
+            own = [next(entries) for _ in spanned]
+            for part, (positions, projected) in zip(spanned, own):
+                assert np.array_equal(positions, where)
+                assert projected.shape == (part.stop - part.start, where.size)
+            assert same_bits(np.concatenate([projected for _, projected in own]), stacked)
+        assert next(entries, None) is None
 
 
 @pytest.mark.parametrize("preset", preset_names())
