@@ -20,13 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OracleInvalidError
-from .spectral import (
-    EigenBasis,
-    _checked_rank,
-    _frame_noise,
-    _leading_pieces,
-    _shared_frame,
-)
+from .spectral import EigenBasis, _block_products, _checked_rank, _row_energy
 
 GRAM_TOLERANCE = 1e-8
 CONTAINMENT_TOLERANCE = 1e-5
@@ -226,21 +220,6 @@ class MonteCarloNmse:
     trials: int
 
 
-def _row_energy(rows: np.ndarray) -> np.ndarray:
-    """Squared Euclidean norm of every row of a complex block.
-
-    A real block is read as a frame's stacked complex one, real parts over
-    imaginary parts (see spectral._frame_noise): one norm per trial.
-    """
-    if np.iscomplexobj(rows):
-        real, imag = rows.real, rows.imag
-    else:
-        real, imag = rows[: rows.shape[0] // 2], rows[rows.shape[0] // 2 :]
-    energy = real**2
-    energy += imag**2
-    return energy.sum(axis=1)
-
-
 def _draw_block(
     seed: int, trials: range, rank: int, num_antennas: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -292,38 +271,10 @@ def monte_carlo_nmse(
       writes the whole SNR grid.
     * MMSE: ||d||^2 with d = shrink / sqrt(snr) (sqrt(snr) a + U_1^H n) - a.
 
-    The products run in the truth's own frame, read once from its pieces
-    (see EigenBasis), and never form its complex `eigenvectors`. A basis
-    from eigendecompose of a builder's matrix is U_1 = Q W with W real: V
-    from Lee's real form for a clustered model, the parity blocks' columns
-    for the isotropic one. Each block's noise is mapped once, n' = Q^H n
-    (spectral._frame_noise, O(M) per trial), so U_1^H n = W^T n' is one
-    real GEMM on n' stacked as [Re n'; Im n'], and RSLS reads its noise
-    energy ||U_1[:, :k]^H n||^2 off the first k columns of that product. A
-    container with real pieces in that frame (the isotropic EigenBasis;
-    see spectral._shared_frame) is projected in it too: ||P^H n||^2 is
-    ||P_+^T n'_top||^2 + ||P_-^T n'_bottom||^2, over the first ceil(M/2)
-    and last floor(M/2) coordinates, and (I - P P^H) U_1 is two real
-    half-height products on W, kept as two arrays: each one's residual
-    energy is summed over its own rows. A basis in the identity frame
-    (built by hand, or solved from a dense matrix as it is) runs the same
-    kernel with complex coordinates, on the block's noise conjugated in
-    place and conj(a): conj(n)^T U_1 is conj(U_1^H n), and every error is
-    conjugated, with the same energy. So does a container without a frame
-    shared with the truth, such as a raw array: ||P^H n||^2 is
-    ||conj(n)^T P||^2, and (I - P P^H) U_1 projects the truth's complex
-    columns, formed afresh for it; a container basis in a real frame gives
-    its complex columns for the call only and keeps none. No conjugate copy
-    of a basis is held. Besides the bases, the call holds the container's
-    (I - P P^H) U_1, M x r in all, r the numerical rank of `basis`, formed
-    only when CONSERVATIVE_RSLS is requested: real and split over the
-    container's pieces' rows in a real frame, one complex array otherwise.
-
-    Which frame a product runs in depends on the bases alone, never on the
-    estimators or the SNRs, and every trial's error comes from the same
-    products. A grid call therefore returns exactly the numbers of separate
-    scalar calls, and a subset of `estimators` exactly those of the full
-    set.
+    A block's products, in whatever frame the bases give, come from
+    spectral._block_products and serve every estimator and SNR, so a grid
+    call returns exactly the numbers of separate scalar calls, and a subset
+    of `estimators` exactly those of the full set.
 
     `rsls_rank` sets the RSLS projection rank (default: effective rank of
     `basis`), at most the columns `basis` holds: its numerical rank, for a
@@ -348,9 +299,12 @@ def monte_carlo_nmse(
     held = basis.num_columns
     if Estimator.RSLS in estimators:
         rank = _checked_rank(basis.effective_rank if rsls_rank is None else rsls_rank, held, "rsls")
-    # U_1^H n covers the numerical rank, and a hand-built basis's RSLS columns past it
-    width = r if rsls_rank is None else max(r, min(rsls_rank, held))
-    frame, truth = _leading_pieces(basis, width)
+    # U_1^H n, read by MMSE and RSLS alone, covers the numerical rank and a
+    # hand-built basis's RSLS columns past it: one width for every subset
+    width = 0
+    if Estimator.MMSE in estimators or Estimator.RSLS in estimators:
+        width = r if rsls_rank is None else max(r, min(rsls_rank, held))
+    container, container_rank = None, 0
     if Estimator.CONSERVATIVE_RSLS in estimators:
         if container_subspace is None:
             raise ValueError("CONSERVATIVE_RSLS requires a container_subspace")
@@ -362,33 +316,14 @@ def monte_carlo_nmse(
             container_rank, length = container.shape[1], container.shape[0]
         if length != m:  # the frames' pieces would otherwise cut it to fit
             raise ValueError(f"container_subspace has {length} rows for {m} antennas")
-        shared_frame, container, dropped = _shared_frame(container, container_rank, basis, r)
+    products = _block_products(basis, width, container, container_rank)
 
     errors = np.empty((snrs.size, len(estimators), trials))
     for start in range(0, trials, MC_BLOCK_TRIALS):
         block = range(start, min(start + MC_BLOCK_TRIALS, trials))
         a, noise = _draw_block(seed, block, r, m)
         a *= scale  # the channel's coordinates on U_1, in place
-        # the truth frame's noise and coordinates: in a real frame Q^H n and
-        # a, stacked real parts over imaginary parts; in the identity frame
-        # the block's noise, conjugated in place (no copy), and conj(a), so
-        # that U_1^H n and every error are conjugated, with the same energies
-        if frame == "identity":
-            frame_noise, frame_a = noise, a.conj()
-        else:
-            frame_noise = _frame_noise(noise, frame == "parity")
-            frame_a = np.concatenate((a.real, a.imag))
-        np.conjugate(noise, out=noise)
-        if Estimator.MMSE in estimators or Estimator.RSLS in estimators:
-            a_noise = np.empty((frame_noise.shape[0], width), dtype=frame_noise.dtype)
-            for rows, where, columns in truth:
-                a_noise[:, where] = frame_noise[:, rows] @ columns
-        if Estimator.CONSERVATIVE_RSLS in estimators:
-            x, coordinates = (noise, a) if shared_frame == "identity" else (frame_noise, frame_a)
-            container_noise = sum(_row_energy(x[:, part] @ p) for part, _, p in container)
-            del x, frame_noise  # before the M-wide residual product
-            residual = sum(_row_energy(coordinates[:, where] @ d.T) for where, d in dropped)
-            container_terms = residual, container_noise
+        frame_a, a_noise, container_terms = products(a, noise)  # noise is conjugated in place
         rows = slice(block.start, block.stop)
         for k, estimator in enumerate(estimators):
             if estimator is Estimator.MMSE:

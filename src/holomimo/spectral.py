@@ -22,10 +22,17 @@ A builder's matrix is read from its offset table throughout: the real
 form and the parity blocks are filled from its first ceil(M/2) rows, one
 block copied from the table at a time, and the trace is that of its
 pinned diagonal, so neither entry point forms its dense complex `entries`.
+
+This module owns the frames a basis holds its columns in (see EigenBasis),
+and with them every product that depends on a frame: the containment
+residual's, and the Monte Carlo engine's per-block products, which
+estimation.monte_carlo_nmse takes from _block_products without knowing
+which frame they run in.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,6 +104,13 @@ class EigenBasis(Spectrum):
     identity frame ("identity"), and its `eigenvectors` is the very array
     it holds: 2-D, one row per eigenvalue and at least `numerical_rank`
     columns, or ValueError.
+
+    So is the result of dataclasses.replace on a basis from eigendecompose:
+    replace reads `eigenvectors` to hand it to the constructor, which forms
+    the 16 M r bytes of complex columns and keeps them on the source basis,
+    and the new basis holds them in the identity frame, where the Monte
+    Carlo engine and the containment residual run complex products instead
+    of real ones. Its numbers agree with the source's up to rounding.
     """
 
     eigenvectors: np.ndarray = field(repr=False)
@@ -335,28 +349,31 @@ def _spectrum_from(
     negative raises NumericalError. So do non-finite eigenvalues, which
     LAPACK returns for a matrix with Inf entries and which would pass every
     NaN comparison below.
+
+    The eigenvalues are clamped in place: every caller hands over the fresh
+    array _solve returned and reads it no more. The numerical rank is
+    counted on the clamped values, the same count since lambda_max > 0.
     """
     if not np.isfinite(descending).all():
         raise NumericalError(
             f"eigensolver returned non-finite eigenvalues "
             f"(provenance {matrix.provenance.label}, M={matrix.num_antennas})"
         )
-    values = descending.copy()
-    largest = float(values[0])
+    largest = float(descending[0])
     if largest <= 0:
         raise NumericalError("correlation matrix has no positive eigenvalue")
     floor = -psd_tol * largest
-    smallest = float(values[-1])
+    smallest = float(descending[-1])
     if smallest < floor:
         raise NumericalError(
             f"matrix is not PSD within tolerance: min eigenvalue {smallest:.3e} "
             f"below {floor:.3e} (provenance {matrix.provenance.label})"
         )
-    np.clip(values, 0.0, None, out=values)
+    np.clip(descending, 0.0, None, out=descending)
     return Spectrum(
-        eigenvalues=values,
+        eigenvalues=descending,
         numerical_rank=_numerical_rank(descending),
-        effective_rank=effective_rank(values),
+        effective_rank=effective_rank(descending),
         source_trace=matrix._trace(),
     )
 
@@ -419,7 +436,7 @@ def _projection(subspace: np.ndarray, u1: np.ndarray) -> np.ndarray:
 
     The one (I - P P^H) X of the package, applied piece by piece by
     _shared_frame, whose callers are subspace_containment_residual and
-    estimation.monte_carlo_nmse. P^H U_1 is conj(P^T conj(U_1)): one
+    _block_products. P^H U_1 is conj(P^T conj(U_1)): one
     transient conj(U_1), the smaller operand, and none when U_1 is real;
     no conjugate copy outlives the call. P is not checked here: its caller
     either trusts an EigenBasis or Gram-checks a raw array.
@@ -494,31 +511,107 @@ def _shared_frame(
     return frame, outer, dropped
 
 
-def _frame_noise(noise: np.ndarray, parity: bool) -> np.ndarray:
-    """Q^H n for each row n of a complex trials x M block, stacked real: real parts over imaginary.
+def _row_energy(rows: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of every row of a complex block.
 
-    With n_top = n[:M//2], n_bot = n[M - M//2:] reversed, s and d the sum
-    and difference of the two over sqrt(2), Lee's frame gives
-    [s; n_mid; -i d] (n_mid only for odd M) and the parity frame,
-    Q diag(I, -iI), gives [s; n_mid; d]. O(M) per trial; Q is unitary, so
-    the result is CN(0, I) again.
+    A real block is read as a frame's stacked complex one, real parts over
+    imaginary parts (see _block_products): one norm per trial.
     """
-    trials, m = noise.shape
-    n, h = m // 2, m - m // 2
-    out = np.empty((2, trials, m))
-    for k, part in enumerate((noise.real, noise.imag)):
-        top, bottom = part[:, :n], part[:, h:][:, ::-1]
-        np.add(top, bottom, out=out[k, :, :n])
-        out[k, :, n:h] = part[:, n:h]
-        if parity:
-            np.subtract(top, bottom, out=out[k, :, h:])
-        elif k == 0:  # -i d: the real part of d goes, negated, to the imaginary rows
-            np.subtract(bottom, top, out=out[1, :, h:])
+    if np.iscomplexobj(rows):
+        real, imag = rows.real, rows.imag
+    else:
+        real, imag = rows[: rows.shape[0] // 2], rows[rows.shape[0] // 2 :]
+    energy = real**2
+    energy += imag**2
+    return energy.sum(axis=1)
+
+
+def _block_products(
+    truth: EigenBasis, width: int, container: EigenBasis | np.ndarray | None, container_rank: int
+) -> Callable[[np.ndarray, np.ndarray], tuple]:
+    """The Monte Carlo engine's per-block products, in the frames its bases give.
+
+    Returns products(a, n) for a block of trials, one row each: the
+    channel's coordinates a on the truth's U_1 and the block's complex
+    noise n, which it conjugates in place. products gives three things:
+    the truth frame's coordinates; U_1^H n over `width` leading columns of
+    `truth` (0 columns when neither MMSE nor RS-LS needs it), up to a
+    conjugation; and the container's (residual, noise) energies per trial,
+    ||(I - P P^H) h||^2 and ||P^H n||^2 for P the leading `container_rank`
+    columns of `container`, or 0 and 0 when it is None.
+
+    The products run in the truth's own frame, read once from its pieces
+    (see EigenBasis), and never form its complex `eigenvectors`. A basis
+    from eigendecompose of a builder's matrix is U_1 = Q W with W real: V
+    from Lee's real form for a clustered model, the parity blocks' columns
+    for the isotropic one. Each block's noise is mapped once, n' = Q^H n,
+    O(M) per trial: with n_top = n[:M//2], n_bot = n[M - M//2:] reversed
+    and s, d their sum and difference over sqrt(2), Lee's frame gives
+    [s; n_mid; -i d] (n_mid only for odd M) and the parity frame,
+    Q diag(I, -iI), gives [s; n_mid; d], CN(0, I) again since Q is
+    unitary. n' and a are stacked real, real parts over imaginary parts,
+    so U_1^H n = W^T n' is one real GEMM, and RSLS reads its noise energy
+    ||U_1[:, :k]^H n||^2 off the first k columns of that product. A
+    container with real pieces in that frame (the isotropic EigenBasis;
+    see _shared_frame) is projected in it too: ||P^H n||^2 is
+    ||P_+^T n'_top||^2 + ||P_-^T n'_bottom||^2, over the first ceil(M/2)
+    and last floor(M/2) coordinates, and (I - P P^H) U_1 is two real
+    half-height products on W, kept as two arrays: each one's residual
+    energy is summed over its own rows.
+
+    A basis in the identity frame (built by hand, or solved from a dense
+    matrix as it is) runs the same products with complex coordinates, on
+    the block's noise conjugated in place and conj(a): conj(n)^T U_1 is
+    conj(U_1^H n), and every error is conjugated, with the same energy. So
+    does a container without a frame shared with the truth, such as a raw
+    array: ||P^H n||^2 is ||conj(n)^T P||^2, and (I - P P^H) U_1 projects
+    the truth's complex columns, formed afresh for it; a container basis in
+    a real frame gives its complex columns for the call only and keeps
+    none. No conjugate copy of a basis is held. Besides the bases, the
+    products hold the container's (I - P P^H) U_1, M x r in all, r the
+    numerical rank of `truth`: real and split over the container's pieces'
+    rows in a real frame, one complex array otherwise.
+
+    Which frame a product runs in depends on the bases alone, never on
+    `width` or on whether a container is given. A caller that asks for the
+    same `width` whenever it reads U_1^H n therefore gets the same numbers
+    for each estimator whichever others it runs.
+    """
+    frame, pieces = _leading_pieces(truth, width)
+    shared, outer, dropped = frame, (), ()  # no container: energies of nothing, 0
+    if container is not None:
+        rank = truth.numerical_rank  # (I - P P^H) U_1 over all of U_1
+        shared, outer, dropped = _shared_frame(container, container_rank, truth, rank)
+
+    def products(a: np.ndarray, noise: np.ndarray) -> tuple:
+        if frame == "identity":
+            frame_noise, frame_a = noise, a.conj()
         else:
-            np.subtract(top, bottom, out=out[0, :, h:])
-    out[:, :, :n] *= _HALF_SQRT2
-    out[:, :, h:] *= _HALF_SQRT2
-    return out.reshape(2 * trials, m)
+            trials, m = noise.shape
+            n, h = m // 2, m - m // 2
+            frame_noise = np.empty((2, trials, m))  # its one reference, rebound below
+            for k, part in enumerate((noise.real, noise.imag)):
+                top, bottom = part[:, :n], part[:, h:][:, ::-1]
+                np.add(top, bottom, out=frame_noise[k, :, :n])
+                frame_noise[k, :, n:h] = part[:, n:h]
+                # d as it is in the parity frame; Lee's -i d puts Im d over -Re d
+                np.subtract(top, bottom, out=frame_noise[k if frame == "parity" else 1 - k, :, h:])
+            frame_noise[:, :, :n] *= _HALF_SQRT2
+            frame_noise[0, :, h:] *= _HALF_SQRT2
+            frame_noise[1, :, h:] *= _HALF_SQRT2 if frame == "parity" else -_HALF_SQRT2
+            frame_noise = frame_noise.reshape(2 * trials, m)
+            frame_a = np.concatenate((a.real, a.imag))
+        np.conjugate(noise, out=noise)
+        a_noise = np.empty((frame_noise.shape[0], width), dtype=frame_noise.dtype)
+        for rows, where, columns in pieces:
+            a_noise[:, where] = frame_noise[:, rows] @ columns
+        x, coordinates = (noise, a) if shared == "identity" else (frame_noise, frame_a)
+        container_noise = sum(_row_energy(x[:, part] @ p) for part, _, p in outer)
+        del x, frame_noise  # Q^H n goes before the M-wide residual product
+        residual = sum(_row_energy(coordinates[:, where] @ d.T) for where, d in dropped)
+        return frame_a, a_noise, (residual, container_noise)
+
+    return products
 
 
 def subspace_containment_residual(

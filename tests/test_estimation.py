@@ -1,5 +1,6 @@
 """Tests for channel sampling, the four estimators, and both NMSE paths."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -588,13 +589,51 @@ class TestMonteCarloEngine:
             assert isinstance(alone, dict)
             assert alone == from_grid
 
-    def test_subset_of_a_grid_sees_same_numbers(self):
-        kwargs = dict(snr=self.snrs, trials=200, seed=8, container_subspace=self.container)
-        full = monte_carlo_nmse(self.basis, self.estimators, **kwargs)
+    @pytest.mark.parametrize("container", ["raw", "typed"])
+    @pytest.mark.parametrize("truth", ["hand-built", "clustered", "isotropic"])
+    def test_subset_of_a_grid_sees_same_numbers(self, truth, container):
+        # one truth per frame (identity, Lee's, parity), each with a raw and
+        # a typed container: LS-only and conservative-only calls take no
+        # U_1^H n, and every call but the conservative one takes no container
+        iso = eigendecompose(build_isotropic(ArrayGeometry(6, 6, 0.25, 1.0)))
+        basis = {
+            "hand-built": EigenBasis(
+                eigenvalues=self.basis.eigenvalues,
+                eigenvectors=self.basis.eigenvectors,
+                numerical_rank=self.basis.numerical_rank,
+                effective_rank=self.basis.effective_rank,
+                source_trace=self.basis.source_trace,
+            ),
+            "clustered": self.basis,
+            "isotropic": iso,
+        }[truth]
+        subspace = self.container if container == "raw" else iso
+        kwargs = dict(snr=self.snrs, trials=200, seed=8, container_subspace=subspace)
+        full = monte_carlo_nmse(basis, self.estimators, **kwargs)
         for estimator in self.estimators:
-            alone = monte_carlo_nmse(self.basis, (estimator,), **kwargs)
+            alone = monte_carlo_nmse(basis, (estimator,), **kwargs)
             for single, together in zip(alone, full):
                 assert single[estimator] == together[estimator]
+
+    @pytest.mark.parametrize("truth", ["clustered", "isotropic"])
+    def test_replaced_basis_matches_its_source(self, truth):
+        # dataclasses.replace reads the solved basis's complex columns and
+        # builds a basis from them, whose products may run in another frame:
+        # its numbers agree with the source's up to rounding
+        iso = eigendecompose(build_isotropic(ArrayGeometry(6, 6, 0.25, 1.0)))
+        solved = self.basis if truth == "clustered" else iso
+        k = solved.effective_rank - 1
+        kwargs = dict(snr=self.snrs, trials=200, seed=8, container_subspace=iso)
+        replaced = monte_carlo_nmse(
+            dataclasses.replace(solved, effective_rank=k), self.estimators, **kwargs
+        )
+        source = monte_carlo_nmse(solved, self.estimators, rsls_rank=k, **kwargs)
+        for from_replaced, from_source in zip(replaced, source):
+            for estimator in self.estimators:
+                for field in ("nmse", "ci95"):
+                    value = getattr(from_source[estimator], field)
+                    close = pytest.approx(value, rel=1e-12, abs=0.0)
+                    assert getattr(from_replaced[estimator], field) == close
 
     def test_rejects_nonpositive_snr(self):
         for snr in (0.0, -1.0, (1.0, 0.0), ()):
