@@ -9,6 +9,13 @@ estimators with Monte Carlo and closed-form NMSE evaluation. The `holomimo`
 CLI drives the same machinery from JSON configs.
 """
 
+import os
+
+# Idle OpenBLAS workers spin 2^28 TSC ticks (~0.1 s) before they sleep, 30-45% of a CLI
+# run's CPU time on 2 cores. OpenBLAS reads this once, as numpy loads: before any import below.
+_OPENBLAS_THREAD_TIMEOUT = "20"
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", _OPENBLAS_THREAD_TIMEOUT)
+
 from .config import ExperimentConfig, load_config
 from .correlation import (
     CorrelationMatrix,

@@ -226,11 +226,21 @@ class CorrelationMatrix:
         than -psd_tol times the largest one. The eigenvalues come from the
         spectral layer's solver and go through its PSD floor with `psd_tol`
         in place of PSD_TOLERANCE. A solver failure raises NumericalError.
+        A builder's matrix is finite and Hermitian by construction
+        (_full_offsets), so it checks only its trace (_trace) and the
+        table's zero offset, its one diagonal value, and does not form
+        `entries`.
         """
         from .spectral import _solve, _spectrum_from  # spectral imports this module
 
-        self._check_structure(trace_tol)
-        if not np.all(np.diagonal(self.entries) == self.gain):
+        if self._offsets is None:
+            self._check_structure(trace_tol)
+            diagonal = np.diagonal(self._entries)
+        else:
+            self._check_trace(self._trace(), trace_tol)
+            m_h, m_v = self.geometry.num_horizontal, self.geometry.num_vertical
+            diagonal = self._offsets[m_v - 1, m_h - 1]
+        if not np.all(diagonal == self.gain):
             raise ValueError(f"diagonal differs from the gain {self.gain}")
         eigenvalues, _, _ = _solve(self, vectors=False)
         try:
@@ -249,12 +259,15 @@ class CorrelationMatrix:
         Every entry is checked for finiteness before any is compared with
         its mirror.
         """
-        m = self.num_antennas
         self._check_finite()
         diag = np.diagonal(self._checked_entries())
         if np.any(diag.real < 0.0):
             raise ValueError("diagonal must be real and nonnegative")
-        trace = float(diag.real.sum())
+        self._check_trace(float(diag.real.sum()), trace_tol)
+
+    def _check_trace(self, trace: float, trace_tol: float) -> None:
+        """Raise ValueError if `trace` is off M * gain by more than `trace_tol` (relative)."""
+        m = self.num_antennas
         if abs(trace - m * self.gain) > trace_tol * m * self.gain:
             raise ValueError(f"trace {trace} deviates from M*gain {m * self.gain}")
 

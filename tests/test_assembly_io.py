@@ -315,6 +315,24 @@ class TestTableBackedMatrix:
         payload = np.frombuffer((out / "new.hmrc").read_bytes()[21:], dtype="<c16")
         assert payload[row * m - row * (row - 1) // 2 + column - row] == kept
 
+    @pytest.mark.parametrize("builder", ["isotropic", "exact", "approx"])
+    def test_validate_reads_the_table(self, monkeypatch, builder):
+        geometry = ArrayGeometry(5, 4, 0.3, 1.0)
+        if builder == "isotropic":
+            matrix = build_isotropic(geometry, SCATTERING.gain)
+        elif builder == "exact":
+            matrix = build_exact_clustered(geometry, SCATTERING)
+        else:
+            matrix = build_approx_clustered(geometry, SCATTERING)
+        monkeypatch.setattr(holomimo.correlation, "_expand", forbidden_expansion)
+        matrix.validate()
+        assert is_streamed(matrix)
+        # the table's zero offset is the whole diagonal: 1 ulp off the gain fails
+        matrix._offsets[3, 4] = math.nextafter(SCATTERING.gain, math.inf)
+        with pytest.raises(ValueError, match="diagonal"):
+            matrix.validate()
+        assert is_streamed(matrix)
+
     def test_is_read_only(self):
         matrix = build_isotropic(ArrayGeometry(2, 2, 0.25, 1.0))
         with pytest.raises(AttributeError):

@@ -1,6 +1,7 @@
 """Tests for the run harness (file outputs) and the command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import holomimo
 import holomimo.estimation
 import holomimo.harness
 import holomimo.scattering
@@ -620,3 +622,30 @@ class TestCli:
         )
         assert result.returncode == 0
         assert "holomimo" in result.stdout
+
+    @pytest.mark.parametrize("entry", ["import holomimo", "from holomimo.cli import main"])
+    @pytest.mark.parametrize("user_value", [None, "28"], ids=["unset", "user-set"])
+    def test_openblas_thread_timeout_is_set_before_numpy_loads(self, entry, user_value):
+        # OpenBLAS reads the variable once, as numpy loads it; a sys.meta_path
+        # probe notes its value at the first lookup of numpy
+        script = (
+            "import os, sys\n"
+            "seen = []\n"
+            "class Probe:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'numpy' and not seen:\n"
+            "            seen.append(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))\n"
+            "sys.meta_path.insert(0, Probe())\n"
+            f"{entry}\n"
+            "print(seen)\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+        if user_value is not None:
+            assert user_value != holomimo._OPENBLAS_THREAD_TIMEOUT  # else the case shows nothing
+            env["OPENBLAS_THREAD_TIMEOUT"] = user_value
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=False
+        )
+        assert result.returncode == 0, result.stderr
+        expected = holomimo._OPENBLAS_THREAD_TIMEOUT if user_value is None else user_value
+        assert result.stdout.splitlines()[-1] == repr([expected])
