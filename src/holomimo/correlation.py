@@ -59,6 +59,8 @@ _HEADER = struct.Struct("<4sIIdB")
 # Rows per block in the structural checks and in the container's
 # lower-triangle mirror: 4 MB of temporaries per block at M = 1024.
 STRUCTURE_CHECK_ROWS = 256
+# Relative tolerance of the trace check, in validate() and load_matrix.
+TRACE_TOLERANCE = 1e-9
 # save_matrix's file buffer: it gathers the row slices (16 (M - m) bytes
 # each) into writes of this size, one system call per 256 KiB instead of
 # one per row.
@@ -217,30 +219,24 @@ class CorrelationMatrix:
             return float(np.trace(self._entries).real)
         return float(np.full(self.num_antennas, complex(self.gain)).sum().real)
 
-    def validate(self, psd_tol: float = 1e-10, trace_tol: float = 1e-9) -> None:
+    def validate(self, psd_tol: float = 1e-10, trace_tol: float = TRACE_TOLERANCE) -> None:
         """Check the structural invariants; raises ValueError on violation.
 
         Verifies finite entries, exact conjugate symmetry, trace equal to
         M * gain within `trace_tol` (relative), a diagonal equal to the gain
         bit for bit (every builder pins it), and eigenvalues no more negative
-        than -psd_tol times the largest one. The eigenvalues come from the
-        spectral layer's solver and go through its PSD floor with `psd_tol`
-        in place of PSD_TOLERANCE. A solver failure raises NumericalError.
-        A builder's matrix is finite and Hermitian by construction
-        (_full_offsets), so it checks only its trace (_trace) and the
-        table's zero offset, its one diagonal value, and does not form
-        `entries`.
+        than -psd_tol times the largest one. One sequence for both kinds of
+        matrix: _check_structure (finiteness, a real nonnegative diagonal,
+        the trace), the exact diagonal, then the spectral layer's solver,
+        whose structure query (_structure) runs the one Hermitian scan of a
+        dense matrix before any solve, and its PSD floor with `psd_tol` in
+        place of PSD_TOLERANCE. A solver failure raises NumericalError. A
+        builder's matrix is finite and Hermitian by construction
+        (_full_offsets), so none of this scans it or forms its `entries`.
         """
         from .spectral import _solve, _spectrum_from  # spectral imports this module
 
-        if self._offsets is None:
-            self._check_structure(trace_tol)
-            diagonal = np.diagonal(self._entries)
-        else:
-            self._check_trace(self._trace(), trace_tol)
-            m_h, m_v = self.geometry.num_horizontal, self.geometry.num_vertical
-            diagonal = self._offsets[m_v - 1, m_h - 1]
-        if not np.all(diagonal == self.gain):
+        if not np.all(self._check_structure(trace_tol) == self.gain):
             raise ValueError(f"diagonal differs from the gain {self.gain}")
         eigenvalues, _, _ = _solve(self, vectors=False)
         try:
@@ -248,28 +244,36 @@ class CorrelationMatrix:
         except NumericalError as exc:
             raise ValueError(str(exc)) from exc
 
-    def _check_structure(self, trace_tol: float = 1e-9) -> None:
-        """The O(M^2) part of validate(), which load_matrix also runs.
+    def _check_structure(self, trace_tol: float = TRACE_TOLERANCE) -> np.ndarray:
+        """The diagonal, once the cheap O(M^2) checks pass; raises ValueError otherwise.
 
-        Checks finiteness, exact Hermitian symmetry (_checked_entries; a
-        diagonal entry equal to its own conjugate is real), a nonnegative
-        diagonal and the trace; validate() adds the exact diagonal and the
-        PSD checks. Works on blocks of STRUCTURE_CHECK_ROWS rows, so its
-        temporaries stay O(M) instead of an M x M conjugate transpose.
-        Every entry is checked for finiteness before any is compared with
-        its mirror.
+        The part of validate() that load_matrix also runs; validate() adds
+        the exact diagonal, the Hermitian scan and the PSD checks. A
+        builder's matrix is finite and Hermitian by construction, so its
+        diagonal is its table's zero offset. A dense matrix is checked for
+        finite entries first (_check_finite), then for a real, nonnegative
+        diagonal: a diagonal entry with an imaginary part is not its own
+        conjugate, so it is reported as not Hermitian. Either kind's trace,
+        _trace(), must be M * gain within `trace_tol` (relative). No
+        off-diagonal pair is compared here: _checked_entries does that in
+        validate(), and load_matrix forms the pairs as exact conjugate
+        mirrors.
         """
-        self._check_finite()
-        diag = np.diagonal(self._checked_entries())
-        if np.any(diag.real < 0.0):
-            raise ValueError("diagonal must be real and nonnegative")
-        self._check_trace(float(diag.real.sum()), trace_tol)
-
-    def _check_trace(self, trace: float, trace_tol: float) -> None:
-        """Raise ValueError if `trace` is off M * gain by more than `trace_tol` (relative)."""
         m = self.num_antennas
+        if self._offsets is not None:
+            m_h, m_v = self.geometry.num_horizontal, self.geometry.num_vertical
+            diagonal = self._offsets[m_v - 1, m_h - 1]
+        else:
+            self._check_finite()
+            diagonal = np.diagonal(self._entries)
+            if diagonal.imag.any():
+                raise ValueError("matrix is not exactly Hermitian")
+            if np.any(diagonal.real < 0.0):
+                raise ValueError("diagonal must be real and nonnegative")
+        trace = self._trace()
         if abs(trace - m * self.gain) > trace_tol * m * self.gain:
             raise ValueError(f"trace {trace} deviates from M*gain {m * self.gain}")
+        return diagonal
 
     def _check_finite(self) -> None:
         """Raise ValueError if an entry is NaN or Inf, STRUCTURE_CHECK_ROWS rows at a time."""
@@ -281,8 +285,10 @@ class CorrelationMatrix:
 
         Raises ValueError otherwise. Row block [a, b) is compared with the
         conjugate transpose of column block [a, b), STRUCTURE_CHECK_ROWS
-        rows at a time. The one Hermitian scan: _check_structure runs it,
-        and so does _structure, the solver's query, on a dense matrix.
+        rows at a time. The one Hermitian scan of a dense matrix: only
+        _structure, the solver's query, runs it, so validate() scans once
+        (through the solve) and load_matrix, whose mirror makes every pair
+        Hermitian, not at all.
 
         A NaN never equals its mirror, so a failed scan first checks for
         non-finite entries and reports those instead. That check runs on
@@ -735,15 +741,19 @@ def save_matrix(path: str | Path, matrix: CorrelationMatrix) -> Path:
 def load_matrix(path: str | Path) -> CorrelationMatrix:
     """Read a correlation matrix written by save_matrix and revalidate it.
 
-    Runs CorrelationMatrix._check_structure, every check of validate() but
-    the exact diagonal and the O(M^3) PSD check, so a diagonal within the
-    trace tolerance of the gain still loads (the benchmark's export check
-    bounds it by rounding instead). Raises ValueError on a malformed or
+    Raises ValueError, with the path in its message, on a malformed or
     tampered container. The file size is checked against the header's M
-    before anything is allocated.
-    Each upper-triangle row is then read straight into the result, and the
-    lower triangle is mirrored in blocks of STRUCTURE_CHECK_ROWS rows, so
-    the only M x M array is the result itself.
+    before anything is allocated. Each upper-triangle row is then read
+    straight into the result, and the lower triangle is mirrored in blocks
+    of STRUCTURE_CHECK_ROWS rows, so the only M x M array is the result
+    itself. The mirror makes every off-diagonal pair exactly Hermitian, so
+    no Hermitian scan runs: CorrelationMatrix._check_structure checks the
+    rest, finite entries, a real nonnegative diagonal and the trace. The
+    exact diagonal and the O(M^3) PSD check are left to validate(), so a
+    diagonal within the trace tolerance of the gain still loads (the
+    benchmark's export check bounds it by rounding instead). The
+    provenance byte and the header's M and gain are checked when the
+    matrix is constructed, after the payload is read.
     """
     with Path(path).open("rb") as f:
         header = f.read(_HEADER.size)
@@ -752,7 +762,6 @@ def load_matrix(path: str | Path) -> CorrelationMatrix:
         _, version, m, gain, code = _HEADER.unpack(header)
         if version != _CONTAINER_VERSION:
             raise ValueError(f"{path}: unsupported container version {version}")
-        provenance = MatrixProvenance(code)
         expected = _HEADER.size + m * (m + 1) // 2 * 16
         size = Path(path).stat().st_size
         if size != expected:
@@ -766,8 +775,12 @@ def load_matrix(path: str | Path) -> CorrelationMatrix:
         entries[stop:, start:stop] = upper[:, stop - start :].conj().T
         lower = np.tri(stop - start, k=-1, dtype=bool)
         np.copyto(entries[start:stop, start:stop], upper[:, : stop - start].conj().T, where=lower)
-    matrix = CorrelationMatrix(entries.astype(np.complex128, copy=False), gain, provenance)
-    matrix._check_structure()
+    try:
+        provenance = MatrixProvenance(code)
+        matrix = CorrelationMatrix(entries.astype(np.complex128, copy=False), gain, provenance)
+        matrix._check_structure()
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return matrix
 
 

@@ -143,6 +143,14 @@ class TestCorrelationMatrixType:
         with pytest.raises(ValueError, match="nonnegative"):
             matrix.validate()
 
+    def test_validate_rejects_imaginary_diagonal(self):
+        # trace and off-diagonal pairs are fine; a diagonal entry is not its own conjugate
+        entries = np.eye(2, dtype=np.complex128)
+        entries[1, 1] += 1e-3j
+        matrix = CorrelationMatrix(entries, 1.0, MatrixProvenance.EXTERNAL)
+        with pytest.raises(ValueError, match="Hermitian"):
+            matrix.validate()
+
     def test_validate_rejects_non_finite_diagonal(self):
         entries = np.diag([1.0, np.inf]).astype(np.complex128)
         matrix = CorrelationMatrix(entries, 1.0, MatrixProvenance.EXTERNAL)
@@ -162,9 +170,9 @@ class TestCorrelationMatrixType:
         entries[(first, last) if position == "upper" else (last, first)] = bad
         matrix = CorrelationMatrix(entries, 1.0, MatrixProvenance.EXTERNAL)
         with pytest.raises(ValueError, match=message):
-            matrix._check_structure()
+            matrix.validate()
         entries[last, first] = entries[first, last] = 0.5
-        matrix._check_structure()
+        matrix.validate()
 
     def test_validate_catches_trace_drift(self):
         entries = np.diag([1.5, 1.5]).astype(np.complex128)
@@ -699,8 +707,9 @@ class TestContainerRoundtrip:
             load_matrix(path)
 
 
-    # header: magic, version, M, gain (byte 12), provenance; then the upper
-    # triangle as complex128 from byte 21, entry (0, 0) first and (0, 1) next
+    # header: magic, version, M, gain (byte 12), provenance (the one byte at
+    # 20); then the upper triangle as complex128 from byte 21, entry (0, 0)
+    # first and (0, 1) next. Every message names the file.
     @pytest.mark.parametrize(
         "offset, value, message",
         [
@@ -708,17 +717,19 @@ class TestContainerRoundtrip:
             (21, math.nan, "non-finite"),
             (21 + 8, 1e-3, "Hermitian"),
             (12, 3.0, "trace"),
+            (20, 9, "not a valid MatrixProvenance"),
         ],
-        ids=["nan_entry", "nan_diagonal", "imaginary_diagonal", "tampered_gain"],
+        ids=["nan_entry", "nan_diagonal", "imaginary_diagonal", "tampered_gain", "provenance"],
     )
     def test_load_revalidates(self, tmp_path, offset, value, message):
         matrix = build_exact_clustered(ORACLE_GEOMETRY, ORACLE_SCATTERING)
         path = save_matrix(tmp_path / "matrix.hmrc", matrix)
         data = bytearray(path.read_bytes())
-        struct.pack_into("<d", data, offset, value)
+        struct.pack_into("<B" if offset == 20 else "<d", data, offset, value)
         path.write_bytes(bytes(data))
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=message) as raised:
             load_matrix(path)
+        assert str(raised.value).startswith(f"{path}: ")
 
     def test_load_rejects_negative_diagonal(self, tmp_path):
         # entry (0, 0) starts at byte 21; its real part flips sign, which
@@ -738,15 +749,17 @@ class TestContainerRoundtrip:
         data = bytearray(path.read_bytes())
         struct.pack_into("<d", data, 12, math.inf)
         path.write_bytes(bytes(data))
-        with pytest.raises(ValueError, match="gain"):
+        with pytest.raises(ValueError, match="gain") as raised:
             load_matrix(path)
+        assert str(raised.value).startswith(f"{path}: ")
 
     def test_rejects_empty_container(self, tmp_path):
         path = tmp_path / "empty.hmrc"
         path.write_bytes(struct.pack("<4sIIdB", b"HMRC", 1, 0, 1.0, 0))
         assert path.stat().st_size == 21
-        with pytest.raises(ValueError, match="empty"):
+        with pytest.raises(ValueError, match="empty") as raised:
             load_matrix(path)
+        assert str(raised.value).startswith(f"{path}: ")
 
 
 class TestCsvExport:

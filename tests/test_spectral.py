@@ -27,8 +27,10 @@ from holomimo import (
     effective_rank,
     eigendecompose,
     load_config,
+    load_matrix,
     monte_carlo_nmse,
     rank_fraction_prediction,
+    save_matrix,
     spectrum,
     subspace_containment_residual,
 )
@@ -657,17 +659,23 @@ class TestStructureByType:
         assert same_bits(typed_basis.eigenvectors, scanned_basis.eigenvectors)
 
     @pytest.mark.parametrize("builder", sorted(SMALL_BUILDERS))
-    def test_only_a_dense_matrix_is_scanned_for_hermitian_symmetry(self, builder):
+    def test_only_a_dense_matrix_is_scanned_for_hermitian_symmetry(self, builder, tmp_path):
+        # once per dense spectrum, eigendecompose or validate(), never for a
+        # builder's matrix, and never on load: the container's mirror makes
+        # every off-diagonal pair Hermitian
         matrix = SMALL_BUILDERS[builder](ArrayGeometry(4, 5, 0.25, 1.0))
         dense = CorrelationMatrix(matrix.entries.copy(), matrix.gain, matrix.provenance)
+        path = save_matrix(tmp_path / "matrix.hmrc", matrix)
         scan = CorrelationMatrix._checked_entries
         with mock.patch.object(
             CorrelationMatrix, "_checked_entries", autospec=True, side_effect=scan
         ) as spy:
-            for solve in (spectrum, eigendecompose):
-                solve(matrix)
-                solve(dense)
-        assert [call.args[0] for call in spy.call_args_list] == [dense, dense]
+            for check in (spectrum, eigendecompose, CorrelationMatrix.validate):
+                check(matrix)
+                check(dense)
+            loaded = load_matrix(path)
+        assert [call.args[0] for call in spy.call_args_list] == [dense, dense, dense]
+        assert same_bits(loaded.entries, dense.entries)
 
 
 def forbidden_expansion(geometry, offsets):
