@@ -24,6 +24,7 @@ from .spectral import EigenBasis, _block_products, _checked_rank, _row_energy
 
 GRAM_TOLERANCE = 1e-8
 CONTAINMENT_TOLERANCE = 1e-5
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 # Trials per Monte Carlo block. Fixed, so the shape of every projection GEMM,
 # and with it the rounding of each trial's error, depends on no argument.
 MC_BLOCK_TRIALS = 128
@@ -72,8 +73,17 @@ def _checked_snrs(snr: float | Sequence[float]) -> np.ndarray:
 
 
 def complex_normal(rng: np.random.Generator, size: int) -> np.ndarray:
-    """Circularly symmetric CN(0, 1) samples: unit total variance, split re/im."""
-    return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2.0)
+    """Circularly symmetric CN(0, 1) samples: unit total variance, split re/im.
+
+    The real parts are drawn first, then the imaginary parts, each scaled
+    by 1/sqrt(2) where it is written: the bits of (a + 1j b) / sqrt(2),
+    which numpy computes as a product with that reciprocal, without its
+    complex temporaries.
+    """
+    samples = np.empty(size, dtype=np.complex128)
+    samples.real = rng.standard_normal(size) * _INV_SQRT2
+    samples.imag = rng.standard_normal(size) * _INV_SQRT2
+    return samples
 
 
 def sample_channel(basis: EigenBasis, rng: np.random.Generator) -> np.ndarray:

@@ -18,6 +18,16 @@ eigenvalues and one rank cut counts the eigenvectors to keep. They are
 kept as the solver computed them, real, and Q's map to R's complex
 eigenvectors runs only where `EigenBasis.eigenvectors` is read.
 
+Every real operand is this module's own: the real form and the parity
+blocks are built for the solve, and a dense real matrix's real part is
+copied out of its `entries`. LAPACK's dsyevd, the routine numpy's eigh
+and eigvalsh call, solves each in place, through numpy's own LAPACKE
+(see _eigh), and writes the eigenvectors over it; np.linalg would first
+copy it, and copy the eigenvectors out again. The bits are numpy's. Only
+a complex operand, which is a dense caller's `entries` itself, and any
+operand where numpy's LAPACK does not export that routine under a name
+known here, go through np.linalg's copies.
+
 A builder's matrix is read from its offset table throughout: the real
 form and the parity blocks are filled from its first ceil(M/2) rows, one
 block copied from the table at a time, and the trace is that of its
@@ -32,6 +42,7 @@ which frame they run in.
 
 from __future__ import annotations
 
+import ctypes
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -262,6 +273,69 @@ def _real_form(matrix: CorrelationMatrix) -> np.ndarray:
     return form
 
 
+def _lapacke_dsyevd() -> Callable | None:
+    """numpy's own LAPACKE_dsyevd, or None where its LAPACK exports no name known here.
+
+    numpy's eigh and eigvalsh solve a float64 matrix with LAPACK's dsyevd,
+    from the LAPACK numpy.linalg._umath_linalg links; dlsym on that module
+    also searches its dependencies, so it finds the routine in numpy's
+    bundled OpenBLAS. scipy_LAPACKE_dsyevd64_ is the name in the ILP64
+    scipy-openblas builds numpy's wheels ship, with 64-bit integer
+    arguments; the matrix layout is a C int in every LAPACKE. An unsuffixed
+    name is not probed: its integer width cannot be told from the name.
+    """
+    try:
+        from numpy.linalg import _umath_linalg
+
+        routine = ctypes.CDLL(_umath_linalg.__file__).scipy_LAPACKE_dsyevd64_
+    except (ImportError, AttributeError, OSError):
+        return None
+    int64, pointer = ctypes.c_int64, ctypes.c_void_p
+    routine.argtypes = (ctypes.c_int, ctypes.c_char, ctypes.c_char, int64, pointer, int64, pointer)
+    routine.restype = int64
+    return routine
+
+
+_DSYEVD = _lapacke_dsyevd()
+_COLUMN_MAJOR = 102  # LAPACK_COL_MAJOR
+
+
+def _eigh(operand: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Ascending eigenvalues of a symmetric operand, and with `vectors` its eigenvectors.
+
+    The one call that solves each of _operands' matrices. A float64
+    operand is solved in place by dsyevd through LAPACKE (see
+    _lapacke_dsyevd), the routine numpy's eigh and eigvalsh call, with no
+    copy: the C-ordered array is handed over as a column-major matrix,
+    which is its transpose, and dsyevd reads its lower triangle. The
+    operand is exactly symmetric, so that is the matrix numpy would have
+    copied out, and the bits are numpy's. The operand is overwritten: with
+    `vectors` its transposed view holds the eigenvectors as columns,
+    without them it holds LAPACK's scratch; so it must be the caller's
+    own. A complex operand, a real one that is not a square, writeable,
+    C-contiguous array, and every operand where numpy's LAPACK exports no
+    dsyevd known here, go to np.linalg, which copies them. A failure
+    raises np.linalg.LinAlgError.
+    """
+    size = len(operand)
+    if not (
+        _DSYEVD is not None
+        and operand.dtype == np.float64
+        and operand.shape == (size, size)
+        and operand.flags.c_contiguous
+        and operand.flags.writeable
+    ):
+        if vectors:
+            return np.linalg.eigh(operand)
+        return np.linalg.eigvalsh(operand), None
+    values = np.empty(size)
+    job, data = b"V" if vectors else b"N", operand.ctypes.data
+    info = _DSYEVD(_COLUMN_MAJOR, job, b"L", size, data, max(size, 1), values.ctypes.data)
+    if info:
+        raise np.linalg.LinAlgError(f"LAPACKE dsyevd returned info {info}")
+    return values, operand.T if vectors else None
+
+
 def _operands(matrix: CorrelationMatrix) -> tuple[str, list[np.ndarray]]:
     """R's frame and the symmetric matrices whose eigenpairs make up R's.
 
@@ -271,10 +345,16 @@ def _operands(matrix: CorrelationMatrix) -> tuple[str, list[np.ndarray]]:
     and Re(A-BJ), which are the real form's diagonal blocks, in the parity
     frame, and any other matrix R itself, in real arithmetic when its
     imaginary part is exactly zero, in the identity frame (see EigenBasis).
+
+    Every real operand is a fresh C-contiguous float64 array that no one
+    else holds, for _eigh to overwrite: the real form and the parity blocks
+    are built for the call, and a dense real R's real part is copied out,
+    so the caller's `entries` are never written. A complex R is handed over
+    as it is; np.linalg copies it.
     """
     real, centro_hermitian = matrix._structure()
     if not centro_hermitian:
-        return "identity", [matrix.entries.real if real else matrix.entries]
+        return "identity", [matrix.entries.real.copy() if real else matrix.entries]
     if not real:
         return "lee", [_real_form(matrix)]
     n, h = matrix.num_antennas // 2, matrix.num_antennas - matrix.num_antennas // 2
@@ -295,6 +375,15 @@ def _solve(
     real form and the parity blocks are several times cheaper to solve than
     the Hermitian R.
 
+    Each operand is solved by _eigh, in place where it is real: _operands
+    builds every real one for the call, and it is overwritten by LAPACK's
+    scratch, or by its eigenvectors, which are its transpose's columns.
+    So a real operand and its eigenvectors share one n x n array, where
+    np.linalg's copy in and copy out took three; dsyevd's own workspace,
+    about 2 n^2 floats with eigenvectors and O(n) without, is the same
+    either way. A complex operand, the caller's `entries`, goes through
+    np.linalg, which copies it.
+
     The eigenvectors an operand contributes are the tail of its ascending
     output; reversed, they run in basis order. They are copied out,
     C-contiguous, as the frame's pieces (see EigenBasis), and the solver's
@@ -311,10 +400,7 @@ def _solve(
     """
     try:
         frame, operands = _operands(matrix)
-        if vectors:
-            parts, blocks = zip(*[np.linalg.eigh(operand) for operand in operands])
-        else:
-            parts = [np.linalg.eigvalsh(operand) for operand in operands]
+        parts, blocks = zip(*[_eigh(operand, vectors) for operand in operands])
         del operands
     except np.linalg.LinAlgError as exc:
         raise NumericalError(

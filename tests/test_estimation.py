@@ -79,6 +79,16 @@ class TestSampling:
         b = complex_normal(np.random.default_rng(42), 16)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed", [0, 5, 42, 2**32 - 1])
+    @pytest.mark.parametrize("size", [0, 1, 7, 1024, 4097])
+    def test_complex_normal_keeps_the_bits_of_the_complex_division(self, seed, size):
+        # the draw as it was written before it stopped forming complex temporaries
+        rng = np.random.default_rng(seed)
+        expected = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2.0)
+        drawn = complex_normal(np.random.default_rng(seed), size)
+        assert drawn.dtype == np.complex128 and drawn.shape == (size,)
+        assert drawn.view(np.float64).tobytes() == expected.view(np.float64).tobytes()
+
     def test_sample_channel_covariance(self):
         basis = clustered_basis()
         rng = np.random.default_rng(7)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import holomimo.correlation
 import holomimo.harness
+import holomimo.spectral
 from holomimo import (
     ArrayGeometry,
     Cluster,
@@ -38,8 +39,10 @@ from holomimo.cli import main, preset_names, resolve_config_path
 from holomimo.correlation import STRUCTURE_CHECK_ROWS
 from holomimo.spectral import (
     RANK_TOLERANCE,
+    _eigh,
     _leading_pieces,
     _numerical_rank,
+    _operands,
     _parity_blocks,
     _projection,
     _real_form,
@@ -170,14 +173,13 @@ class TestEigendecompose:
         # load_matrix report, and LAPACK, which can return finite eigenvalues
         # for a matrix holding a NaN, must never see it
         calls = []
-        for name in ("eigh", "eigvalsh"):
-            solver = getattr(np.linalg, name)
+        solver = holomimo.spectral._eigh
 
-            def counted(*args, _solver=solver, _name=name, **kwargs):
-                calls.append(_name)
-                return _solver(*args, **kwargs)
+        def counted(operand, vectors):
+            calls.append("eigh" if vectors else "eigvalsh")
+            return solver(operand, vectors)
 
-            monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(holomimo.spectral, "_eigh", counted)
         entries = np.eye(3, dtype=np.complex128)
         for index in nan_at:
             entries[index] = np.nan
@@ -375,15 +377,14 @@ SMALL_SHAPES = pytest.mark.parametrize(
 
 @pytest.fixture
 def lapack_operands(monkeypatch):
-    """(dtype, shape) of every array handed to np.linalg.eigh or eigvalsh."""
+    """(dtype, shape) of every operand handed to the solver's LAPACK entry, spectral._eigh."""
     seen = []
-    for name in ("eigh", "eigvalsh"):
-        original = getattr(np.linalg, name)
-        monkeypatch.setattr(
-            np.linalg,
-            name,
-            lambda a, _solver=original: seen.append((a.dtype, a.shape)) or _solver(a),
-        )
+    original = holomimo.spectral._eigh
+    monkeypatch.setattr(
+        holomimo.spectral,
+        "_eigh",
+        lambda a, vectors: seen.append((a.dtype, a.shape)) or original(a, vectors),
+    )
     return seen
 
 
@@ -410,11 +411,12 @@ class TestRealPath:
         entries[5, 0] -= 1j * imaginary
         matrix = CorrelationMatrix(entries, 1.0, MatrixProvenance.EXTERNAL)
         seen = []
-        for name in ("eigh", "eigvalsh"):
-            original = getattr(np.linalg, name)
-            monkeypatch.setattr(
-                np.linalg, name, lambda a, _solver=original: seen.append(a.dtype) or _solver(a)
-            )
+        original = holomimo.spectral._eigh
+        monkeypatch.setattr(
+            holomimo.spectral,
+            "_eigh",
+            lambda a, vectors: seen.append(a.dtype) or original(a, vectors),
+        )
         result = solve(matrix)
         monkeypatch.undo()
         if operand is np.float64:
@@ -577,6 +579,128 @@ def test_direct_solve_keeps_only_the_numerical_rank_columns(real, lapack_operand
     basis = assert_keeps_the_numerical_rank_columns(matrix)
     assert basis.numerical_rank == 6
     assert lapack_operands == [(np.float64 if real else np.complex128, (14, 14))]
+
+
+def external_copy(matrix, broken=False):
+    """A builder's matrix as a dense external one.
+
+    `broken` nudges one Hermitian pair by an ulp: for M >= 3 the matrix is no
+    longer centro-Hermitian, so it is solved as it is.
+    """
+    entries = matrix.entries.copy()
+    if broken:
+        entries[0, 1] = complex(np.nextafter(entries[0, 1].real, 2.0), entries[0, 1].imag)
+        entries[1, 0] = entries[0, 1].conj()
+    return CorrelationMatrix(entries, 1.0, MatrixProvenance.EXTERNAL)
+
+
+# Every real operand the solver builds, on each shape it can have: a 1 x 1
+# array is real, so Lee's form starts at 1 x 2; M = 1 gives an empty minus
+# block; and M = 2 has no off-diagonal pair that is not its own mirror, so
+# the direct solve starts at 1 x 3.
+IN_PLACE_CASES = [
+    ("lee", "exact", False, (1, 2)),
+    ("lee", "exact", False, (5, 7)),
+    ("lee", "exact", False, (6, 6)),
+    ("parity", "isotropic", False, (1, 1)),
+    ("parity", "isotropic", False, (1, 2)),
+    ("parity", "isotropic", False, (5, 7)),
+    ("parity", "isotropic", False, (6, 6)),
+    ("identity", "isotropic", True, (1, 3)),
+    ("identity", "isotropic", True, (5, 7)),
+    ("identity", "isotropic", True, (6, 6)),
+]
+
+
+@pytest.mark.parametrize("frame, builder, broken, shape", IN_PLACE_CASES)
+def test_in_place_solve_gives_numpys_bits(frame, builder, broken, shape):
+    # the operand is overwritten with its eigenvectors where the binding
+    # exists; values and vectors are numpy's own, bit for bit
+    matrix = external_copy(SMALL_BUILDERS[builder](ArrayGeometry(*shape, 0.25, 1.0)), broken)
+    solved_frame, operands = _operands(matrix)
+    assert solved_frame == frame
+    for operand in operands:
+        assert operand.dtype == np.float64 and operand.flags.c_contiguous
+        values, vectors = np.linalg.eigh(operand)
+        owned = operand.copy()
+        in_place_values, in_place_vectors = _eigh(owned, vectors=True)
+        assert in_place_values.tobytes() == values.tobytes()
+        assert in_place_vectors.tobytes() == vectors.tobytes()
+        if holomimo.spectral._DSYEVD is not None and owned.size:
+            assert np.shares_memory(in_place_vectors, owned)
+        only_values, none = _eigh(operand.copy(), vectors=False)
+        assert none is None
+        assert only_values.tobytes() == np.linalg.eigvalsh(operand).tobytes()
+
+
+@pytest.mark.parametrize("layout", ["strided", "fortran", "read-only"])
+def test_an_operand_that_cannot_be_overwritten_in_place_goes_to_numpy(layout):
+    rng = np.random.default_rng(3)
+    factors = rng.standard_normal((6, 6))
+    symmetric = factors @ factors.T
+    symmetric = (symmetric + symmetric.T) / 2.0
+    if layout == "strided":
+        operand = np.repeat(symmetric, 2, axis=1)[:, ::2]
+    elif layout == "fortran":
+        operand = np.asfortranarray(symmetric)
+    else:
+        operand = symmetric.copy()
+        operand.flags.writeable = False
+    before = operand.copy()
+    values, vectors = _eigh(operand, vectors=True)
+    expected_values, expected_vectors = np.linalg.eigh(symmetric)
+    assert values.tobytes() == expected_values.tobytes()
+    assert vectors.tobytes() == expected_vectors.tobytes()
+    assert operand.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("frame, builder, broken, shape", IN_PLACE_CASES)
+def test_numpy_fallback_gives_the_in_place_bits(frame, builder, broken, shape, monkeypatch):
+    # without the binding every operand goes to np.linalg, the reference
+    matrix = external_copy(SMALL_BUILDERS[builder](ArrayGeometry(*shape, 0.25, 1.0)), broken)
+    results = []
+    for binding in (holomimo.spectral._DSYEVD, None):
+        monkeypatch.setattr(holomimo.spectral, "_DSYEVD", binding)
+        results.append((_solve(matrix, vectors=False), _solve(matrix, vectors=True)))
+    (only_values, (values, solved_frame, pieces)), (fb_only_values, fallback) = results
+    assert solved_frame == frame == fallback[1]
+    # dsyevd's eigenvalues with and without vectors differ; each matches its own
+    assert only_values[0].tobytes() == fb_only_values[0].tobytes()
+    assert values.tobytes() == fallback[0].tobytes()
+    for (rows, where, kept), (fb_rows, fb_where, fb_kept) in zip(pieces, fallback[2], strict=True):
+        assert rows == fb_rows and np.array_equal(where, fb_where)
+        assert kept.flags.c_contiguous and kept.tobytes() == fb_kept.tobytes()
+
+
+@pytest.mark.parametrize(
+    "builder, broken",
+    [("exact", False), ("isotropic", False), ("exact", True), ("isotropic", True)],
+    ids=["lee", "parity", "direct-complex", "direct-real"],
+)
+def test_a_dense_matrix_entries_are_never_overwritten(builder, broken):
+    matrix = external_copy(SMALL_BUILDERS[builder](ArrayGeometry(4, 7, 0.25, 1.0)), broken)
+    entries = matrix.entries
+    before = entries.copy()
+    spectrum(matrix)
+    eigendecompose(matrix)
+    matrix.validate()
+    assert matrix.entries is entries
+    assert entries.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("builder", ["exact", "isotropic"])
+def test_a_nonzero_lapack_info_raises_numerical_error(builder, monkeypatch):
+    matrix = SMALL_BUILDERS[builder](ArrayGeometry(5, 5, 0.25, 1.0))
+    monkeypatch.setattr(holomimo.spectral, "_DSYEVD", lambda *args: 7)
+    message = rf"{builder} matrix \(M=25\): LAPACKE dsyevd returned info 7"
+    for solve in (spectrum, eigendecompose, CorrelationMatrix.validate):
+        with pytest.raises(NumericalError, match=message):
+            solve(matrix)
+    monkeypatch.undo()
+    if holomimo.spectral._DSYEVD is not None:
+        # LAPACKE's own NaN scan of the operand, argument 5, as LAPACK reports it
+        with pytest.raises(np.linalg.LinAlgError, match="info -5"):
+            _eigh(np.full((3, 3), np.nan), vectors=False)
 
 
 def test_real_path_monte_carlo_agrees_with_previous_solver():
