@@ -138,7 +138,9 @@ class ExperimentConfig:
     """Fully validated run settings plus `resolved`, the record they were built from.
 
     Loading `resolved` as a config file gives the same settings and the same
-    record.
+    record. `correlation_model` names the truth model of sweeps and exports:
+    the configured builder for clustered scattering, "isotropic" otherwise
+    (the record keeps the key for clustered scenes only).
     """
 
     geometry: ArrayGeometry
@@ -392,7 +394,7 @@ def load_config(
         scattering_model=scattering_record["model"],
         scattering=scattering,
         beta=beta,
-        correlation_model=correlation_model,
+        correlation_model=correlation_model if clustered else "isotropic",
         models=models,
         snr_grid_db=snr_grid_db,
         trials=trials,

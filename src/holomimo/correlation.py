@@ -61,6 +61,9 @@ _HEADER = struct.Struct("<4sIIdB")
 STRUCTURE_CHECK_ROWS = 256
 # Relative tolerance of the trace check, in validate() and load_matrix.
 TRACE_TOLERANCE = 1e-9
+# The PSD floor: eigenvalues below -PSD_TOLERANCE * lambda_max are an error,
+# in validate() and in the spectral layer's eigendecomposition.
+PSD_TOLERANCE = 1e-10
 # save_matrix's file buffer: it gathers the row slices (16 (M - m) bytes
 # each) into writes of this size, one system call per 256 KiB instead of
 # one per row.
@@ -219,7 +222,7 @@ class CorrelationMatrix:
             return float(np.trace(self._entries).real)
         return float(np.full(self.num_antennas, complex(self.gain)).sum().real)
 
-    def validate(self, psd_tol: float = 1e-10, trace_tol: float = TRACE_TOLERANCE) -> None:
+    def validate(self, psd_tol: float = PSD_TOLERANCE, trace_tol: float = TRACE_TOLERANCE) -> None:
         """Check the structural invariants; raises ValueError on violation.
 
         Verifies finite entries, exact conjugate symmetry, trace equal to
@@ -229,8 +232,9 @@ class CorrelationMatrix:
         matrix: _check_structure (finiteness, a real nonnegative diagonal,
         the trace), the exact diagonal, then the spectral layer's solver,
         whose structure query (_structure) runs the one Hermitian scan of a
-        dense matrix before any solve, and its PSD floor with `psd_tol` in
-        place of PSD_TOLERANCE. A solver failure raises NumericalError. A
+        dense matrix before any solve, and its PSD floor with `psd_tol`,
+        which defaults to PSD_TOLERANCE, the floor of spectrum() and
+        eigendecompose(). A solver failure raises NumericalError. A
         builder's matrix is finite and Hermitian by construction
         (_full_offsets), so none of this scans it or forms its `entries`.
         """

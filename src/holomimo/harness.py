@@ -173,12 +173,6 @@ def run_eigen_report(config: ExperimentConfig, out_dir: str | Path) -> tuple[dic
         return summary, outputs.paths
 
 
-def _sweep_truth_model(config: ExperimentConfig) -> str:
-    if config.scattering_model == "isotropic":
-        return "isotropic"
-    return config.correlation_model
-
-
 def _isotropic_basis(config: ExperimentConfig, truth_model: str, truth: EigenBasis) -> EigenBasis:
     """The container eigenbasis; with isotropic truth it is the truth basis itself."""
     if truth_model == "isotropic":
@@ -191,12 +185,13 @@ def run_nmse_sweep(
 ) -> tuple[list[NmseRecord], list[Path]]:
     """Monte Carlo + analytic NMSE of the configured estimators over the SNR grid.
 
-    The channel statistics come from the configured truth model (isotropic,
-    or the chosen clustered builder). The conservative iso-RS-LS estimator
-    projects onto the numerical-rank eigenspace of the isotropic matrix of
-    the same geometry; its analytic oracle is reported only while the truth
-    eigenspace is contained in that projection within tolerance, otherwise
-    the analytic column is left empty and a warning lands in the JSON. With
+    The channel statistics come from the truth model that
+    `config.correlation_model` names (isotropic, or the chosen clustered
+    builder). The conservative iso-RS-LS estimator projects onto the
+    numerical-rank eigenspace of the isotropic matrix of the same geometry;
+    its analytic oracle is reported only while the truth eigenspace is
+    contained in that projection within tolerance, otherwise the analytic
+    column is left empty and a warning lands in the JSON. With
     isotropic truth, the truth eigenbasis is that container, so no matrix is
     decomposed twice. One Monte Carlo call covers the whole SNR grid; it
     gets the container as that EigenBasis, orthonormal by construction, so
@@ -205,9 +200,8 @@ def run_nmse_sweep(
     Writes <stem>_nmse.csv and <stem>_nmse.json; returns (records, paths).
     """
     with _OutputSet(config, out_dir) as outputs:
-        truth_model = _sweep_truth_model(config)
-        truth = _build_model(config, truth_model)
-        basis = eigendecompose(truth)
+        truth_model = config.correlation_model
+        basis = eigendecompose(_build_model(config, truth_model))
 
         warnings: list[str] = []
         iso_basis = containment = None
@@ -312,12 +306,11 @@ def run_export_matrix(
     manifest and the written paths.
     """
     with _OutputSet(config, out_dir) as outputs:
-        which = _sweep_truth_model(config)
-        matrix = _build_model(config, which)
+        matrix = _build_model(config, config.correlation_model)
         container_path = outputs.path(f"{matrix.provenance.label}.hmrc")
         save_matrix(container_path, matrix)
         manifest = {
-            "model": which,
+            "model": config.correlation_model,
             "num_antennas": matrix.num_antennas,
             "gain": matrix.gain,
             "container": container_path.name,

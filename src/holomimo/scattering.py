@@ -156,8 +156,8 @@ def _axis_profile(
     """cos^exponent(nominal + deviation) * exp((cos(2*deviation) - 1) / (4*sigma^2)).
 
     Elementwise; zero where nominal + deviation leaves the hemisphere. The
-    one formula behind both axis profiles, the specular peaks and the
-    builder's fixed-node rule.
+    one formula behind both axis profiles, the reference masses (specular
+    peaks included) and the builder's fixed-node rule.
     """
     deviation = np.asarray(deviation, dtype=float)
     angle = nominal + deviation
@@ -312,10 +312,11 @@ def cluster_reference_masses(config: ScatteringConfig) -> np.ndarray:
     Entry n is the cluster's contribution to the mixture integral divided by
     the shared peak factor exp(1/(4*sigma_azimuth^2) + 1/(4*sigma_elevation^2)).
     Serves as the accuracy reference for the fixed-node rules used by the
-    correlation builders. Both axes go through the module's one axis
-    routine, which also serves the builders' fixed-node rule and the public
-    profiles. A diffuse cluster's mass is the product of its two
-    axis-profile integrals over the hemisphere window. A specular cluster is
+    correlation builders. Both axes call the module's one axis routine,
+    _axis_profile, directly on _cluster_axes' parameters, as the builders'
+    fixed-node rule does; the public profiles wrap the same routine. A
+    diffuse cluster's mass is the product of its two axis-profile integrals
+    over the hemisphere window. A specular cluster is
     the zero-spread limit of a von Mises lobe, whose mass factorizes as (peak
     density) * (lobe area): its mass is the product of its two profiles at
     zero deviation and the two lobe areas, each area integrated once per
@@ -337,15 +338,14 @@ def cluster_reference_masses(config: ScatteringConfig) -> np.ndarray:
         if cluster.power == 0.0:
             continue
         peaks, areas = [], []
-        axes = zip((azimuth_profile, elevation_profile), _cluster_axes(config, n))
-        for profile, (nominal, _, sigma) in axes:
+        for nominal, exponent, sigma in _cluster_axes(config, n):
+            profile = functools.partial(_axis_profile, nominal, exponent, sigma)
             if cluster.specular:
-                peaks.append(float(profile(config, n, 0.0)))
+                peaks.append(float(profile(0.0)))
                 areas.append(lobe_area(sigma))
             else:
                 window = deviation_window(nominal, sigma, None)
-                integrand = functools.partial(profile, config, n)
-                areas.append(_adaptive_integral(integrand, *window, _narrow_lobe(sigma)))
+                areas.append(_adaptive_integral(profile, *window, _narrow_lobe(sigma)))
         masses[n] = math.prod([cluster.power, *peaks, *areas])
         if masses[n] == 0.0:
             why = f"cluster {n} has power {cluster.power:.6g} but a zero reference mass"

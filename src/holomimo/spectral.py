@@ -48,13 +48,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .correlation import CorrelationMatrix
+from .correlation import PSD_TOLERANCE, CorrelationMatrix
 from .errors import NumericalError
 from .geometry import ArrayGeometry
 
 RANK_TOLERANCE = 1e-12
 EFFECTIVE_RANK_COMPLEMENT = 1e-5
-PSD_TOLERANCE = 1e-10
 _SQRT2 = np.sqrt(2.0)
 _HALF_SQRT2 = np.sqrt(0.5)
 # Columns per block where _shared_frame projects complex columns in place:

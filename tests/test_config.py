@@ -321,6 +321,30 @@ class TestOverridesAndResolution:
         assert config.resolved["estimators"] == [e.value for e in Estimator]
 
 
+class TestTruthModel:
+    """The loaded `correlation_model` names every scene's truth model.
+
+    The record keeps the key for clustered scenes only.
+    """
+
+    def test_isotropic_scattering_loads_the_isotropic_truth(self, tmp_path):
+        config = load_config(write_config(tmp_path, isotropic_payload()))
+        assert config.correlation_model == "isotropic"
+        assert "correlation_model" not in config.resolved
+        loaded = load_config(write_config(tmp_path, config.resolved, name="record.json"))
+        assert loaded == config
+
+    @pytest.mark.parametrize("model", ["exact", "approx"])
+    def test_clustered_scattering_keeps_the_configured_builder(self, tmp_path, model):
+        payload = clustered_payload()
+        payload["correlation_model"] = model
+        config = load_config(write_config(tmp_path, payload))
+        assert config.correlation_model == model
+        assert config.resolved["correlation_model"] == config.correlation_model
+        loaded = load_config(write_config(tmp_path, config.resolved, name="record.json"))
+        assert loaded == config
+
+
 class TestRejectedValues:
     """Every rejected value fails at load time with a message naming its section."""
 

@@ -7,6 +7,7 @@ rule.
 """
 
 import dataclasses
+import inspect
 import json
 import math
 import struct
@@ -98,6 +99,11 @@ class TestQuadratureSpec:
 
 
 class TestCorrelationMatrixType:
+    def test_validate_defaults_to_the_spectral_psd_floor(self):
+        # one PSD floor: validate() and the spectral layer share the constant
+        default = inspect.signature(CorrelationMatrix.validate).parameters["psd_tol"].default
+        assert default is holomimo.spectral.PSD_TOLERANCE
+
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             CorrelationMatrix(

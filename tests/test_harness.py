@@ -261,6 +261,12 @@ class TestNmseSweep:
         assert first["estimator"] == records[0].estimator.value
         assert first["nmse_mc"] == records[0].nmse_mc
 
+    def test_isotropic_scattering_records_the_isotropic_truth(self, tmp_path):
+        # the truth model load_config settles; no preset sweeps an isotropic scene
+        config = load_config(write_config(tmp_path, isotropic_payload()))
+        _, paths = run_nmse_sweep(config, tmp_path / "out")
+        assert json.loads(paths[-1].read_text())["truth_model"] == "isotropic"
+
     def test_isotropic_truth_is_decomposed_once(self, tmp_path, monkeypatch):
         # dense enough that the container (numerical rank 51) is a proper subspace
         geometry = {"m_h": 8, "m_v": 8, "spacing_over_lambda": 0.125}

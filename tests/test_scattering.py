@@ -426,10 +426,10 @@ class TestReferenceMassesMatchQuad:
 
 class TestReferenceIntegralFailures:
     def test_non_finite_integrand_raises(self, monkeypatch):
-        def broken(config, n, deviation):
+        def broken(nominal, exponent, sigma, deviation):
             return np.where(np.asarray(deviation) > 0.01, np.nan, 1.0)
 
-        monkeypatch.setattr(holomimo.scattering, "elevation_profile", broken)
+        monkeypatch.setattr(holomimo.scattering, "_axis_profile", broken)
         with pytest.raises(NumericalError, match="non-finite"):
             cluster_reference_masses(two_cluster_config())
 

@@ -1215,6 +1215,34 @@ def test_bases_without_a_shared_frame_leave_no_complex_columns_on_the_container(
     assert typed == sweep(iso._columns()[:, : iso.numerical_rank])
 
 
+@pytest.mark.parametrize("column_block", [None, 2])
+def test_a_mixed_frame_projection_leaves_the_truth_columns_untouched(monkeypatch, column_block):
+    # _shared_frame projects the truth's complex columns in place, block by
+    # block: safe only while EigenBasis._columns() copies an identity piece,
+    # so a hand-built truth's own array is never the one written
+    if column_block is not None:
+        monkeypatch.setattr(holomimo.spectral, "_COLUMN_BLOCK", column_block)
+    geometry = ArrayGeometry(5, 7, 0.25, 1.0)
+    clustered = eigendecompose(SMALL_BUILDERS["exact"](geometry))
+    iso = eigendecompose(build_isotropic(geometry))
+    columns = clustered._columns()
+    hand_built = EigenBasis(
+        eigenvalues=clustered.eigenvalues,
+        eigenvectors=columns,
+        numerical_rank=clustered.numerical_rank,
+        effective_rank=clustered.effective_rank,
+        source_trace=clustered.source_trace,
+    )
+    assert (hand_built._frame, iso._frame) == ("identity", "parity")  # no frame shared
+    before = columns.tobytes()
+    subspace_containment_residual(iso, hand_built)
+    monte_carlo_nmse(
+        hand_built, (Estimator.CONSERVATIVE_RSLS,), 1.0, 5, 3, container_subspace=iso
+    )
+    assert hand_built.eigenvectors is columns
+    assert columns.tobytes() == before
+
+
 def concatenated_entries(outer, inner):
     """_shared_frame's projections as it formed them before each was kept
     on its container piece's rows, kept as an oracle: the parts of a truth
