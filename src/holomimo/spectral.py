@@ -13,20 +13,23 @@ turned by a sparse unitary Q into the real symmetric Q^H R Q (A. Lee,
 matrix. A real centro-symmetric matrix, such as the isotropic one, splits
 into two real parity blocks of half the size. The matrix itself answers
 which structure it has (CorrelationMatrix._structure). Whichever operands
-the structure gives, one LAPACK call solves each, one sort merges their
+the structure gives, each is solved once, one sort merges their
 eigenvalues and one rank cut counts the eigenvectors to keep. They are
 kept as the solver computed them, real, and Q's map to R's complex
 eigenvectors runs only where `EigenBasis.eigenvectors` is read.
 
 Every real operand is this module's own: the real form and the parity
 blocks are built for the solve, and a dense real matrix's real part is
-copied out of its `entries`. LAPACK's dsyevd, the routine numpy's eigh
-and eigvalsh call, solves each in place, through numpy's own LAPACKE
-(see _eigh), and writes the eigenvectors over it; np.linalg would first
-copy it, and copy the eigenvectors out again. The bits are numpy's. Only
-a complex operand, which is a dense caller's `entries` itself, and any
-operand where numpy's LAPACK does not export that routine under a name
-known here, go through np.linalg's copies.
+copied out of its `entries`. Each is solved in place, through numpy's own
+LAPACKE (see _lapacke), where np.linalg would first copy it, and copy the
+eigenvectors out again. The eigenvalues alone come from dsyevd, the
+routine numpy's eigh and eigvalsh call, with numpy's bits. With
+eigenvectors, dsyevd's own steps run one by one (see _eigenpairs): the
+tridiagonal reduction, divide and conquer on the tridiagonal, which gives
+dsyevd's eigenvalues bit for bit, and the back-transform, on the kept
+columns alone. Only a complex operand, which is a dense caller's
+`entries` itself, and any operand where numpy's LAPACK does not export
+these routines under names known here, go through np.linalg's copies.
 
 A builder's matrix is read from its offset table throughout: the real
 form and the parity blocks are filled from its first ceil(M/2) rows, one
@@ -45,6 +48,7 @@ from __future__ import annotations
 import ctypes
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -272,67 +276,153 @@ def _real_form(matrix: CorrelationMatrix) -> np.ndarray:
     return form
 
 
-def _lapacke_dsyevd() -> Callable | None:
-    """numpy's own LAPACKE_dsyevd, or None where its LAPACK exports no name known here.
+class _Lapacke(NamedTuple):
+    """numpy's own LAPACKE routines that solve a real operand (see _lapacke)."""
+
+    dsyevd: Callable
+    dsytrd: Callable
+    dstedc: Callable
+    dormtr: Callable
+
+
+def _lapacke() -> _Lapacke | None:
+    """numpy's own LAPACKE dsyevd, dsytrd, dstedc and dormtr: all four, or None.
 
     numpy's eigh and eigvalsh solve a float64 matrix with LAPACK's dsyevd,
     from the LAPACK numpy.linalg._umath_linalg links; dlsym on that module
-    also searches its dependencies, so it finds the routine in numpy's
-    bundled OpenBLAS. scipy_LAPACKE_dsyevd64_ is the name in the ILP64
+    also searches its dependencies, so it finds the routines in numpy's
+    bundled OpenBLAS. scipy_LAPACKE_<name>64_ is the name in the ILP64
     scipy-openblas builds numpy's wheels ship, with 64-bit integer
     arguments; the matrix layout is a C int in every LAPACKE. An unsuffixed
     name is not probed: its integer width cannot be told from the name.
+    Where any of the four is missing none is bound, and every operand goes
+    to np.linalg.
     """
     try:
         from numpy.linalg import _umath_linalg
 
-        routine = ctypes.CDLL(_umath_linalg.__file__).scipy_LAPACKE_dsyevd64_
+        library = ctypes.CDLL(_umath_linalg.__file__)
+        routines = [getattr(library, f"scipy_LAPACKE_{name}64_") for name in _Lapacke._fields]
     except (ImportError, AttributeError, OSError):
         return None
-    int64, pointer = ctypes.c_int64, ctypes.c_void_p
-    routine.argtypes = (ctypes.c_int, ctypes.c_char, ctypes.c_char, int64, pointer, int64, pointer)
-    routine.restype = int64
-    return routine
+    layout, char, int64, pointer = ctypes.c_int, ctypes.c_char, ctypes.c_int64, ctypes.c_void_p
+    arguments = (
+        (layout, char, char, int64, pointer, int64, pointer),  # dsyevd
+        (layout, char, int64, pointer, int64, pointer, pointer, pointer),  # dsytrd
+        (layout, char, int64, pointer, pointer, pointer, int64),  # dstedc
+        (layout, char, char, char, int64, int64, pointer, int64, pointer, pointer, int64),  # dormtr
+    )
+    for routine, types in zip(routines, arguments):
+        routine.argtypes, routine.restype = types, int64
+    return _Lapacke(*routines)
 
 
-_DSYEVD = _lapacke_dsyevd()
+_LAPACKE = _lapacke()
 _COLUMN_MAJOR = 102  # LAPACK_COL_MAJOR
 
 
-def _eigh(operand: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Ascending eigenvalues of a symmetric operand, and with `vectors` its eigenvectors.
+def _checked(routine: str, info: int) -> None:
+    """Raise np.linalg.LinAlgError naming the LAPACKE routine that returned a nonzero info."""
+    if info:
+        raise np.linalg.LinAlgError(f"LAPACKE {routine} returned info {info}")
 
-    The one call that solves each of _operands' matrices. A float64
-    operand is solved in place by dsyevd through LAPACKE (see
-    _lapacke_dsyevd), the routine numpy's eigh and eigvalsh call, with no
-    copy: the C-ordered array is handed over as a column-major matrix,
-    which is its transpose, and dsyevd reads its lower triangle. The
-    operand is exactly symmetric, so that is the matrix numpy would have
-    copied out, and the bits are numpy's. The operand is overwritten: with
-    `vectors` its transposed view holds the eigenvectors as columns,
-    without them it holds LAPACK's scratch; so it must be the caller's
-    own. A complex operand, a real one that is not a square, writeable,
-    C-contiguous array, and every operand where numpy's LAPACK exports no
-    dsyevd known here, go to np.linalg, which copies them. A failure
-    raises np.linalg.LinAlgError.
-    """
-    size = len(operand)
-    if not (
-        _DSYEVD is not None
+
+def _in_place(operand: np.ndarray) -> bool:
+    """Whether numpy's LAPACKE binds and the operand is a square, writeable, C-ordered float64."""
+    return (
+        _LAPACKE is not None
         and operand.dtype == np.float64
-        and operand.shape == (size, size)
+        and operand.shape == (len(operand), len(operand))
         and operand.flags.c_contiguous
         and operand.flags.writeable
-    ):
-        if vectors:
-            return np.linalg.eigh(operand)
+    )
+
+
+def _eigh(operand: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Ascending eigenvalues of a symmetric operand, and with `vectors` np.linalg's eigenvectors.
+
+    Without `vectors`, an operand that _in_place accepts is solved in place
+    by dsyevd through LAPACKE (see _lapacke), the routine numpy's eigvalsh
+    calls, with no copy: the C-ordered array is handed over as a
+    column-major matrix, which is its transpose, and dsyevd reads its lower
+    triangle. The operand is exactly symmetric, so that is the matrix numpy
+    would have copied out, and the bits are numpy's. The operand is left
+    holding LAPACK's scratch, so it must be the caller's own. Every other
+    operand, and every solve with `vectors`, goes to np.linalg, which
+    copies it. A failure raises np.linalg.LinAlgError.
+    """
+    if vectors:
+        return np.linalg.eigh(operand)
+    if not _in_place(operand):
         return np.linalg.eigvalsh(operand), None
+    size = len(operand)
     values = np.empty(size)
-    job, data = b"V" if vectors else b"N", operand.ctypes.data
-    info = _DSYEVD(_COLUMN_MAJOR, job, b"L", size, data, max(size, 1), values.ctypes.data)
-    if info:
-        raise np.linalg.LinAlgError(f"LAPACKE dsyevd returned info {info}")
-    return values, operand.T if vectors else None
+    info = _LAPACKE.dsyevd(
+        _COLUMN_MAJOR, b"N", b"L", size, operand.ctypes.data, max(size, 1), values.ctypes.data
+    )
+    _checked("dsyevd", info)
+    return values, None
+
+
+def _eigenpairs(
+    operand: np.ndarray, vectors: bool
+) -> tuple[np.ndarray, Callable[[int], np.ndarray] | None]:
+    """Ascending eigenvalues of a symmetric operand, and with `vectors` its top columns.
+
+    The one call that solves each of _operands' matrices. With `vectors`
+    it also returns top(k): the eigenvectors of the k largest eigenvalues,
+    descending, as a C-contiguous n x k array. _solve calls it once, when
+    the rank cut has told it k, and then drops it with everything it holds.
+
+    A real operand that _in_place accepts is solved in its own buffer as
+    dsyevd solves it, but back-transforms only the columns kept. dsytrd
+    reduces it to a tridiagonal T = Q^T A Q, and the Householder reflectors
+    it leaves in the C-ordered array's a[i, i+2:] are set aside, (n-1)(n-2)/2
+    floats. dstedc (COMPZ 'I': divide and conquer, M. Gu and S. C.
+    Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995) writes T's eigenvectors
+    Z over the buffer, as its rows, with n^2 floats of workspace: the
+    solve's peak, 2.5 n^2 floats where dsyevd holds 3 n^2. Its eigenvalues
+    are dsyevd's, bit for bit. top(k) copies Z's k kept columns out, puts
+    the reflectors back, and dormtr (SIDE 'R', TRANS 'T') applies Q to them
+    in place: the n x k C-ordered array is the k x n column-major Z_k^T,
+    which becomes (Q Z_k)^T. The columns are dsyevd's up to rounding, as
+    dsyevd applies Q to all n columns from the left. An operand of 0 or 1
+    rows takes the same steps, with no reflector and Q = I.
+
+    Everything else is _eigh's: a solve without `vectors`, a complex
+    operand, a real one _in_place turns down, and any operand where numpy's
+    LAPACK lacks one of the routines; there top(k) copies the kept columns
+    out of all n. A failure raises np.linalg.LinAlgError naming the routine.
+    """
+    if not (vectors and _in_place(operand)):
+        values, columns = _eigh(operand, vectors)
+        if columns is None:
+            return values, None
+        return values, lambda k: np.ascontiguousarray(columns[:, len(values) - k :][:, ::-1])
+    size, data = len(operand), operand.ctypes.data
+    lead, off = max(size, 1), max(size - 1, 0)
+    values, off_diagonal, tau = np.empty(size), np.empty(off), np.empty(off)
+    tridiagonal = (values.ctypes.data, off_diagonal.ctypes.data)
+    info = _LAPACKE.dsytrd(_COLUMN_MAJOR, b"L", size, data, lead, *tridiagonal, tau.ctypes.data)
+    _checked("dsytrd", info)
+    tails = [operand[i, i + 2 :] for i in range(size - 2)]  # dsytrd's reflectors, by row
+    reflectors = np.concatenate(tails) if tails else None
+    _checked("dstedc", _LAPACKE.dstedc(_COLUMN_MAJOR, b"I", size, *tridiagonal, data, lead))
+
+    def top(count: int) -> np.ndarray:
+        kept = np.ascontiguousarray(operand[size - count :][::-1].T)
+        start = 0
+        for tail in tails:
+            tail[:] = reflectors[start : start + tail.size]
+            start += tail.size
+        info = _LAPACKE.dormtr(
+            _COLUMN_MAJOR, b"R", b"L", b"T", count, size, data, lead, tau.ctypes.data,
+            kept.ctypes.data, max(count, 1),
+        )  # fmt: skip
+        _checked("dormtr", info)
+        return kept
+
+    return values, top
 
 
 def _operands(matrix: CorrelationMatrix) -> tuple[str, list[np.ndarray]]:
@@ -368,30 +458,29 @@ def _solve(
     """Descending eigenvalues; with `vectors`, also the frame and pieces of the eigenvectors.
 
     One sequence serves every structure: each of _operands' matrices is
-    solved by one LAPACK call, their eigenvalues merge in one stable
+    solved once, by _eigenpairs, their eigenvalues merge in one stable
     descending sort, the numerical rank (eigenvalues above RANK_TOLERANCE *
-    lambda_max) is counted once, and only its eigenvectors are kept. The
+    lambda_max) is counted once, and only its eigenvectors are formed. The
     real form and the parity blocks are several times cheaper to solve than
     the Hermitian R.
 
-    Each operand is solved by _eigh, in place where it is real: _operands
-    builds every real one for the call, and it is overwritten by LAPACK's
-    scratch, or by its eigenvectors, which are its transpose's columns.
-    So a real operand and its eigenvectors share one n x n array, where
-    np.linalg's copy in and copy out took three; dsyevd's own workspace,
-    about 2 n^2 floats with eigenvectors and O(n) without, is the same
-    either way. A complex operand, the caller's `entries`, goes through
-    np.linalg, which copies it.
+    Each operand is solved in place where it is real: _operands builds
+    every real one for the call, and it is overwritten by LAPACK's scratch
+    or, with `vectors`, by its tridiagonal's eigenvectors, of which only
+    the operand's share of the rank is back-transformed (see _eigenpairs).
+    So a real operand's solve peaks at 2.5 n^2 floats, where dsyevd in
+    place took 3 n^2. Without `vectors` dsyevd's workspace is O(n). A
+    complex operand, the caller's `entries`, goes through np.linalg, which
+    copies it.
 
     The eigenvectors an operand contributes are the tail of its ascending
-    output; reversed, they run in basis order. They are copied out,
-    C-contiguous, as the frame's pieces (see EigenBasis), and the solver's
-    output is freed on return: Lee's real form gives one real piece on all
-    M rows, the parity blocks two, on the frame's first ceil(M/2) and last
-    floor(M/2) rows, and a matrix solved as it is one piece, its
-    eigenvectors themselves, real when its operand is. No complex M x r
-    array is formed for a real frame; EigenBasis.eigenvectors forms it
-    where it is read.
+    output; reversed, they run in basis order. Each operand gives them
+    C-contiguous, as the frame's pieces (see EigenBasis), and is freed as
+    soon as it has: Lee's real form gives one real piece on all M rows, the
+    parity blocks two, on the frame's first ceil(M/2) and last floor(M/2)
+    rows, and a matrix solved as it is one piece, its eigenvectors
+    themselves, real when its operand is. No complex M x r array is formed
+    for a real frame; EigenBasis.eigenvectors forms it where it is read.
 
     matrix._structure()'s ValueError reaches the caller before any solve;
     a builder's operands are filled from its table without forming its
@@ -399,28 +488,28 @@ def _solve(
     """
     try:
         frame, operands = _operands(matrix)
-        parts, blocks = zip(*[_eigh(operand, vectors) for operand in operands])
+        parts, tops = zip(*[_eigenpairs(operand, vectors) for operand in operands])
         del operands
+        values = np.concatenate(parts)
+        order = np.argsort(values, kind="stable")[::-1]
+        values = values[order]
+        if not vectors:
+            return values, None, None
+        rank = _numerical_rank(values)
+        position = np.argsort(order)  # the inverse sort: where each operand eigenvector lands
+        tops, pieces, start = list(tops), [], 0
+        for part in parts:  # an operand's frame rows are its eigenvalues' span before the sort
+            rows = slice(start, start + len(part))
+            start = rows.stop
+            count = int(np.count_nonzero(position[rows] < rank))
+            kept = tops.pop(0)(count)  # and its operand is freed
+            pieces.append((rows, position[rows][len(part) - count :][::-1], kept))
+        return values, frame, tuple(pieces)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"eigendecomposition failed for {matrix.provenance.label} matrix "
             f"(M={matrix.num_antennas}): {exc}"
         ) from exc
-    values = np.concatenate(parts)
-    order = np.argsort(values, kind="stable")[::-1]
-    values = values[order]
-    if not vectors:
-        return values, None, None
-    rank = _numerical_rank(values)
-    position = np.argsort(order)  # the inverse sort: where each operand eigenvector lands
-    pieces, start = [], 0
-    for block in blocks:  # square: its frame rows are its eigenvalues' span before the sort
-        rows = slice(start, start + block.shape[1])
-        start = rows.stop
-        cut = block.shape[1] - int(np.count_nonzero(position[rows] < rank))
-        kept = np.ascontiguousarray(block[:, cut:][:, ::-1])
-        pieces.append((rows, position[rows][cut:][::-1], kept))
-    return values, frame, tuple(pieces)
 
 
 def _spectrum_from(

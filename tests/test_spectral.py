@@ -1,6 +1,8 @@
 """Tests for eigenstructure analysis: ranks, containment, and the rank law."""
 
+import ctypes
 import dataclasses
+import json
 import math
 from unittest import mock
 
@@ -39,6 +41,7 @@ from holomimo.cli import main, preset_names, resolve_config_path
 from holomimo.correlation import STRUCTURE_CHECK_ROWS
 from holomimo.spectral import (
     RANK_TOLERANCE,
+    _eigenpairs,
     _eigh,
     _leading_pieces,
     _numerical_rank,
@@ -173,13 +176,13 @@ class TestEigendecompose:
         # load_matrix report, and LAPACK, which can return finite eigenvalues
         # for a matrix holding a NaN, must never see it
         calls = []
-        solver = holomimo.spectral._eigh
+        solver = holomimo.spectral._eigenpairs
 
         def counted(operand, vectors):
             calls.append("eigh" if vectors else "eigvalsh")
             return solver(operand, vectors)
 
-        monkeypatch.setattr(holomimo.spectral, "_eigh", counted)
+        monkeypatch.setattr(holomimo.spectral, "_eigenpairs", counted)
         entries = np.eye(3, dtype=np.complex128)
         for index in nan_at:
             entries[index] = np.nan
@@ -377,12 +380,12 @@ SMALL_SHAPES = pytest.mark.parametrize(
 
 @pytest.fixture
 def lapack_operands(monkeypatch):
-    """(dtype, shape) of every operand handed to the solver's LAPACK entry, spectral._eigh."""
+    """(dtype, shape) of every operand handed to the solver's entry, spectral._eigenpairs."""
     seen = []
-    original = holomimo.spectral._eigh
+    original = holomimo.spectral._eigenpairs
     monkeypatch.setattr(
         holomimo.spectral,
-        "_eigh",
+        "_eigenpairs",
         lambda a, vectors: seen.append((a.dtype, a.shape)) or original(a, vectors),
     )
     return seen
@@ -411,10 +414,10 @@ class TestRealPath:
         entries[5, 0] -= 1j * imaginary
         matrix = CorrelationMatrix(entries, 1.0, MatrixProvenance.EXTERNAL)
         seen = []
-        original = holomimo.spectral._eigh
+        original = holomimo.spectral._eigenpairs
         monkeypatch.setattr(
             holomimo.spectral,
-            "_eigh",
+            "_eigenpairs",
             lambda a, vectors: seen.append(a.dtype) or original(a, vectors),
         )
         result = solve(matrix)
@@ -614,8 +617,9 @@ IN_PLACE_CASES = [
 
 @pytest.mark.parametrize("frame, builder, broken, shape", IN_PLACE_CASES)
 def test_in_place_solve_gives_numpys_bits(frame, builder, broken, shape):
-    # the operand is overwritten with its eigenvectors where the binding
-    # exists; values and vectors are numpy's own, bit for bit
+    # the operand is overwritten by the solve where the bindings exist; the
+    # values are numpy's own, bit for bit, and the vectors numpy's up to
+    # rounding, since only the kept columns are back-transformed
     matrix = external_copy(SMALL_BUILDERS[builder](ArrayGeometry(*shape, 0.25, 1.0)), broken)
     solved_frame, operands = _operands(matrix)
     assert solved_frame == frame
@@ -623,11 +627,13 @@ def test_in_place_solve_gives_numpys_bits(frame, builder, broken, shape):
         assert operand.dtype == np.float64 and operand.flags.c_contiguous
         values, vectors = np.linalg.eigh(operand)
         owned = operand.copy()
-        in_place_values, in_place_vectors = _eigh(owned, vectors=True)
+        in_place_values, top = _eigenpairs(owned, vectors=True)
+        in_place_vectors = top(len(owned))
         assert in_place_values.tobytes() == values.tobytes()
-        assert in_place_vectors.tobytes() == vectors.tobytes()
-        if holomimo.spectral._DSYEVD is not None and owned.size:
-            assert np.shares_memory(in_place_vectors, owned)
+        assert in_place_vectors.flags.c_contiguous
+        np.testing.assert_allclose(in_place_vectors, vectors[:, ::-1], rtol=0, atol=1e-13)
+        if holomimo.spectral._LAPACKE is not None and len(owned) > 1:
+            assert owned.tobytes() != operand.tobytes()
         only_values, none = _eigh(operand.copy(), vectors=False)
         assert none is None
         assert only_values.tobytes() == np.linalg.eigvalsh(operand).tobytes()
@@ -659,8 +665,8 @@ def test_numpy_fallback_gives_the_in_place_bits(frame, builder, broken, shape, m
     # without the binding every operand goes to np.linalg, the reference
     matrix = external_copy(SMALL_BUILDERS[builder](ArrayGeometry(*shape, 0.25, 1.0)), broken)
     results = []
-    for binding in (holomimo.spectral._DSYEVD, None):
-        monkeypatch.setattr(holomimo.spectral, "_DSYEVD", binding)
+    for binding in (holomimo.spectral._LAPACKE, None):
+        monkeypatch.setattr(holomimo.spectral, "_LAPACKE", binding)
         results.append((_solve(matrix, vectors=False), _solve(matrix, vectors=True)))
     (only_values, (values, solved_frame, pieces)), (fb_only_values, fallback) = results
     assert solved_frame == frame == fallback[1]
@@ -669,7 +675,8 @@ def test_numpy_fallback_gives_the_in_place_bits(frame, builder, broken, shape, m
     assert values.tobytes() == fallback[0].tobytes()
     for (rows, where, kept), (fb_rows, fb_where, fb_kept) in zip(pieces, fallback[2], strict=True):
         assert rows == fb_rows and np.array_equal(where, fb_where)
-        assert kept.flags.c_contiguous and kept.tobytes() == fb_kept.tobytes()
+        assert kept.flags.c_contiguous and kept.shape == fb_kept.shape
+        np.testing.assert_allclose(kept, fb_kept, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize(
@@ -691,16 +698,165 @@ def test_a_dense_matrix_entries_are_never_overwritten(builder, broken):
 @pytest.mark.parametrize("builder", ["exact", "isotropic"])
 def test_a_nonzero_lapack_info_raises_numerical_error(builder, monkeypatch):
     matrix = SMALL_BUILDERS[builder](ArrayGeometry(5, 5, 0.25, 1.0))
-    monkeypatch.setattr(holomimo.spectral, "_DSYEVD", lambda *args: 7)
-    message = rf"{builder} matrix \(M=25\): LAPACKE dsyevd returned info 7"
-    for solve in (spectrum, eigendecompose, CorrelationMatrix.validate):
+    failing = holomimo.spectral._Lapacke(*[lambda *args: 7] * 4)
+    monkeypatch.setattr(holomimo.spectral, "_LAPACKE", failing)
+    # the eigenvalues alone come from dsyevd, the eigenvectors start with dsytrd
+    for solve, routine in (
+        (spectrum, "dsyevd"),
+        (eigendecompose, "dsytrd"),
+        (CorrelationMatrix.validate, "dsyevd"),
+    ):
+        message = rf"{builder} matrix \(M=25\): LAPACKE {routine} returned info 7"
         with pytest.raises(NumericalError, match=message):
             solve(matrix)
     monkeypatch.undo()
-    if holomimo.spectral._DSYEVD is not None:
+    if holomimo.spectral._LAPACKE is not None:
         # LAPACKE's own NaN scan of the operand, argument 5, as LAPACK reports it
         with pytest.raises(np.linalg.LinAlgError, match="info -5"):
             _eigh(np.full((3, 3), np.nan), vectors=False)
+
+
+NEEDS_LAPACKE = pytest.mark.skipif(
+    holomimo.spectral._LAPACKE is None, reason="numpy's LAPACK exports no routine known here"
+)
+
+
+@settings(max_examples=40, deadline=None)
+@example(builder="isotropic", shape=(1, 1), broken=False, share=1.0)
+@example(builder="exact", shape=(1, 2), broken=False, share=0.5)
+@example(builder="isotropic", shape=(9, 9), broken=False, share=0.3)
+@example(builder="exact", shape=(9, 9), broken=True, share=1.0)
+@example(builder="isotropic", shape=(3, 3), broken=True, share=0.0)
+@given(
+    builder=st.sampled_from(sorted(SMALL_BUILDERS)),
+    shape=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+    broken=st.booleans(),
+    share=st.floats(0.0, 1.0),
+)
+def test_back_transformed_columns_are_orthonormal_eigenvectors(builder, shape, broken, share):
+    # in every frame, and for any count of an operand's top columns: each
+    # column w of eigenvalue lambda has ||A w - lambda w|| <= 1e-12 lambda_max,
+    # and the columns are orthonormal within 1e-12
+    matrix = SMALL_BUILDERS[builder](ArrayGeometry(*shape, 0.25, 1.0))
+    matrix = external_copy(matrix, broken and matrix.num_antennas > 1)
+
+    def check(operand, values, columns):
+        residual = operand @ columns - columns * values
+        assert np.linalg.norm(residual, axis=0).max(initial=0.0) <= 1e-12 * largest
+        gram = columns.conj().T @ columns
+        assert np.abs(gram - np.eye(len(values))).max(initial=0.0) <= 1e-12
+
+    basis = eigendecompose(matrix)
+    largest = basis.eigenvalues[0]
+    check(matrix.entries, basis.eigenvalues[: basis.numerical_rank], basis.eigenvectors)
+    for operand in _operands(matrix)[1]:
+        values, top = _eigenpairs(operand.copy(), vectors=True)
+        count = round(share * len(values))
+        check(operand, values[::-1][:count], top(count))
+
+
+@NEEDS_LAPACKE
+@pytest.mark.parametrize(
+    "builder, shape",
+    [("exact", (5, 7)), ("isotropic", (5, 7)), ("isotropic", (6, 6)), ("isotropic", (1, 1))],
+    ids=["lee", "parity-odd", "parity-even", "1x1"],
+)
+def test_the_back_transform_runs_on_the_kept_columns_alone(builder, shape, monkeypatch):
+    lapack = holomimo.spectral._LAPACKE
+    seen = []
+
+    def dormtr(*args):
+        seen.append(args[4:6])  # C, k x n column-major: the kept count and the operand's size
+        return lapack.dormtr(*args)
+
+    monkeypatch.setattr(holomimo.spectral, "_LAPACKE", lapack._replace(dormtr=dormtr))
+    basis = eigendecompose(SMALL_BUILDERS[builder](ArrayGeometry(*shape, 0.125, 1.0)))
+    pieces = basis._real_columns
+    assert seen == [(kept.shape[1], rows.stop - rows.start) for rows, _, kept in pieces]
+    assert sum(count for count, _ in seen) == basis.numerical_rank
+    if basis.num_antennas > 1:
+        assert basis.numerical_rank < basis.num_antennas
+
+
+@NEEDS_LAPACKE
+@pytest.mark.parametrize("routine", ["dstedc", "dormtr"])
+@pytest.mark.parametrize("builder", ["exact", "isotropic"])
+def test_a_failed_step_of_the_vectors_solve_raises_numerical_error(builder, routine, monkeypatch):
+    matrix = SMALL_BUILDERS[builder](ArrayGeometry(5, 5, 0.25, 1.0))
+    failing = holomimo.spectral._LAPACKE._replace(**{routine: lambda *args: 3})
+    monkeypatch.setattr(holomimo.spectral, "_LAPACKE", failing)
+    message = rf"{builder} matrix \(M=25\): LAPACKE {routine} returned info 3"
+    with pytest.raises(NumericalError, match=message):
+        eigendecompose(matrix)
+    spectrum(matrix)  # the eigenvalues alone run neither routine
+
+
+@pytest.mark.parametrize("missing", holomimo.spectral._Lapacke._fields)
+def test_one_missing_routine_sends_every_real_operand_to_numpy(missing, monkeypatch):
+    library = ctypes.CDLL
+
+    class Without:
+        """numpy's linalg module without one LAPACKE symbol."""
+
+        def __init__(self, name):
+            self._library = library(name)
+
+        def __getattr__(self, name):
+            if name == f"scipy_LAPACKE_{missing}64_":
+                raise AttributeError(name)
+            return getattr(self._library, name)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(ctypes, "CDLL", Without)
+        assert holomimo.spectral._lapacke() is None
+    geometry = ArrayGeometry(4, 7, 0.25, 1.0)
+    matrices = [
+        SMALL_BUILDERS["exact"](geometry),
+        SMALL_BUILDERS["isotropic"](geometry),
+        external_copy(SMALL_BUILDERS["isotropic"](geometry), broken=True),
+    ]  # built first: the exact builder's Gauss-Legendre rule calls eigvalsh
+    monkeypatch.setattr(holomimo.spectral, "_LAPACKE", None)
+    seen = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg,
+            name,
+            lambda a, name=name, original=original: seen.append((name, a.shape)) or original(a),
+        )
+    for matrix in matrices:
+        shapes = [operand.shape for operand in _operands(matrix)[1]]
+        assert all(operand.dtype == np.float64 for operand in _operands(matrix)[1])
+        for solve, name in ((spectrum, "eigvalsh"), (eigendecompose, "eigh")):
+            seen.clear()
+            solve(matrix)
+            assert seen == [(name, shape) for shape in shapes]
+
+
+def test_sweep_records_agree_with_numpys_columns(tmp_path, monkeypatch):
+    # fig1_desk's scene, once with the kept columns back-transformed alone
+    # and once with every operand's columns from np.linalg.eigh: the draws
+    # and projections differ by rounding only
+    config = load_config(resolve_config_path("fig1_desk"))
+    records, _ = holomimo.harness.run_nmse_sweep(config, tmp_path / "kept")
+    monkeypatch.setattr(holomimo.spectral, "_LAPACKE", None)
+    reference, _ = holomimo.harness.run_nmse_sweep(config, tmp_path / "numpy")
+    assert len(records) == len(reference) == len(config.snr_grid_db) * len(config.estimators)
+    for record, expected in zip(records, reference, strict=True):
+        assert record.nmse_analytic == expected.nmse_analytic
+        assert record.nmse_mc == pytest.approx(expected.nmse_mc, rel=1e-12, abs=0)
+        assert record.nmse_mc_ci95 == pytest.approx(expected.nmse_mc_ci95, rel=1e-12, abs=0)
+        assert (record.estimator, record.snr_db, record.trials) == (
+            expected.estimator,
+            expected.snr_db,
+            expected.trials,
+        )
+    kept, numpy = (
+        json.loads(next((tmp_path / run).glob("*_nmse.json")).read_text())
+        for run in ("kept", "numpy")
+    )
+    assert kept["container_rank"] == numpy["container_rank"]
+    assert kept["containment_residual"] == pytest.approx(numpy["containment_residual"], rel=1e-9)
 
 
 def test_real_path_monte_carlo_agrees_with_previous_solver():
@@ -982,8 +1138,10 @@ def test_one_solve_sequence_matches_the_three_paths_bit_for_bit(builder, shape, 
             old_values, old_columns = three_path_solve(solved, vectors)
             assert same_bits(values, old_values)
             if vectors:
+                # the kept columns alone are back-transformed: numpy's up to rounding
                 columns = eigendecompose(solved).eigenvectors
-                assert columns.flags.c_contiguous and same_bits(columns, old_columns)
+                assert columns.flags.c_contiguous and columns.shape == old_columns.shape
+                np.testing.assert_allclose(columns, old_columns, rtol=0, atol=1e-13)
             else:
                 assert pieces is None and old_columns is None
 
@@ -1064,7 +1222,7 @@ def test_containment_residual_in_the_real_frame_matches_the_complex_projection(
     outer = eigendecompose(SMALL_BUILDERS[container](geometry))
     inner = eigendecompose(SMALL_BUILDERS[contained](geometry))
     k = inner.effective_rank
-    rank = max(1, k - fewer)
+    rank = min(max(1, k - fewer), outer.num_columns)  # a rank past the columns held raises
     assert rank < k
     expected = np.linalg.norm(_projection(outer.eigenvectors[:, :rank], inner.eigenvectors[:, :k]))
     residual = subspace_containment_residual(outer, inner, container_rank=rank)
