@@ -27,7 +27,8 @@ CONTAINMENT_TOLERANCE = 1e-5
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 # Trials per Monte Carlo block. Fixed, so the shape of every projection GEMM,
 # and with it the rounding of each trial's error, depends on no argument.
-MC_BLOCK_TRIALS = 128
+# Small enough that a block's temporaries stay below the solver's peak.
+MC_BLOCK_TRIALS = 64
 
 
 class Estimator(enum.Enum):

@@ -45,10 +45,14 @@ which frame they run in.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
+import io
+import tempfile
+import weakref
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import BinaryIO, NamedTuple
 
 import numpy as np
 
@@ -338,6 +342,47 @@ def _in_place(operand: np.ndarray) -> bool:
     )
 
 
+def _set_aside(tails: list[np.ndarray]) -> BinaryIO:
+    """dsytrd's reflector tails, in an unnamed temporary file, or in memory where none can be written.
+
+    The file is tempfile.TemporaryFile's, in TMPDIR, and has no name on
+    POSIX, so it is gone from the directory at once and its space when it
+    is closed. It is flushed before the caller goes on, so a full disk
+    shows here, as an OSError that keeps the tails in memory instead, one
+    io.BytesIO copy; the bits _restore puts back are the same either way.
+    """
+    if not tails:
+        return io.BytesIO()
+    spill = None
+    try:
+        spill = tempfile.TemporaryFile()
+        for tail in tails:
+            spill.write(tail)
+        spill.flush()
+        return spill
+    except OSError:
+        if spill is not None:
+            with contextlib.suppress(OSError):  # closing flushes the unwritten rest again
+                spill.close()
+        return io.BytesIO(b"".join(tails))
+
+
+def _restore(tails: list[np.ndarray], reflectors: BinaryIO) -> None:
+    """Read _set_aside's reflector tails back into the operand's rows, and close their file.
+
+    A failed or short read raises np.linalg.LinAlgError, which _solve
+    names the matrix in.
+    """
+    with reflectors:
+        try:
+            reflectors.seek(0)
+            for tail in tails:
+                if reflectors.readinto(tail) != tail.nbytes:
+                    raise OSError("short read")
+        except OSError as exc:
+            raise np.linalg.LinAlgError(f"reading dsytrd's reflectors back failed: {exc}") from exc
+
+
 def _eigh(operand: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """Ascending eigenvalues of a symmetric operand, and with `vectors` np.linalg's eigenvectors.
 
@@ -377,22 +422,26 @@ def _eigenpairs(
     A real operand that _in_place accepts is solved in its own buffer as
     dsyevd solves it, but back-transforms only the columns kept. dsytrd
     reduces it to a tridiagonal T = Q^T A Q, and the Householder reflectors
-    it leaves in the C-ordered array's a[i, i+2:] are set aside, (n-1)(n-2)/2
-    floats. dstedc (COMPZ 'I': divide and conquer, M. Gu and S. C.
-    Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995) writes T's eigenvectors
-    Z over the buffer, as its rows, with n^2 floats of workspace: the
-    solve's peak, 2.5 n^2 floats where dsyevd holds 3 n^2. Its eigenvalues
-    are dsyevd's, bit for bit. top(k) copies Z's k kept columns out, puts
-    the reflectors back, and dormtr (SIDE 'R', TRANS 'T') applies Q to them
-    in place: the n x k C-ordered array is the k x n column-major Z_k^T,
-    which becomes (Q Z_k)^T. The columns are dsyevd's up to rounding, as
-    dsyevd applies Q to all n columns from the left. An operand of 0 or 1
-    rows takes the same steps, with no reflector and Q = I.
+    it leaves in the C-ordered array's a[i, i+2:], (n-1)(n-2)/2 floats, go
+    to an unnamed temporary file (see _set_aside), or to one copy in memory
+    where no file can be written. dstedc (COMPZ 'I': divide and conquer, M.
+    Gu and S. C. Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995) writes T's
+    eigenvectors Z over the buffer, as its rows, with n^2 floats of
+    workspace: the solve's peak, 2 n^2 floats where dsyevd holds 3 n^2 (2.5
+    n^2 with the reflectors in memory). Its eigenvalues are dsyevd's, bit
+    for bit. top(k) copies Z's k kept columns out, reads the reflectors
+    back in full and closes their file, and dormtr (SIDE 'R', TRANS 'T')
+    applies Q to the columns in place: the n x k C-ordered array is the
+    k x n column-major Z_k^T, which becomes (Q Z_k)^T. The columns are
+    dsyevd's up to rounding, as dsyevd applies Q to all n columns from the
+    left. An operand of 0 or 1 rows takes the same steps, with no reflector
+    and Q = I, and one of 2 rows has no reflector to set aside.
 
     Everything else is _eigh's: a solve without `vectors`, a complex
     operand, a real one _in_place turns down, and any operand where numpy's
     LAPACK lacks one of the routines; there top(k) copies the kept columns
-    out of all n. A failure raises np.linalg.LinAlgError naming the routine.
+    out of all n. A failure raises np.linalg.LinAlgError naming the routine,
+    or the failed read-back of the reflectors.
     """
     if not (vectors and _in_place(operand)):
         values, columns = _eigh(operand, vectors)
@@ -406,15 +455,15 @@ def _eigenpairs(
     info = _LAPACKE.dsytrd(_COLUMN_MAJOR, b"L", size, data, lead, *tridiagonal, tau.ctypes.data)
     _checked("dsytrd", info)
     tails = [operand[i, i + 2 :] for i in range(size - 2)]  # dsytrd's reflectors, by row
-    reflectors = np.concatenate(tails) if tails else None
-    _checked("dstedc", _LAPACKE.dstedc(_COLUMN_MAJOR, b"I", size, *tridiagonal, data, lead))
+    reflectors = _set_aside(tails)
+    info = _LAPACKE.dstedc(_COLUMN_MAJOR, b"I", size, *tridiagonal, data, lead)
+    if info:
+        reflectors.close()
+    _checked("dstedc", info)
 
     def top(count: int) -> np.ndarray:
         kept = np.ascontiguousarray(operand[size - count :][::-1].T)
-        start = 0
-        for tail in tails:
-            tail[:] = reflectors[start : start + tail.size]
-            start += tail.size
+        _restore(tails, reflectors)
         info = _LAPACKE.dormtr(
             _COLUMN_MAJOR, b"R", b"L", b"T", count, size, data, lead, tau.ctypes.data,
             kept.ctypes.data, max(count, 1),
@@ -422,6 +471,7 @@ def _eigenpairs(
         _checked("dormtr", info)
         return kept
 
+    weakref.finalize(top, reflectors.close)  # a top dropped unread, as on a failure, closes it
     return values, top
 
 
@@ -468,8 +518,8 @@ def _solve(
     every real one for the call, and it is overwritten by LAPACK's scratch
     or, with `vectors`, by its tridiagonal's eigenvectors, of which only
     the operand's share of the rank is back-transformed (see _eigenpairs).
-    So a real operand's solve peaks at 2.5 n^2 floats, where dsyevd in
-    place took 3 n^2. Without `vectors` dsyevd's workspace is O(n). A
+    So a real operand's solve peaks at 2 n^2 floats, where dsyevd in place
+    took 3 n^2. Without `vectors` dsyevd's workspace is O(n). A
     complex operand, the caller's `entries`, goes through np.linalg, which
     copies it.
 

@@ -27,11 +27,14 @@ from holomimo import (
     estimate_ls,
     estimate_mmse,
     estimate_rsls,
+    load_config,
     monte_carlo_nmse,
     observe_pilot,
     sample_channel,
 )
+from holomimo.cli import resolve_config_path
 from holomimo.estimation import MC_BLOCK_TRIALS, _draw_block, _row_energy
+from holomimo.harness import run_nmse_sweep
 from holomimo.spectral import _projection
 
 
@@ -880,3 +883,25 @@ def test_public_estimators_form_the_eigenvectors_once(monkeypatch):
         estimate_mmse(observation, basis)
     assert formed == ["eigenvectors"]
     assert vars(basis)["eigenvectors"] is basis.eigenvectors
+
+
+@pytest.mark.parametrize("trials", [None, 131], ids=["fig1_desk", "131-trials"])
+def test_the_block_size_moves_the_records_by_rounding_alone(trials, tmp_path, monkeypatch):
+    # fig1_desk's sweep (500 trials) and a 131-trial one: both end in a
+    # partial block at either size, and every trial draws the same channel
+    # and noise; only the shapes of the projection GEMMs differ
+    config = load_config(resolve_config_path("fig1_desk"))
+    if trials is not None:
+        config = dataclasses.replace(config, trials=trials)
+    runs = []
+    for block in (128, MC_BLOCK_TRIALS):
+        monkeypatch.setattr(holomimo.estimation, "MC_BLOCK_TRIALS", block)
+        runs.append(run_nmse_sweep(config, tmp_path / str(block))[0])
+    assert MC_BLOCK_TRIALS == 64 and config.trials % 64 and config.trials % 128
+    assert len(runs[0]) == len(config.snr_grid_db) * len(config.estimators)
+    for record, reference in zip(runs[1], runs[0], strict=True):
+        assert record.nmse_mc == pytest.approx(reference.nmse_mc, rel=1e-14, abs=0)
+        assert record.nmse_mc_ci95 == pytest.approx(reference.nmse_mc_ci95, rel=1e-14, abs=0)
+        assert dataclasses.replace(record, nmse_mc=0.0, nmse_mc_ci95=0.0) == dataclasses.replace(
+            reference, nmse_mc=0.0, nmse_mc_ci95=0.0
+        )

@@ -2,8 +2,11 @@
 
 import ctypes
 import dataclasses
+import errno
 import json
 import math
+import tempfile
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -1487,3 +1490,168 @@ def test_cli_solver_commands_never_form_the_complex_eigenvectors(tmp_path, monke
     for basis in bases:
         assert "eigenvectors" not in vars(basis)
         assert all(columns.dtype == np.float64 for _, _, columns in basis._real_columns)
+
+
+# The reflector spill of the vectors solve: dsytrd's reflectors wait in an
+# unnamed temporary file while dstedc runs, or in memory where none can be
+# written, and come back with the same bits.
+SPILL_CASES = pytest.mark.parametrize(
+    "builder, shape",
+    [
+        pytest.param(builder, shape, id=f"{builder}-{shape[0]}x{shape[1]}")
+        for builder in ("exact", "isotropic")
+        for shape in ((1, 1), (1, 2), (5, 7), (6, 6))
+    ],
+)
+
+
+def recording_temporary_files(monkeypatch):
+    """Patch tempfile.TemporaryFile to record every file it opens; return the record."""
+    opened = []
+    original = tempfile.TemporaryFile
+
+    def recording(*args, **kwargs):
+        opened.append(original(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", recording)
+    return opened
+
+
+class UnwritableFile:
+    """A temporary file on a full disk: writes fail, and so does close's flush of the rest."""
+
+    def __init__(self):
+        self.closed = False
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def close(self):
+        self.closed = True
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@NEEDS_LAPACKE
+@SPILL_CASES
+@pytest.mark.parametrize("failure", ["create", "write"])
+def test_reflectors_kept_in_memory_give_the_spilled_bits(builder, shape, failure, monkeypatch):
+    # a 1 x 1 exact matrix is real, so parity; an operand of 2 rows or fewer
+    # has no reflector, and opens no file
+    matrix = SMALL_BUILDERS[builder](ArrayGeometry(*shape, 0.25, 1.0))
+    frame, operands = _operands(matrix)
+    assert frame == ("lee" if builder == "exact" and matrix.num_antennas > 1 else "parity")
+    opened = recording_temporary_files(monkeypatch)
+    spilled = _solve(matrix, vectors=True)
+    assert len(opened) == sum(len(operand) > 2 for operand in operands)
+    assert all(spill.closed for spill in opened)
+    unwritable = []
+
+    def failing(*args, **kwargs):
+        if failure == "create":
+            raise OSError(errno.ENOSPC, "No space left on device")
+        unwritable.append(UnwritableFile())
+        return unwritable[-1]
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", failing)
+    in_memory = _solve(matrix, vectors=True)
+    assert all(spill.closed for spill in unwritable)
+    assert len(unwritable) == (len(opened) if failure == "write" else 0)
+    assert in_memory[0].tobytes() == spilled[0].tobytes() and in_memory[1] == spilled[1]
+    for (rows, where, kept), (own_rows, own_where, own_kept) in zip(
+        in_memory[2], spilled[2], strict=True
+    ):
+        assert rows == own_rows and np.array_equal(where, own_where)
+        assert kept.tobytes() == own_kept.tobytes()
+
+
+class FailingReadBack:
+    """A real temporary file whose read-back fails: an I/O error, or a short read."""
+
+    def __init__(self, file, failure):
+        self._file = file
+        self._failure = failure
+
+    def __getattr__(self, name):
+        return getattr(self._file, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._file.close()
+
+    def readinto(self, buffer):
+        if self._failure == "error":
+            raise OSError(errno.EIO, "Input/output error")
+        return self._file.readinto(memoryview(buffer).cast("B")[:-1])
+
+
+@NEEDS_LAPACKE
+@pytest.mark.parametrize("failure", ["error", "short"])
+@pytest.mark.parametrize("builder", ["exact", "isotropic"])
+def test_a_failed_reflector_read_back_raises_numerical_error(builder, failure, monkeypatch):
+    matrix = SMALL_BUILDERS[builder](ArrayGeometry(5, 5, 0.25, 1.0))
+    spills, original = [], tempfile.TemporaryFile
+
+    def failing():
+        spills.append(FailingReadBack(original(), failure))
+        return spills[-1]
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", failing)
+    message = rf"{builder} matrix \(M=25\): reading dsytrd's reflectors back failed"
+    with pytest.raises(NumericalError, match=message):
+        eigendecompose(matrix)
+    assert spills and spills[0].closed
+    spectrum(matrix)  # the eigenvalues alone set nothing aside
+
+
+@NEEDS_LAPACKE
+def test_no_reflector_copy_is_held_in_memory_while_dstedc_runs(monkeypatch):
+    # fig2_desk's scene at 32 x 48: Lee's real form of M = 1536 is the one
+    # array of 0.5 n^2 floats or more that the solve holds while dstedc runs
+    config = load_config(resolve_config_path("fig2_desk"))
+    geometry = ArrayGeometry(32, 48, 0.25, 1.0)
+    matrix = build_exact_clustered(geometry, config.scattering, config.quadrature)
+    n = geometry.num_antennas
+    lapack, blocks = holomimo.spectral._LAPACKE, []
+
+    def dstedc(*args):
+        blocks.extend(trace.size for trace in tracemalloc.take_snapshot().traces)
+        return lapack.dstedc(*args)
+
+    monkeypatch.setattr(holomimo.spectral, "_LAPACKE", lapack._replace(dstedc=dstedc))
+    tracemalloc.start()
+    try:
+        basis = eigendecompose(matrix)
+    finally:
+        tracemalloc.stop()
+    reflectors = 8 * (n - 1) * (n - 2) // 2
+    assert basis.num_antennas == n and blocks
+    assert [size for size in blocks if size >= reflectors] == [8 * n * n]
+
+
+@NEEDS_LAPACKE
+@pytest.mark.parametrize("fail", [False, True], ids=["solved", "dstedc-failed"])
+@pytest.mark.parametrize("builder", ["exact", "isotropic"])
+def test_the_reflector_file_leaves_nothing_behind(builder, fail, tmp_path, monkeypatch):
+    # the isotropic matrix's minus block fails after its plus block's
+    # reflectors went to a file: that file is closed too
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    opened = recording_temporary_files(monkeypatch)
+    matrix = SMALL_BUILDERS[builder](ArrayGeometry(5, 7, 0.25, 1.0))
+    operands = len(_operands(matrix)[1])
+    if not fail:
+        eigendecompose(matrix)
+    else:
+        lapack, calls = holomimo.spectral._LAPACKE, []
+
+        def dstedc(*args):  # the last operand's fails
+            calls.append(args)
+            return 3 if len(calls) == operands else lapack.dstedc(*args)
+
+        monkeypatch.setattr(holomimo.spectral, "_LAPACKE", lapack._replace(dstedc=dstedc))
+        with pytest.raises(NumericalError, match="dstedc returned info 3"):
+            eigendecompose(matrix)
+    assert len(opened) == operands and all(spill.closed for spill in opened)
+    assert list(tmp_path.iterdir()) == []
