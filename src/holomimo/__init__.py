@@ -80,7 +80,7 @@ from .spectral import (
     subspace_containment_residual,
 )
 
-__version__ = "0.5.4"
+__version__ = "0.5.5"
 
 __all__ = [
     "AccuracyError",

@@ -795,16 +795,25 @@ def export_matrix_csv(path: str | Path, matrix: CorrelationMatrix) -> Path:
     precision per value, but the container metadata (gain, provenance) is not
     carried; prefer save_matrix for machine consumption. The layout is
     np.savetxt's with fmt "%.17g", a "# " header line and "\n" newlines.
-    Rows come in the same blocks as save_matrix's and are formatted one at
-    a time from a float64 view of their complex entries (re and im are
-    adjacent in memory), so no M x 2M copy is made. A builder's matrix is
-    written from its offset table, without forming or reading the M x M
-    array.
+    A builder's matrix is written from its offset table, without forming or
+    reading the M x M array: each of the table's (2 M_V - 1)(2 M_H - 1)
+    values is formatted once, as its "re,im" pair, and each row is one join
+    of its entries' pairs, read through _offset_window of the table of
+    pairs. A dense matrix's rows come in the same blocks as
+    save_matrix's and are formatted one at a time from a float64 view of
+    their complex entries (re and im are adjacent in memory), so no M x 2M
+    copy is made. Both give the same bytes for the same entries.
     """
     path = Path(path)
-    line = ",".join(["%.17g"] * (2 * matrix.num_antennas)) + "\n"
     with path.open("w") as f:
         f.write("# columns alternate re/im per antenna index; row = first antenna of the pair\n")
+        if matrix._offsets is not None:
+            pairs = ["%.17g,%.17g" % (z.real, z.imag) for z in matrix._offsets.flat]
+            table = np.array(pairs, dtype=object).reshape(matrix._offsets.shape)
+            for plane in _offset_window(matrix.geometry, table):
+                f.writelines(",".join(row.ravel().tolist()) + "\n" for row in plane)
+            return path
+        line = ",".join(["%.17g"] * (2 * matrix.num_antennas)) + "\n"
         for rows in matrix._row_blocks(upper=False):
             for row in np.ascontiguousarray(rows).view(np.float64):
                 f.write(line % tuple(row.tolist()))

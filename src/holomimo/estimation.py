@@ -25,9 +25,11 @@ from .spectral import EigenBasis, _block_products, _checked_rank, _row_energy
 GRAM_TOLERANCE = 1e-8
 CONTAINMENT_TOLERANCE = 1e-5
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
-# Trials per Monte Carlo block. Fixed, so the shape of every projection GEMM,
-# and with it the rounding of each trial's error, depends on no argument.
-# Small enough that a block's temporaries stay below the solver's peak.
+# Trials per Monte Carlo block. Fixed, so the shape of every projection GEMM
+# depends on no argument but `trials`, which sets the last block's row count.
+# With more than one BLAS thread a trial's rounding depends on its block's
+# row count, so on `trials` too. Small enough that a block's temporaries stay
+# below the solver's peak.
 MC_BLOCK_TRIALS = 64
 
 
@@ -265,9 +267,12 @@ def monte_carlo_nmse(
     one dict per SNR in grid order. Each trial draws h = U_1 diag(sqrt(l)) v
     and the noise n from its own generator seeded by (seed, trial index), so
     results are reproducible realization-by-realization and every SNR of a
-    grid sees the same realizations. All estimators see the same channel and
-    noise within a trial, which makes NMSE differences between estimators far
-    less noisy than their absolute values.
+    grid sees the same realizations. With more than one BLAS thread a
+    trial's products round by how many rows its block has (MC_BLOCK_TRIALS,
+    or the rest in the last block), so its last bits can move with
+    `trials`. All estimators see the same channel and noise within a
+    trial, which makes NMSE differences between estimators far less noisy
+    than their absolute values.
 
     Trials are processed in blocks of MC_BLOCK_TRIALS. Each block is
     projected once per subspace; every SNR then costs elementwise work on the

@@ -22,11 +22,11 @@ Every real operand is this module's own: the real form and the parity
 blocks are built for the solve, and a dense real matrix's real part is
 copied out of its `entries`. Each is solved in place, through numpy's own
 LAPACKE (see _lapacke), where np.linalg would first copy it, and copy the
-eigenvectors out again. The eigenvalues alone come from dsyevd, the
-routine numpy's eigh and eigvalsh call, with numpy's bits. With
-eigenvectors, dsyevd's own steps run one by one (see _eigenpairs): the
-tridiagonal reduction, divide and conquer on the tridiagonal, which gives
-dsyevd's eigenvalues bit for bit, and the back-transform, on the kept
+eigenvectors out again. One sequence solves it, with or without
+eigenvectors: the steps of dsyevd, the routine numpy's eigh and eigvalsh
+call, run one by one (see _eigenpairs), dsyevd's scaling included, so the
+eigenvalues are numpy's bits at any gain. With eigenvectors, divide and
+conquer runs on the tridiagonal and the back-transform on the kept
 columns alone. Only a complex operand, which is a dense caller's
 `entries` itself, and any operand where numpy's LAPACK does not export
 these routines under names known here, go through np.linalg's copies.
@@ -283,24 +283,23 @@ def _real_form(matrix: CorrelationMatrix) -> np.ndarray:
 class _Lapacke(NamedTuple):
     """numpy's own LAPACKE routines that solve a real operand (see _lapacke)."""
 
-    dsyevd: Callable
     dsytrd: Callable
     dstedc: Callable
     dormtr: Callable
 
 
 def _lapacke() -> _Lapacke | None:
-    """numpy's own LAPACKE dsyevd, dsytrd, dstedc and dormtr: all four, or None.
+    """numpy's own LAPACKE dsytrd, dstedc and dormtr: all three, or None.
 
     numpy's eigh and eigvalsh solve a float64 matrix with LAPACK's dsyevd,
-    from the LAPACK numpy.linalg._umath_linalg links; dlsym on that module
-    also searches its dependencies, so it finds the routines in numpy's
-    bundled OpenBLAS. scipy_LAPACKE_<name>64_ is the name in the ILP64
-    scipy-openblas builds numpy's wheels ship, with 64-bit integer
-    arguments; the matrix layout is a C int in every LAPACKE. An unsuffixed
-    name is not probed: its integer width cannot be told from the name.
-    Where any of the four is missing none is bound, and every operand goes
-    to np.linalg.
+    whose steps these are, from the LAPACK numpy.linalg._umath_linalg
+    links; dlsym on that module also searches its dependencies, so it finds
+    the routines in numpy's bundled OpenBLAS. scipy_LAPACKE_<name>64_ is
+    the name in the ILP64 scipy-openblas builds numpy's wheels ship, with
+    64-bit integer arguments; the matrix layout is a C int in every
+    LAPACKE. An unsuffixed name is not probed: its integer width cannot be
+    told from the name. Where any of the three is missing none is bound,
+    and every operand goes to np.linalg.
     """
     try:
         from numpy.linalg import _umath_linalg
@@ -311,7 +310,6 @@ def _lapacke() -> _Lapacke | None:
         return None
     layout, char, int64, pointer = ctypes.c_int, ctypes.c_char, ctypes.c_int64, ctypes.c_void_p
     arguments = (
-        (layout, char, char, int64, pointer, int64, pointer),  # dsyevd
         (layout, char, int64, pointer, int64, pointer, pointer, pointer),  # dsytrd
         (layout, char, int64, pointer, pointer, pointer, int64),  # dstedc
         (layout, char, char, char, int64, int64, pointer, int64, pointer, pointer, int64),  # dormtr
@@ -323,6 +321,9 @@ def _lapacke() -> _Lapacke | None:
 
 _LAPACKE = _lapacke()
 _COLUMN_MAJOR = 102  # LAPACK_COL_MAJOR
+# dsyevd's range of the largest entry, in which an operand is solved unscaled
+_RMIN = float(np.sqrt(np.finfo(float).tiny / np.finfo(float).eps))
+_RMAX = 1.0 / _RMIN
 
 
 def _checked(routine: str, info: int) -> None:
@@ -332,13 +333,15 @@ def _checked(routine: str, info: int) -> None:
 
 
 def _in_place(operand: np.ndarray) -> bool:
-    """Whether numpy's LAPACKE binds and the operand is a square, writeable, C-ordered float64."""
+    """Whether numpy's LAPACKE binds and the operand is a square, writeable, C-ordered float64.
+
+    numpy's CARRAY flag is C-contiguous, aligned and writeable at once.
+    """
     return (
         _LAPACKE is not None
         and operand.dtype == np.float64
         and operand.shape == (len(operand), len(operand))
-        and operand.flags.c_contiguous
-        and operand.flags.writeable
+        and operand.flags.carray
     )
 
 
@@ -383,32 +386,6 @@ def _restore(tails: list[np.ndarray], reflectors: BinaryIO) -> None:
             raise np.linalg.LinAlgError(f"reading dsytrd's reflectors back failed: {exc}") from exc
 
 
-def _eigh(operand: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Ascending eigenvalues of a symmetric operand, and with `vectors` np.linalg's eigenvectors.
-
-    Without `vectors`, an operand that _in_place accepts is solved in place
-    by dsyevd through LAPACKE (see _lapacke), the routine numpy's eigvalsh
-    calls, with no copy: the C-ordered array is handed over as a
-    column-major matrix, which is its transpose, and dsyevd reads its lower
-    triangle. The operand is exactly symmetric, so that is the matrix numpy
-    would have copied out, and the bits are numpy's. The operand is left
-    holding LAPACK's scratch, so it must be the caller's own. Every other
-    operand, and every solve with `vectors`, goes to np.linalg, which
-    copies it. A failure raises np.linalg.LinAlgError.
-    """
-    if vectors:
-        return np.linalg.eigh(operand)
-    if not _in_place(operand):
-        return np.linalg.eigvalsh(operand), None
-    size = len(operand)
-    values = np.empty(size)
-    info = _LAPACKE.dsyevd(
-        _COLUMN_MAJOR, b"N", b"L", size, operand.ctypes.data, max(size, 1), values.ctypes.data
-    )
-    _checked("dsyevd", info)
-    return values, None
-
-
 def _eigenpairs(
     operand: np.ndarray, vectors: bool
 ) -> tuple[np.ndarray, Callable[[int], np.ndarray] | None]:
@@ -419,47 +396,67 @@ def _eigenpairs(
     descending, as a C-contiguous n x k array. _solve calls it once, when
     the rank cut has told it k, and then drops it with everything it holds.
 
-    A real operand that _in_place accepts is solved in its own buffer as
-    dsyevd solves it, but back-transforms only the columns kept. dsytrd
-    reduces it to a tridiagonal T = Q^T A Q, and the Householder reflectors
-    it leaves in the C-ordered array's a[i, i+2:], (n-1)(n-2)/2 floats, go
-    to an unnamed temporary file (see _set_aside), or to one copy in memory
-    where no file can be written. dstedc (COMPZ 'I': divide and conquer, M.
-    Gu and S. C. Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995) writes T's
-    eigenvectors Z over the buffer, as its rows, with n^2 floats of
-    workspace: the solve's peak, 2 n^2 floats where dsyevd holds 3 n^2 (2.5
-    n^2 with the reflectors in memory). Its eigenvalues are dsyevd's, bit
-    for bit. top(k) copies Z's k kept columns out, reads the reflectors
+    A real operand that _in_place accepts is solved in its own buffer by
+    the steps of dsyevd, the routine numpy's eigh and eigvalsh call, with
+    or without `vectors`, but back-transforms only the columns kept. The
+    C-ordered array is handed over as a column-major matrix, its
+    transpose, whose lower triangle the routines read: the operand is
+    exactly symmetric, so that is the matrix numpy would have copied out.
+    First, as in dsyevd, an operand whose norm, its largest entry in
+    magnitude, is nonzero, finite and outside [RMIN, RMAX], with RMIN =
+    sqrt(tiny / eps) and RMAX = 1 / RMIN, is multiplied by the scale
+    RMIN / norm or RMAX / norm, and its eigenvalues by 1 / scale at the
+    end; an infinite norm is not scaled. So the eigenvalues are numpy's
+    bits at any gain. dsytrd reduces the operand to a tridiagonal
+    T = Q^T A Q. Without `vectors`, dstedc (COMPZ 'N', which runs dsyevd's
+    dsterf) gives T's eigenvalues with O(n) workspace. With them, the
+    Householder reflectors dsytrd leaves in the C-ordered array's
+    a[i, i+2:], (n-1)(n-2)/2 floats, go to an unnamed temporary file (see
+    _set_aside), or to one copy in memory where no file can be written.
+    dstedc (COMPZ 'I': divide and conquer, M. Gu and S. C. Eisenstat, SIAM
+    J. Matrix Anal. Appl. 16, 1995) writes T's eigenvectors Z over the
+    buffer, as its rows, with n^2 floats of workspace: the solve's peak,
+    2 n^2 floats where dsyevd holds 3 n^2 (2.5 n^2 with the reflectors in
+    memory). top(k) copies Z's k kept columns out, reads the reflectors
     back in full and closes their file, and dormtr (SIDE 'R', TRANS 'T')
     applies Q to the columns in place: the n x k C-ordered array is the
     k x n column-major Z_k^T, which becomes (Q Z_k)^T. The columns are
     dsyevd's up to rounding, as dsyevd applies Q to all n columns from the
     left. An operand of 0 or 1 rows takes the same steps, with no reflector
-    and Q = I, and one of 2 rows has no reflector to set aside.
+    and Q = I, and one of 2 rows has no reflector to set aside. The
+    operand is left holding LAPACK's scratch, so it must be the caller's
+    own.
 
-    Everything else is _eigh's: a solve without `vectors`, a complex
-    operand, a real one _in_place turns down, and any operand where numpy's
-    LAPACK lacks one of the routines; there top(k) copies the kept columns
-    out of all n. A failure raises np.linalg.LinAlgError naming the routine,
-    or the failed read-back of the reflectors.
+    A complex operand, a real one _in_place turns down, and any operand
+    where numpy's LAPACK lacks one of the routines go to np.linalg, which
+    copies it; there top(k) copies the kept columns out of all n. A
+    failure raises np.linalg.LinAlgError naming the routine, or the failed
+    read-back of the reflectors.
     """
-    if not (vectors and _in_place(operand)):
-        values, columns = _eigh(operand, vectors)
-        if columns is None:
-            return values, None
+    if not _in_place(operand):
+        if not vectors:
+            return np.linalg.eigvalsh(operand), None
+        values, columns = np.linalg.eigh(operand)
         return values, lambda k: np.ascontiguousarray(columns[:, len(values) - k :][:, ::-1])
     size, data = len(operand), operand.ctypes.data
     lead, off = max(size, 1), max(size - 1, 0)
+    norm, scale = max(operand.max(initial=0.0), -operand.min(initial=0.0)), 1.0
+    if 0.0 < norm < _RMIN or _RMAX < norm < np.inf:
+        scale = (_RMIN if norm < _RMIN else _RMAX) / norm
+        operand *= scale
     values, off_diagonal, tau = np.empty(size), np.empty(off), np.empty(off)
     tridiagonal = (values.ctypes.data, off_diagonal.ctypes.data)
     info = _LAPACKE.dsytrd(_COLUMN_MAJOR, b"L", size, data, lead, *tridiagonal, tau.ctypes.data)
     _checked("dsytrd", info)
-    tails = [operand[i, i + 2 :] for i in range(size - 2)]  # dsytrd's reflectors, by row
-    reflectors = _set_aside(tails)
-    info = _LAPACKE.dstedc(_COLUMN_MAJOR, b"I", size, *tridiagonal, data, lead)
+    tails = [operand[i, i + 2 :] for i in range(size - 2)] if vectors else []
+    reflectors = _set_aside(tails)  # dsytrd's reflectors, by row
+    info = _LAPACKE.dstedc(_COLUMN_MAJOR, b"I" if vectors else b"N", size, *tridiagonal, data, lead)
     if info:
         reflectors.close()
     _checked("dstedc", info)
+    values *= 1.0 / scale  # dsyevd's DSCAL; exact where the operand was not scaled
+    if not vectors:
+        return values, None
 
     def top(count: int) -> np.ndarray:
         kept = np.ascontiguousarray(operand[size - count :][::-1].T)
@@ -486,9 +483,9 @@ def _operands(matrix: CorrelationMatrix) -> tuple[str, list[np.ndarray]]:
     imaginary part is exactly zero, in the identity frame (see EigenBasis).
 
     Every real operand is a fresh C-contiguous float64 array that no one
-    else holds, for _eigh to overwrite: the real form and the parity blocks
-    are built for the call, and a dense real R's real part is copied out,
-    so the caller's `entries` are never written. A complex R is handed over
+    else holds, for _eigenpairs to overwrite: the real form and the parity
+    blocks are built for the call, and a dense real R's real part is copied
+    out, so the caller's `entries` are never written. A complex R is handed over
     as it is; np.linalg copies it.
     """
     real, centro_hermitian = matrix._structure()
@@ -519,7 +516,7 @@ def _solve(
     or, with `vectors`, by its tridiagonal's eigenvectors, of which only
     the operand's share of the rank is back-transformed (see _eigenpairs).
     So a real operand's solve peaks at 2 n^2 floats, where dsyevd in place
-    took 3 n^2. Without `vectors` dsyevd's workspace is O(n). A
+    took 3 n^2. Without `vectors` dstedc's workspace is O(n). A
     complex operand, the caller's `entries`, goes through np.linalg, which
     copies it.
 

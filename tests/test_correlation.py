@@ -232,7 +232,7 @@ class TestCorrelationMatrixType:
         def failing(*args, **kwargs):
             raise np.linalg.LinAlgError("did not converge")
 
-        monkeypatch.setattr(holomimo.spectral, "_eigh", failing)
+        monkeypatch.setattr(holomimo.spectral, "_eigenpairs", failing)
         matrix = build_isotropic(ArrayGeometry(2, 2, 0.25, 1.0))
         with pytest.raises(NumericalError, match="did not converge"):
             matrix.validate()

@@ -45,7 +45,6 @@ from holomimo.correlation import STRUCTURE_CHECK_ROWS
 from holomimo.spectral import (
     RANK_TOLERANCE,
     _eigenpairs,
-    _eigh,
     _leading_pieces,
     _numerical_rank,
     _operands,
@@ -637,7 +636,7 @@ def test_in_place_solve_gives_numpys_bits(frame, builder, broken, shape):
         np.testing.assert_allclose(in_place_vectors, vectors[:, ::-1], rtol=0, atol=1e-13)
         if holomimo.spectral._LAPACKE is not None and len(owned) > 1:
             assert owned.tobytes() != operand.tobytes()
-        only_values, none = _eigh(operand.copy(), vectors=False)
+        only_values, none = _eigenpairs(operand.copy(), vectors=False)
         assert none is None
         assert only_values.tobytes() == np.linalg.eigvalsh(operand).tobytes()
 
@@ -656,10 +655,10 @@ def test_an_operand_that_cannot_be_overwritten_in_place_goes_to_numpy(layout):
         operand = symmetric.copy()
         operand.flags.writeable = False
     before = operand.copy()
-    values, vectors = _eigh(operand, vectors=True)
+    values, top = _eigenpairs(operand, vectors=True)
     expected_values, expected_vectors = np.linalg.eigh(symmetric)
     assert values.tobytes() == expected_values.tobytes()
-    assert vectors.tobytes() == expected_vectors.tobytes()
+    assert top(len(values)).tobytes() == expected_vectors[:, ::-1].tobytes()
     assert operand.tobytes() == before.tobytes()
 
 
@@ -682,6 +681,27 @@ def test_numpy_fallback_gives_the_in_place_bits(frame, builder, broken, shape, m
         np.testing.assert_allclose(kept, fb_kept, rtol=0, atol=1e-13)
 
 
+@pytest.mark.parametrize("gain", [1e-200, 1e-150, 1e150, 1e200])
+@pytest.mark.parametrize("frame", ["lee", "parity", "identity"])
+def test_extreme_gains_give_numpys_eigenvalues(frame, gain):
+    # dsyevd scales an operand whose largest entry lies outside
+    # [sqrt(tiny / eps), sqrt(eps / tiny)] before it reduces it, and scales
+    # the eigenvalues back; the solve does the same, with and without
+    # eigenvectors, so its eigenvalues stay numpy's bits at any gain
+    geometry = ArrayGeometry(6, 7, 0.25, 1.0)
+    if frame == "lee":
+        matrix = build_exact_clustered(geometry, dataclasses.replace(CLUSTERED, gain=gain))
+    else:
+        matrix = build_isotropic(geometry, gain)
+        matrix = external_copy(matrix, broken=True) if frame == "identity" else matrix
+    solved_frame, operands = _operands(matrix)
+    assert solved_frame == frame
+    for vectors, solve in ((False, np.linalg.eigvalsh), (True, lambda a: np.linalg.eigh(a)[0])):
+        expected = np.sort(np.concatenate([solve(operand) for operand in operands]))[::-1]
+        values, _, _ = _solve(matrix, vectors)
+        assert values.tobytes() == expected.tobytes(), vectors
+
+
 @pytest.mark.parametrize(
     "builder, broken",
     [("exact", False), ("isotropic", False), ("exact", True), ("isotropic", True)],
@@ -701,22 +721,22 @@ def test_a_dense_matrix_entries_are_never_overwritten(builder, broken):
 @pytest.mark.parametrize("builder", ["exact", "isotropic"])
 def test_a_nonzero_lapack_info_raises_numerical_error(builder, monkeypatch):
     matrix = SMALL_BUILDERS[builder](ArrayGeometry(5, 5, 0.25, 1.0))
-    failing = holomimo.spectral._Lapacke(*[lambda *args: 7] * 4)
+    failing = holomimo.spectral._Lapacke(*[lambda *args: 7] * 3)
     monkeypatch.setattr(holomimo.spectral, "_LAPACKE", failing)
-    # the eigenvalues alone come from dsyevd, the eigenvectors start with dsytrd
+    # with or without eigenvectors, the solve starts with dsytrd
     for solve, routine in (
-        (spectrum, "dsyevd"),
+        (spectrum, "dsytrd"),
         (eigendecompose, "dsytrd"),
-        (CorrelationMatrix.validate, "dsyevd"),
+        (CorrelationMatrix.validate, "dsytrd"),
     ):
         message = rf"{builder} matrix \(M=25\): LAPACKE {routine} returned info 7"
         with pytest.raises(NumericalError, match=message):
             solve(matrix)
     monkeypatch.undo()
     if holomimo.spectral._LAPACKE is not None:
-        # LAPACKE's own NaN scan of the operand, argument 5, as LAPACK reports it
-        with pytest.raises(np.linalg.LinAlgError, match="info -5"):
-            _eigh(np.full((3, 3), np.nan), vectors=False)
+        # LAPACKE's own NaN scan of the operand, argument 4, as LAPACK reports it
+        with pytest.raises(np.linalg.LinAlgError, match="dsytrd returned info -4"):
+            _eigenpairs(np.full((3, 3), np.nan), vectors=False)
 
 
 NEEDS_LAPACKE = pytest.mark.skipif(
@@ -791,7 +811,11 @@ def test_a_failed_step_of_the_vectors_solve_raises_numerical_error(builder, rout
     message = rf"{builder} matrix \(M=25\): LAPACKE {routine} returned info 3"
     with pytest.raises(NumericalError, match=message):
         eigendecompose(matrix)
-    spectrum(matrix)  # the eigenvalues alone run neither routine
+    if routine == "dormtr":
+        spectrum(matrix)  # the eigenvalues alone run no back-transform
+        return
+    with pytest.raises(NumericalError, match=message):  # they run dstedc, COMPZ 'N'
+        spectrum(matrix)
 
 
 @pytest.mark.parametrize("missing", holomimo.spectral._Lapacke._fields)
